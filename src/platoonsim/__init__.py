@@ -27,7 +27,6 @@ from .management import (
     StrategyOutput,
     StrategyProgress,
     StrategyRegistry,
-    tick_manage,
 )
 from .params import Parameters
 from .scenario import ScenarioSpec, SpecError, load_scenario
@@ -61,7 +60,6 @@ __all__ = [
     "replay_check",
     "role_transition",
     "run",
-    "tick_manage",
 ]
 
 __version__ = "0.1.0"

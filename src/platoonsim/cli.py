@@ -25,8 +25,7 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
     run = spec.run
     if args.dt is not None or args.duration is not None:
         run = RunSpec(dt=args.dt if args.dt is not None else run.dt,
-                      duration=args.duration if args.duration is not None else run.duration,
-                      seed=run.seed)
+                      duration=args.duration if args.duration is not None else run.duration)
     spec = dataclasses.replace(
         spec, run=run,
         degradation_enabled=spec.degradation_enabled and not args.no_degradation,

@@ -40,7 +40,6 @@ class CloudState:
     pending_requests: deque = field(default_factory=deque)  # (due_tick, vid)
     outstanding_join: Optional[VehicleId] = None
     queued_targets: set = field(default_factory=set)
-    issued: list = field(default_factory=list)  # (tick, ActiveInstruction)
 
 
 @dataclass
@@ -122,9 +121,6 @@ class Cloud:
                 instr = self._join_instruction(vid, None)
                 out.instructions.append(instr)
                 self.state.outstanding_join = vid
-
-        for instr in out.instructions:
-            self.state.issued.append((tick, instr))
         return out
 
 

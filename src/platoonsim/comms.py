@@ -38,19 +38,16 @@ class FaultBoard:
     there is no API to clear one."""
 
     def __init__(self) -> None:
-        self._faults: dict[VehicleId, dict[FaultKind, int]] = {}
+        self._faults: dict[VehicleId, set[FaultKind]] = {}
 
-    def inject(self, vid: VehicleId, kind: FaultKind, tick: int) -> None:
-        self._faults.setdefault(vid, {}).setdefault(kind, tick)
+    def inject(self, vid: VehicleId, kind: FaultKind) -> None:
+        self._faults.setdefault(vid, set()).add(kind)
 
     def has(self, vid: VehicleId, kind: FaultKind) -> bool:
-        return kind in self._faults.get(vid, {})
+        return kind in self._faults.get(vid, ())
 
     def active(self, vid: VehicleId) -> frozenset[FaultKind]:
-        return frozenset(self._faults.get(vid, {}))
-
-    def injection_tick(self, vid: VehicleId, kind: FaultKind) -> Optional[int]:
-        return self._faults.get(vid, {}).get(kind)
+        return frozenset(self._faults.get(vid, ()))
 
 
 class MessageBus:
@@ -93,17 +90,6 @@ class MessageBus:
                     continue
                 inboxes[rid].append(msg)
         return inboxes
-
-
-def bus_deliver(outbox: list[V2VMessage], faults: FaultBoard, tick: int,
-                receivers: Iterable[VehicleId],
-                config: BusConfig = BusConfig()) -> dict[VehicleId, list[V2VMessage]]:
-    """One-shot send + deliver convenience over a fresh bus: queue ``outbox``
-    (all sent at ``tick``) and return the inboxes at tick + delay."""
-    bus = MessageBus(config)
-    for msg in outbox:
-        bus.send(msg, faults)
-    return bus.deliver(tick + config.delivery_delay_ticks, faults, receivers)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +161,6 @@ class PeerView:
     zeroed: bool = False
 
 
-class PeerSilent(Exception):
-    """A platoon peer's heartbeat has been absent past the timeout."""
-
-    def __init__(self, peer: VehicleId) -> None:
-        super().__init__(f"peer {peer} silent past heartbeat timeout")
-        self.peer = peer
-
-
 class PeerViewStore:
     """Per-vehicle registry of the freshest heartbeat from each peer."""
 
@@ -202,6 +180,24 @@ class PeerViewStore:
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return self._latest.get(peer)
+
+    def preceding_member(self, ego: VehicleState) -> Optional[VehicleId]:
+        """Nearest platoon member ahead of ``ego``, from the freshest
+        heartbeats. Same-lane members win over one mid lane-change
+        elsewhere."""
+        best: Optional[tuple[int, float, VehicleId]] = None
+        for peer in self.known_peers():
+            msg = self._latest[peer]
+            if msg.role is None or not msg.role.is_member():
+                continue
+            assert msg.state is not None
+            ahead = msg.state.s - ego.s
+            if ahead <= 0.0:
+                continue
+            lane_rank = 0 if msg.state.lane == ego.lane else 1
+            if best is None or (lane_rank, ahead) < best[:2]:
+                best = (lane_rank, ahead, peer)
+        return best[2] if best else None
 
     def age(self, peer: VehicleId, tick: int) -> int:
         """Heartbeat age in ticks; a never-heard peer ages from tick 0."""

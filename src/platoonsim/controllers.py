@@ -10,11 +10,16 @@ speed tracking for when no distance data can be trusted.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .comms import PeerView, RadarReading
+from .core import LongitudinalCommand, LongitudinalMode
 from .dynamics import G
+
+if TYPE_CHECKING:
+    from .params import Parameters
 
 
 class InvalidReading(Exception):
@@ -148,18 +153,61 @@ def cap_speed(a_cmd: float, ego_v: float, v_cap: Optional[float],
     return min(a_cmd, gains.kv * (v_cap - ego_v))
 
 
+def longitudinal_command(command: LongitudinalCommand, reading: RadarReading,
+                         ego_v: float, driver_v_set: float,
+                         predecessor: Optional[PeerView], params: Parameters,
+                         pid_acc: PidState, pid_cacc: PidState, dt: float,
+                         stale_after_ticks: Optional[int]) -> float:
+    """One tick's acceleration command for the selected longitudinal mode.
+
+    The driver mode tracks its set speed but brakes below the simulated
+    driver's floor gap. Gap controllers command nothing on an invalid
+    reading. CACC falls back to ACC when the predecessor's view is missing
+    or older than ``stale_after_ticks``. ACC and CACC commands are bounded
+    by the approach speed cap.
+    """
+    gains = params.gains
+    mode = command.mode
+    if mode is LongitudinalMode.AEB:
+        return aeb(ego_v, params.limits.d_max)
+    if mode is LongitudinalMode.CC:
+        v_set = command.v_set if command.v_set is not None else params.platoon_speed
+        return cc(ego_v, v_set, gains)
+    if mode is LongitudinalMode.DRIVER:
+        v_set = command.v_set if command.v_set is not None else driver_v_set
+        base = cc(ego_v, v_set, gains)
+        floor = params.spacing.d0 + params.driver_headway * ego_v
+        if reading.valid and reading.gap < floor:
+            braking = gains.kp * (reading.gap - floor) \
+                + gains.kv * min(0.0, reading.rel_speed)
+            base = min(base, braking)
+        return base
+    if not reading.valid:
+        return 0.0
+    cmd: Optional[float] = None
+    if mode is LongitudinalMode.CACC and predecessor is not None:
+        try:
+            cmd = cacc(reading, predecessor, ego_v, params.spacing, gains, pid_cacc,
+                       dt, stale_after_ticks=stale_after_ticks)
+        except StaleData:
+            pass
+    if cmd is None:
+        cmd = acc(reading, ego_v, params.spacing, gains, pid_acc, dt)
+    return cap_speed(cmd, ego_v, params.approach_speed_cap, gains)
+
+
 # ---------------------------------------------------------------------------
 # TTC trigger
 # ---------------------------------------------------------------------------
 
-class TriggerKind:
+class TriggerKind(enum.Enum):
     NONE = "None"
     CUT_IN = "CutIn"
     AEB = "AebTrigger"
 
 
 def ttc_trigger(reading: RadarReading, prev: Optional[RadarReading],
-                cfg: TtcConfig) -> str:
+                cfg: TtcConfig) -> TriggerKind:
     """Classify a radar reading against the previous one.
 
     Fires only when a new in-lane target appeared (different identity,
@@ -199,7 +247,7 @@ class TtcMonitor:
     def reset(self) -> None:
         self._prev = None
 
-    def update(self, reading: RadarReading) -> str:
+    def update(self, reading: RadarReading) -> TriggerKind:
         result = ttc_trigger(reading, self._prev, self.cfg)
         self._prev = reading if reading.valid else None
         return result

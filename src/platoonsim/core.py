@@ -337,10 +337,6 @@ class PlatoonInfo:
         series = self.id_series[:idx]
         return PlatoonInfo(len(series), series)
 
-    def behind(self, ego: VehicleId, other: VehicleId) -> bool:
-        """True when ``ego`` is behind ``other`` in the series order."""
-        return self.id_series.index(ego) > self.id_series.index(other)
-
 
 class MessageKind(enum.Enum):
     """Tagged V2V message vocabulary. Enum order fixes delivery sorting."""

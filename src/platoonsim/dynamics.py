@@ -15,8 +15,6 @@ from .core import (
 
 G = 9.81  # m/s^2
 
-VEHICLE_WIDTH = 2.0  # m, default; overridable through scenario parameters
-
 
 class InvalidLane(Exception):
     """Raised for a lane-change command to an out-of-range or non-adjacent lane."""
@@ -46,6 +44,8 @@ class LaneGeometry:
     def __post_init__(self) -> None:
         if self.lane_count < 1:
             raise ValueError("lane_count must be at least 1")
+        if self.lane_width <= 0 or self.lane_change_duration <= 0:
+            raise ValueError("lane_width and lane_change_duration must be positive")
 
     def center(self, lane: int) -> float:
         return lane * self.lane_width
@@ -115,14 +115,8 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
     return replace(state, lateral_offset=off)
 
 
-def lane_change_progress(state: VehicleState, geom: LaneGeometry) -> float:
-    """Fraction of the lane width already traversed during a lane change."""
-    return abs(state.lateral_offset) / geom.lane_width
-
-
 def detect_collisions(states: dict[VehicleId, VehicleState], geom: LaneGeometry,
-                      vehicle_width: float = VEHICLE_WIDTH,
-                      ) -> list[tuple[VehicleId, VehicleId]]:
+                      vehicle_width: float) -> list[tuple[VehicleId, VehicleId]]:
     """Report vehicle pairs whose bodies overlap.
 
     A pair collides when their longitudinal intervals [s - length, s]

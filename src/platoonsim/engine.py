@@ -24,16 +24,7 @@ from .comms import (
     radar_sense,
     v2v_payload,
 )
-from .controllers import (
-    PidState,
-    StaleData,
-    TtcMonitor,
-    acc,
-    aeb,
-    cacc,
-    cap_speed,
-    cc,
-)
+from .controllers import PidState, TtcMonitor, longitudinal_command
 from .core import (
     ControllerKind,
     FaultKind,
@@ -88,10 +79,6 @@ class Trace:
             writer.writerow(self.columns)
             for row in self.rows:
                 writer.writerow([_fmt(v) for v in row])
-
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
 
 def _fmt(value) -> str:
@@ -196,7 +183,6 @@ class Simulator:
         self.faults = FaultBoard()
         self.bus = MessageBus(self.params.bus)
         self.cloud = Cloud(spec, self.params, self.dt)
-        self.events: list[EngineEvent] = []
         self._uplink: list[V2VMessage] = []
         self._collided: set[tuple[VehicleId, VehicleId]] = set()
 
@@ -208,7 +194,6 @@ class Simulator:
             manager = VehicleManager(v.vid, v.role, self.registry, self.params, self.dt)
             rt = _Runtime(v.vid, state, manager)
             rt.monitor = TtcMonitor(self.params.ttc)
-            rt.driver = DriverState(v_set=v.v)
             if v.role.is_member():
                 rt.replica = platoon
             if v.role is Role.LEADER:
@@ -241,9 +226,7 @@ class Simulator:
 
     def _log(self, tick: int, vehicle: Optional[VehicleId], kind: str,
              detail: str = "") -> None:
-        event = EngineEvent(tick, tick * self.dt, vehicle, kind, detail)
-        self.events.append(event)
-        self.report.events.append(event)
+        self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, detail))
 
     def _leader_runtime(self) -> Optional[_Runtime]:
         for vid in sorted(self.runtimes):
@@ -256,23 +239,6 @@ class Simulator:
         return [vid for vid in sorted(self.runtimes)
                 if self.runtimes[vid].managed and self.runtimes[vid].active]
 
-    def _preceding_member(self, rt: _Runtime) -> Optional[VehicleId]:
-        """Nearest platoon member ahead, from the freshest raw heartbeats.
-        Same-lane members win over one mid lane-change elsewhere."""
-        best: Optional[tuple[int, float, VehicleId]] = None
-        for peer in rt.peer_store.known_peers():
-            msg = rt.peer_store.raw(peer)
-            if msg is None or msg.role is None or not msg.role.is_member():
-                continue
-            assert msg.state is not None
-            ahead = msg.state.s - rt.state.s
-            if ahead <= 0.0:
-                continue
-            lane_rank = 0 if msg.state.lane == rt.state.lane else 1
-            if best is None or (lane_rank, ahead) < best[:2]:
-                best = (lane_rank, ahead, peer)
-        return best[2] if best else None
-
     # -- per-tick stages ----------------------------------------------------
 
     def _stage_cloud(self, tick: int, snapshot: dict[VehicleId, VehicleState]) -> None:
@@ -280,7 +246,7 @@ class Simulator:
         out = self.cloud.tick(tick, self._uplink, leader.replica if leader else None)
         self._uplink = []
         for fault in out.faults:
-            self.faults.inject(fault.target, fault.kind, tick)
+            self.faults.inject(fault.target, fault.kind)
             self._log(tick, fault.target, "fault_injected", fault.kind.value)
         for spawn in out.spawns:
             vid = self._intruders[id(spawn)]
@@ -337,10 +303,11 @@ class Simulator:
             assert rt.monitor is not None and rt.manager is not None
             ttc_result = rt.monitor.update(reading)
 
+            own: frozenset[FaultKind] = frozenset()
             new_own: tuple[FaultKind, ...] = ()
             newly_silent: tuple[VehicleId, ...] = ()
             if self.spec.degradation_enabled:
-                own = set(self.faults.active(vid))
+                own = self.faults.active(vid)
                 fresh = own - rt.reported_own
                 rt.reported_own |= own
                 new_own = tuple(sorted(fresh, key=lambda k: k.value))
@@ -359,9 +326,7 @@ class Simulator:
                 reading=reading, peers=rt.last_payload, inbox=inboxes[vid],
                 platoon=rt.replica, instruction=None, params=self.params,
                 degradation_enabled=self.spec.degradation_enabled,
-                own_faults=(self.faults.active(vid)
-                            if self.spec.degradation_enabled else frozenset()),
-                driver=rt.driver)
+                own_faults=own, driver=rt.driver)
             signals = TickSignals(new_own_faults=new_own,
                                   newly_silent_peers=newly_silent,
                                   ttc_result=ttc_result)
@@ -395,49 +360,10 @@ class Simulator:
             self.bus.send(hb, self.faults)
         self._uplink = sent
 
-    def _longitudinal_command(self, rt: _Runtime, reading: RadarReading) -> float:
-        params = self.params
-        gains = params.gains
-        lon = rt.controller.longitudinal
-        v = rt.state.v
-        if lon.mode is LongitudinalMode.AEB:
-            return aeb(v, params.limits.d_max)
-        if lon.mode is LongitudinalMode.CC:
-            v_set = lon.v_set if lon.v_set is not None else params.platoon_speed
-            return cc(v, v_set, gains)
-        if lon.mode is LongitudinalMode.DRIVER:
-            v_set = lon.v_set if lon.v_set is not None else rt.driver.v_set
-            base = cc(v, v_set, gains)
-            floor = params.spacing.d0 + params.driver_headway * v
-            if reading.valid and reading.gap < floor:
-                braking = gains.kp * (reading.gap - floor) \
-                    + gains.kv * min(0.0, reading.rel_speed)
-                base = min(base, braking)
-            return base
-        if lon.mode is LongitudinalMode.ACC:
-            if not reading.valid:
-                return 0.0
-            cmd = acc(reading, v, params.spacing, gains, rt.pid_acc, self.dt)
-            return cap_speed(cmd, v, params.approach_speed_cap, gains)
-        # CACC
-        if not reading.valid:
-            return 0.0
-        peer_id = self._preceding_member(rt)
-        view = rt.last_payload.get(peer_id) if peer_id is not None else None
-        if view is None:
-            cmd = acc(reading, v, params.spacing, gains, rt.pid_acc, self.dt)
-            return cap_speed(cmd, v, params.approach_speed_cap, gains)
-        stale_after = (self.params.heartbeat_timeout_ticks(self.dt)
-                       if self.spec.degradation_enabled else None)
-        try:
-            cmd = cacc(reading, view, v, params.spacing, gains, rt.pid_cacc,
-                       self.dt, stale_after_ticks=stale_after)
-        except StaleData:
-            cmd = acc(reading, v, params.spacing, gains, rt.pid_acc, self.dt)
-        return cap_speed(cmd, v, params.approach_speed_cap, gains)
-
     def _stage_step(self, tick: int, snapshot: dict[VehicleId, VehicleState],
                     readings: dict[VehicleId, RadarReading]) -> None:
+        stale_after = (self.params.heartbeat_timeout_ticks(self.dt)
+                       if self.spec.degradation_enabled else None)
         new_states: dict[VehicleId, VehicleState] = {}
         for vid in sorted(self.runtimes):
             rt = self.runtimes[vid]
@@ -446,7 +372,15 @@ class Simulator:
             if rt.script is not None:
                 a_cmd, lateral = rt.script.step(tick, rt.state)
             else:
-                a_cmd = self._longitudinal_command(rt, readings[vid])
+                lon = rt.controller.longitudinal
+                predecessor = None
+                if lon.mode is LongitudinalMode.CACC:
+                    peer_id = rt.peer_store.preceding_member(rt.state)
+                    if peer_id is not None:
+                        predecessor = rt.last_payload.get(peer_id)
+                a_cmd = longitudinal_command(
+                    lon, readings[vid], rt.state.v, rt.driver.v_set, predecessor,
+                    self.params, rt.pid_acc, rt.pid_cacc, self.dt, stale_after)
                 lateral = rt.controller.lateral
             state = step_longitudinal(snapshot[vid], a_cmd, self.params.limits, self.dt)
             new_states[vid] = step_lateral(state, lateral, self.params.geometry, self.dt)
@@ -504,7 +438,7 @@ class Simulator:
             columns.extend(f"v{vid}_{name}" for name in
                            ("s", "lane", "v", "a", "controller", "maneuver",
                             "role", "gap", "psize"))
-        trace = Trace(self.spec.spec_hash(), tuple(columns))
+        trace = Trace(self.report.spec_hash, tuple(columns))
 
         for tick in range(self.spec.tick_count()):
             snapshot = {vid: rt.state for vid, rt in self.runtimes.items() if rt.active}

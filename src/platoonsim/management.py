@@ -96,10 +96,6 @@ class StrategyContext:
     own_faults: frozenset[FaultKind] = frozenset()
     driver: DriverState = field(default_factory=DriverState)
 
-    @property
-    def time(self) -> float:
-        return self.tick * self.dt
-
     def flags(self, kind: MessageKind, sender: Optional[VehicleId] = None,
               ) -> list[V2VMessage]:
         return [m for m in self.inbox
@@ -168,27 +164,14 @@ class StrategyRegistry:
     def keys(self) -> tuple[StrategyKey, ...]:
         return tuple(self._entries)
 
-    def items(self) -> tuple[tuple[StrategyKey, Strategy], ...]:
-        return tuple(self._entries.items())
-
-    def without(self, key: StrategyKey) -> "StrategyRegistry":
-        """A copy of the registry with one key removed (strategies are
-        independent, so dropping one must not disturb the rest)."""
-        other = StrategyRegistry()
-        for k, s in self._entries.items():
-            if k != key:
-                other.register(k, s)
-        return other
-
 
 @dataclass
 class TickSignals:
     """Per-tick detector outputs the engine feeds into the manager."""
 
-    instructions: Sequence[ActiveInstruction] = ()
     new_own_faults: Sequence[FaultKind] = ()
     newly_silent_peers: Sequence[VehicleId] = ()
-    ttc_result: str = TriggerKind.NONE
+    ttc_result: TriggerKind = TriggerKind.NONE
 
 
 @dataclass
@@ -286,10 +269,10 @@ class VehicleManager:
         if fault is not None:
             return fault
         if in_platooning and self.role.is_member():
-            if signals.ttc_result == TriggerKind.AEB:
+            if signals.ttc_result is TriggerKind.AEB:
                 return (ObstacleTtcTrigger(at_head=self.role is Role.LEADER),
                         {"detector": self.vid, "own_entry": True})
-            if signals.ttc_result == TriggerKind.CUT_IN:
+            if signals.ttc_result is TriggerKind.CUT_IN:
                 return ObstacleCutInTrigger(), {"detector": self.vid, "own_entry": True}
         if in_platooning and self._pending_announces:
             sender, maneuver = self._pending_announces.popleft()
@@ -355,30 +338,17 @@ class VehicleManager:
             output.notes.append(f"{self.maneuver.name} timed out; aborting")
             events.append(ManagerEvent("maneuver_timeout", self.maneuver.name))
 
+        if output.role_change is not None and output.role_change != self.role:
+            cause = _role_cause(self.maneuver, output.role_change)
+            new_role = role_transition(self.role, cause)
+            assert new_role == output.role_change
+            self.role = new_role
+            events.append(ManagerEvent("role_change", self.role.value))
         if output.maneuver_done and self.maneuver != ManeuverState.PLATOONING:
-            if output.role_change is not None and output.role_change != self.role:
-                cause = _role_cause(self.maneuver, output.role_change)
-                new_role = role_transition(self.role, cause)
-                assert new_role == output.role_change
-                self.role = new_role
-                events.append(ManagerEvent("role_change", self.role.value))
             events.append(ManagerEvent("maneuver_complete", self.maneuver.name))
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)
             self.active_instruction = None
             self.monitor_reset_requested = True
-        elif output.role_change is not None and output.role_change != self.role:
-            cause = _role_cause(self.maneuver, output.role_change)
-            self.role = role_transition(self.role, cause)
-            events.append(ManagerEvent("role_change", self.role.value))
 
         return output, events
-
-
-def tick_manage(manager: VehicleManager, ctx: StrategyContext,
-                signals: Optional[TickSignals] = None,
-                ) -> StrategyOutput:
-    """Single management step for one vehicle: apply maneuver triggers in
-    priority order, then dispatch to the registered strategy."""
-    output, _ = manager.tick(ctx, signals or TickSignals())
-    return output

@@ -40,7 +40,6 @@ class VehicleSpec:
 class RunSpec:
     dt: float = 0.05
     duration: float = 30.0
-    seed: int = 0  # accepted for forward compatibility; no seeded noise exists
 
 
 @dataclass(frozen=True)
@@ -105,51 +104,10 @@ class ScenarioSpec:
     def fault_events(self) -> tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, FaultEvent))
 
-    def to_dict(self) -> dict:
-        def event_dict(e: ScenarioEvent) -> dict:
-            if isinstance(e, JoinEvent):
-                pos = "tail" if e.before is None else f"before:{e.before}"
-                return {"t": e.t, "kind": "join", "target": e.target, "position": pos}
-            if isinstance(e, LeaveEvent):
-                return {"t": e.t, "kind": "leave", "target": e.target}
-            if isinstance(e, FaultEvent):
-                return {"t": e.t, "kind": "fault", "target": e.target,
-                        "fault": "radar" if e.kind is FaultKind.RADAR_FAIL else "v2v"}
-            assert isinstance(e, CutInEvent)
-            out = {"t": e.t, "kind": "cut_in", "target": e.target, "lane": e.lane,
-                   "s_offset": e.s_offset, "duration": e.duration,
-                   "ttc_satisfying": e.ttc_satisfying}
-            if e.speed_delta is not None:
-                out["speed_delta"] = e.speed_delta
-            return out
-
-        params: dict[str, Any] = {}
-        for group_name, group in (("limits", self.params.limits),
-                                  ("geometry", self.params.geometry),
-                                  ("bus", self.params.bus),
-                                  ("spacing", self.params.spacing),
-                                  ("gains", self.params.gains),
-                                  ("ttc", self.params.ttc)):
-            params[group_name] = dataclasses.asdict(group)
-        for f in dataclasses.fields(Parameters):
-            if f.name not in params and f.name not in (
-                    "limits", "geometry", "bus", "spacing", "gains", "ttc"):
-                params[f.name] = getattr(self.params, f.name)
-        return {
-            "name": self.name,
-            "run": dataclasses.asdict(self.run),
-            "vehicles": [{"id": v.vid, "s": v.s, "lane": v.lane, "v": v.v,
-                          "role": v.role.value.lower().replace("vehicle", ""),
-                          "length": v.length} for v in self.vehicles],
-            "events": [event_dict(e) for e in self.events],
-            "parameters": params,
-            "modes": {"degradation_enabled": self.degradation_enabled,
-                      "halt_on_collision": self.halt_on_collision},
-        }
-
     def spec_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """sha256 of the repr: the spec is a frozen tree of numbers, strings,
+        enums and tuples, so the repr is deterministic and covers every field."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +148,14 @@ def _number(obj: Mapping[str, Any], key: str, where: str) -> float:
     return float(value)
 
 
+def _boolean(obj: Mapping[str, Any], key: str, where: str,
+             default: bool = False) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise SpecError(f"{where}.{key} must be a boolean")
+    return value
+
+
 def _load_event(raw: Mapping[str, Any], index: int) -> ScenarioEvent:
     where = f"events[{index}]"
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -219,34 +185,36 @@ def _load_event(raw: Mapping[str, Any], index: int) -> ScenarioEvent:
         _require_keys(raw, [*t_keys, "lane", "s_offset", "duration",
                             "ttc_satisfying", "speed_delta"], where,
                       ["t", "target", "lane", "s_offset", "duration", "ttc_satisfying"])
-        if not isinstance(raw["ttc_satisfying"], bool):
-            raise SpecError(f"{where}.ttc_satisfying must be a boolean")
         delta = None
         if "speed_delta" in raw:
             delta = _number(raw, "speed_delta", where)
         return CutInEvent(_number(raw, "t", where), int(raw["target"]),
                           int(raw["lane"]), _number(raw, "s_offset", where),
-                          _number(raw, "duration", where), raw["ttc_satisfying"], delta)
+                          _number(raw, "duration", where),
+                          _boolean(raw, "ttc_satisfying", where), delta)
     raise SpecError(f"{where}.kind {kind!r} is not a known event kind")
 
 
 def _load_parameters(raw: Mapping[str, Any]) -> Parameters:
     _require_keys(raw, [*_PARAM_GROUPS, *_PARAM_SCALARS], "parameters")
     groups = {}
-    for name, cls in _PARAM_GROUPS.items():
-        if name not in raw:
-            continue
-        group_raw = raw[name]
-        if not isinstance(group_raw, dict):
-            raise SpecError(f"parameters.{name} must be an object")
-        allowed = [f.name for f in dataclasses.fields(cls)]
-        _require_keys(group_raw, allowed, f"parameters.{name}")
-        groups[name] = cls(**group_raw)
-    scalars = {k: raw[k] for k in _PARAM_SCALARS if k in raw}
+    where = "parameters"
     try:
+        for name, cls in _PARAM_GROUPS.items():
+            if name not in raw:
+                continue
+            where = f"parameters.{name}"
+            group_raw = raw[name]
+            if not isinstance(group_raw, dict):
+                raise SpecError(f"{where} must be an object")
+            allowed = [f.name for f in dataclasses.fields(cls)]
+            _require_keys(group_raw, allowed, where)
+            groups[name] = cls(**group_raw)
+        where = "parameters"
+        scalars = {k: raw[k] for k in _PARAM_SCALARS if k in raw}
         return Parameters(**groups, **scalars)
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"invalid parameters: {exc}") from exc
+        raise SpecError(f"invalid {where}: {exc}") from exc
 
 
 def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> ScenarioSpec:
@@ -255,10 +223,9 @@ def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> Scenar
     name = raw.get("name", name)
 
     run_raw = raw.get("run", {})
-    _require_keys(run_raw, ["dt", "duration", "seed"], "run")
+    _require_keys(run_raw, ["dt", "duration"], "run")
     run = RunSpec(dt=float(run_raw.get("dt", 0.05)),
-                  duration=float(run_raw.get("duration", 30.0)),
-                  seed=int(run_raw.get("seed", 0)))
+                  duration=float(run_raw.get("duration", 30.0)))
     if run.dt <= 0:
         raise SpecError("run.dt must be positive")
 
@@ -284,8 +251,8 @@ def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> Scenar
 
     spec = ScenarioSpec(
         name=name, run=run, vehicles=tuple(vehicles), events=events, params=params,
-        degradation_enabled=bool(modes_raw.get("degradation_enabled", True)),
-        halt_on_collision=bool(modes_raw.get("halt_on_collision", False)))
+        degradation_enabled=_boolean(modes_raw, "degradation_enabled", "modes", True),
+        halt_on_collision=_boolean(modes_raw, "halt_on_collision", "modes"))
     validate(spec)
     return spec
 

@@ -38,6 +38,17 @@ class TestRun:
         code = main(["run", str(bad), "--out", str(tmp_path / "out")])
         assert code == 1
 
+    def test_rejected_parameter_is_a_one_line_error(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("steady").read_text())
+        raw["parameters"] = {"gains": {"kp": -1}}
+        bad = tmp_path / "bad_gains.scenario"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "parameters.gains" in err
+        assert err.count("\n") == 1
+
     def test_duration_override(self, tmp_path):
         code = main(["run", scenario("steady"), "--out", str(tmp_path),
                      "--duration", "1.0"])

@@ -10,7 +10,6 @@ from platoonsim.comms import (
     FaultBoard,
     MessageBus,
     PeerViewStore,
-    bus_deliver,
     detect_peer_failure,
     radar_sense,
     v2v_payload,
@@ -33,6 +32,15 @@ def msg(sender, kind=MessageKind.JOIN_FLAG, tick=100):
     return V2VMessage(sender, kind, tick)
 
 
+def bus_deliver(outbox, faults, tick, receivers, config=BusConfig()):
+    """Send ``outbox`` (all sent at ``tick``) on a fresh bus and return the
+    inboxes at tick + delay."""
+    bus = MessageBus(config)
+    for m in outbox:
+        bus.send(m, faults)
+    return bus.deliver(tick + config.delivery_delay_ticks, faults, receivers)
+
+
 class TestBus:
     def test_delay_one_tick(self):
         bus = MessageBus(BusConfig(delivery_delay_ticks=1))
@@ -51,13 +59,13 @@ class TestBus:
 
     def test_failed_sender_reaches_nobody(self):
         faults = FaultBoard()
-        faults.inject(1, FaultKind.V2V_FAIL, 90)
+        faults.inject(1, FaultKind.V2V_FAIL)
         inboxes = bus_deliver([msg(1)], faults, 100, [1, 2, 3])
         assert all(box == [] for box in inboxes.values())
 
     def test_failed_receiver_skipped_others_served(self):
         faults = FaultBoard()
-        faults.inject(2, FaultKind.V2V_FAIL, 90)
+        faults.inject(2, FaultKind.V2V_FAIL)
         inboxes = bus_deliver([msg(1)], faults, 100, [1, 2, 3])
         assert inboxes[2] == []
         assert len(inboxes[3]) == 1
@@ -69,7 +77,7 @@ class TestBus:
                 itertools.combinations(vehicles, k) for k in range(4)):
             faults = FaultBoard()
             for vid in faulty:
-                faults.inject(vid, FaultKind.V2V_FAIL, 0)
+                faults.inject(vid, FaultKind.V2V_FAIL)
             outbox = [msg(v) for v in vehicles]
             inboxes = bus_deliver(outbox, faults, 100, vehicles)
             for receiver in vehicles:
@@ -140,7 +148,7 @@ class TestRadar:
 
     def test_radar_fail_reads_very_far(self):
         faults = FaultBoard()
-        faults.inject(2, FaultKind.RADAR_FAIL, 10)
+        faults.inject(2, FaultKind.RADAR_FAIL)
         reading = radar_sense(2, states_for_radar(), faults, GEOM)
         assert not reading.valid
         assert reading.gap == 200.0

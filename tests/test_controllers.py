@@ -1,5 +1,6 @@
 """Controller tests: equilibria, signs, the closed-loop speed-tracking
-oracle, anti-windup, AEB timing and the TTC trigger classification."""
+oracle, anti-windup, AEB timing, the per-mode dispatch and the TTC trigger
+classification."""
 
 import math
 import random
@@ -21,10 +22,12 @@ from platoonsim.controllers import (
     cacc,
     cap_speed,
     cc,
+    longitudinal_command,
     ttc_trigger,
 )
-from platoonsim.core import Role
+from platoonsim.core import LongitudinalCommand, LongitudinalMode, Role
 from platoonsim.dynamics import G, DynamicsLimits, step_longitudinal, VehicleState
+from platoonsim.params import Parameters
 
 POLICY = SpacingPolicy()
 GAINS = GainSet()
@@ -174,6 +177,62 @@ class TestSpeedCap:
 
     def test_no_cap_passthrough(self):
         assert cap_speed(2.9, 40.0, None, GAINS) == 2.9
+
+
+class TestLongitudinalCommand:
+    PARAMS = Parameters()
+
+    def command(self, mode, reading_, ego_v=20.0, predecessor=None, v_set=None,
+                driver_v_set=20.0, pid_acc=None, pid_cacc=None, stale_after=10):
+        return longitudinal_command(
+            LongitudinalCommand(mode, v_set), reading_, ego_v, driver_v_set,
+            predecessor, self.PARAMS, pid_acc or PidState(), pid_cacc or PidState(),
+            DT, stale_after)
+
+    def acc_fallback(self, reading_, ego_v):
+        cmd = acc(reading_, ego_v, POLICY, GAINS, PidState(), DT)
+        return cap_speed(cmd, ego_v, self.PARAMS.approach_speed_cap, GAINS)
+
+    @pytest.mark.parametrize("predecessor", [None, peer(age=50)],
+                             ids=["missing", "stale"])
+    @pytest.mark.parametrize("gap, ego_v", [(12.0, 19.0), (80.0, 27.0)],
+                             ids=["uncapped", "capped"])
+    def test_cacc_falls_back_to_acc(self, predecessor, gap, ego_v):
+        r = reading(gap, rel_speed=-1.0)
+        pid_cacc = PidState(integral=0.3, prev_error=1.0)
+        got = self.command(LongitudinalMode.CACC, r, ego_v, predecessor,
+                           pid_cacc=pid_cacc)
+        assert got == self.acc_fallback(r, ego_v)
+        assert pid_cacc == PidState(integral=0.3, prev_error=1.0)
+
+    @pytest.mark.parametrize("gap, ego_v", [(12.0, 19.0), (80.0, 27.0)],
+                             ids=["uncapped", "capped"])
+    def test_cacc_with_fresh_predecessor(self, gap, ego_v):
+        r, p = reading(gap), peer(v=21.0, a=0.5, age=2)
+        got = self.command(LongitudinalMode.CACC, r, ego_v, p)
+        cmd = cacc(r, p, ego_v, POLICY, GAINS, PidState(), DT)
+        assert got == cap_speed(cmd, ego_v, self.PARAMS.approach_speed_cap, GAINS)
+
+    def test_approach_cap_binds_at_large_gap(self):
+        r = reading(80.0)
+        uncapped = acc(r, 27.0, POLICY, GAINS, PidState(), DT)
+        assert self.command(LongitudinalMode.ACC, r, 27.0) < uncapped
+
+    @pytest.mark.parametrize("mode", [LongitudinalMode.ACC, LongitudinalMode.CACC])
+    def test_invalid_reading_commands_nothing(self, mode):
+        assert self.command(mode, reading(200.0, valid=False), predecessor=peer()) == 0.0
+
+    def test_driver_floor_brakes_below_floor_gap(self):
+        floor = self.PARAMS.spacing.d0 + self.PARAMS.driver_headway * 20.0
+        assert self.command(LongitudinalMode.DRIVER, reading(floor + 0.1)) == 0.0
+        assert self.command(LongitudinalMode.DRIVER, reading(floor - 1.0)) < 0.0
+
+    def test_cc_without_set_speed_tracks_platoon_speed(self):
+        got = self.command(LongitudinalMode.CC, reading(50.0), ego_v=15.0)
+        assert got == cc(15.0, self.PARAMS.platoon_speed, GAINS) > 0.0
+
+    def test_aeb_brakes_fully(self):
+        assert self.command(LongitudinalMode.AEB, reading(3.0)) == -G
 
 
 class TestTtcTrigger:

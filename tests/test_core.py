@@ -169,11 +169,6 @@ class TestPlatoonInfo:
         assert info.truncate_from(5) == PlatoonInfo(4, (1, 2, 3, 4))
         assert info.truncate_from(2) == PlatoonInfo(1, (1,))
 
-    def test_behind_ordering(self):
-        info = PlatoonInfo(3, (1, 2, 3))
-        assert info.behind(3, 2)
-        assert not info.behind(2, 3)
-
 
 class TestMessages:
     def test_sort_key_orders_by_sender_then_kind(self):

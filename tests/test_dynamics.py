@@ -17,9 +17,11 @@ from platoonsim.dynamics import (
     step_lateral,
     stopping_distance,
 )
+from platoonsim.params import Parameters
 
 LIMITS = DynamicsLimits()
 GEOM = LaneGeometry()
+WIDTH = Parameters().vehicle_width
 LANE_CENTER = LateralCommand(LateralMode.LANE_CENTER)
 
 
@@ -123,25 +125,25 @@ class TestLateral:
 class TestCollisions:
     def test_positive_gap_no_collision(self):
         states = {1: vehicle(s=100.0), 2: vehicle(s=100.0 - 5.0 - 0.5)}
-        assert detect_collisions(states, GEOM) == []
+        assert detect_collisions(states, GEOM, WIDTH) == []
 
     def test_interval_overlap_reports_pair(self):
         states = {1: vehicle(s=100.0), 2: vehicle(s=100.0 - 5.0 + 0.1)}
-        assert detect_collisions(states, GEOM) == [(1, 2)]
+        assert detect_collisions(states, GEOM, WIDTH) == [(1, 2)]
 
     def test_adjacent_lane_overlap_is_not_a_collision(self):
         states = {1: vehicle(s=100.0, lane=1), 2: vehicle(s=100.0 - 4.9, lane=0)}
-        assert detect_collisions(states, GEOM) == []
+        assert detect_collisions(states, GEOM, WIDTH) == []
 
     def test_mid_lane_change_collision(self):
         # lateral centers 0.5 m apart -> bodies overlap
         states = {1: vehicle(s=100.0, lane=1),
                   2: vehicle(s=100.0 - 4.9, lane=1, offset=0.5)}
-        assert detect_collisions(states, GEOM) == [(1, 2)]
+        assert detect_collisions(states, GEOM, WIDTH) == [(1, 2)]
 
     def test_report_is_deterministic_and_sorted(self):
         states = {3: vehicle(s=100.0), 1: vehicle(s=96.0), 2: vehicle(s=92.0)}
-        assert detect_collisions(states, GEOM) == [(1, 2), (1, 3)]
+        assert detect_collisions(states, GEOM, WIDTH) == [(1, 2), (1, 3)]
 
     def test_lateral_position_helper(self):
         assert lateral_position(vehicle(lane=2, offset=-0.5), GEOM) == pytest.approx(6.5)

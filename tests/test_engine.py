@@ -33,13 +33,6 @@ class TestDeterminism:
         equal, divergence = replay_check(trace_a, trace_b)
         assert equal and divergence is None
 
-    def test_seed_changes_nothing_without_noise(self):
-        spec_a = platoon_spec()
-        spec_b = dataclasses.replace(spec_a, run=RunSpec(dt=0.05, duration=30.0, seed=7))
-        trace_a, _ = run(spec_a)
-        trace_b, _ = run(spec_b)
-        assert trace_a.rows == trace_b.rows
-
     def test_modified_dt_is_a_hash_mismatch(self):
         trace_a, _ = run(platoon_spec(duration=2.0))
         spec_b = dataclasses.replace(platoon_spec(), run=RunSpec(dt=0.025, duration=2.0))

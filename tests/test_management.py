@@ -24,7 +24,6 @@ from platoonsim.management import (
     TickSignals,
     UnknownJoiner,
     VehicleManager,
-    tick_manage,
 )
 from platoonsim.strategies import (
     AebFollower,
@@ -78,35 +77,39 @@ class TestRegistry:
         for victim in full.keys():
             if victim.maneuver == ManeuverState.PLATOONING:
                 continue
-            reduced = full.without(victim)
-            assert reduced.lookup(victim) is None
-            for key, strategy in full.items():
+            reduced = StrategyRegistry()
+            for key in full.keys():
                 if key != victim:
-                    assert reduced.lookup(key) is strategy
+                    reduced.register(key, full.lookup(key))
+            assert reduced.lookup(victim) is None
+            for key in full.keys():
+                if key != victim:
+                    assert reduced.lookup(key) is full.lookup(key)
 
 
 class TestPlatooningDispatch:
     def test_follower_gets_cacc_and_no_messages(self):
-        out = tick_manage(manager_for(), make_ctx())
+        out, _ = manager_for().tick(make_ctx(), TickSignals())
         assert out.controller.longitudinal.mode is LongitudinalMode.CACC
         assert out.messages == []
 
     def test_leader_gets_cc_at_platoon_speed(self):
-        out = tick_manage(manager_for(1, Role.LEADER), make_ctx(ego_id=1, role=Role.LEADER))
+        out, _ = manager_for(1, Role.LEADER).tick(
+            make_ctx(ego_id=1, role=Role.LEADER), TickSignals())
         lon = out.controller.longitudinal
         assert lon.mode is LongitudinalMode.CC
         assert lon.v_set == PARAMS.platoon_speed
 
     def test_free_vehicle_is_driver_controlled(self):
-        out = tick_manage(manager_for(9, Role.FREE_VEHICLE),
-                          make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()))
+        out, _ = manager_for(9, Role.FREE_VEHICLE).tick(
+            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()), TickSignals())
         assert out.controller.longitudinal.mode is LongitudinalMode.DRIVER
 
     def test_missing_key_holds_and_logs(self):
         mgr = manager_for(9, Role.FREE_VEHICLE)
         mgr.maneuver = ManeuverState.HARDWARE_FAILURES  # unregistered for free
-        out = tick_manage(mgr, make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(),
-                                        maneuver=ManeuverState.HARDWARE_FAILURES))
+        out, _ = mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(),
+                                   maneuver=ManeuverState.HARDWARE_FAILURES), TickSignals())
         assert out.controller is None
         assert any("no strategy" in note for note in out.notes)
 

@@ -105,6 +105,27 @@ class TestLoading:
         assert a.spec_hash() == b.spec_hash()
         c = scenario_from_dict(doc(run={"dt": 0.025, "duration": 10.0}))
         assert a.spec_hash() != c.spec_hash()
+        d = scenario_from_dict(doc(modes={"halt_on_collision": True}))
+        assert a.spec_hash() != d.spec_hash()
+
+    def test_seed_is_no_longer_a_run_key(self):
+        with pytest.raises(SpecError, match="unknown key"):
+            scenario_from_dict(doc(run={"dt": 0.05, "duration": 10.0, "seed": 0}))
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"parameters": {"gains": {"kp": -1}}}, "parameters.gains"),
+        ({"parameters": {"limits": {"a_max": 0}}}, "parameters.limits"),
+        ({"parameters": {"bus": {"delivery_delay_ticks": -1}}}, "parameters.bus"),
+        ({"parameters": {"spacing": {"h_min": 0.9}}}, "parameters.spacing"),
+        ({"parameters": {"geometry": {"lane_count": 0}}}, "parameters.geometry"),
+        ({"parameters": {"geometry": {"lane_width": 0}}}, "parameters.geometry"),
+        ({"parameters": {"geometry": {"lane_change_duration": 0}}}, "parameters.geometry"),
+        ({"modes": {"degradation_enabled": "false"}}, "modes.degradation_enabled"),
+        ({"modes": {"halt_on_collision": "no"}}, "modes.halt_on_collision"),
+    ])
+    def test_rejected_values_are_spec_errors(self, overrides, where):
+        with pytest.raises(SpecError, match=where):
+            scenario_from_dict(doc(**overrides))
 
 
 class TestValidation:
