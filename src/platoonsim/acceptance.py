@@ -349,7 +349,7 @@ def check_extendability() -> CheckResult:
             tick=tick, dt=0.05, ego_id=2,
             ego=VehicleState(s=100.0, lane=1, v=20.0),
             role=Role.FOLLOWER, maneuver=manager.maneuver,
-            reading=RadarReading(True, 13.0, 0.0, 200.0, 1),
+            reading=RadarReading(True, 13.0, 0.0, 1),
             peers={}, inbox=[], platoon=None, instruction=None, params=params,
             driver=DriverState())
 

@@ -1,12 +1,18 @@
 """Communication layer: broadcast V2V bus with fixed per-tick delivery,
 single-target radar model, permanent fault injection and peer-failure
 detection from heartbeat ages.
+
+No path here scans every pair of vehicles in a tick. Radar bisects the
+snapshot's ``(rear, id)`` order, delivery slices one sorted list of due
+messages per receiver, and peer views are built only when looked up.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .core import (
     FaultKind,
@@ -17,7 +23,7 @@ from .core import (
     VehicleId,
     VehicleState,
 )
-from .dynamics import LaneGeometry, lateral_position
+from .dynamics import LaneGeometry, Snapshot, lateral_position
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,8 @@ class MessageBus:
     Messages sent at tick t reach every other vehicle's inbox at
     t + delivery_delay. A sender with a V2V fault loses its ability to
     broadcast; a receiver with a V2V fault gets an empty inbox. Inboxes are
-    sorted by (sender id, message kind) so delivery order is reproducible.
+    sorted by (sender id, message kind, send tick), ties in send order, so
+    delivery order is reproducible.
     """
 
     def __init__(self, config: BusConfig) -> None:
@@ -73,22 +80,29 @@ class MessageBus:
     def deliver(self, tick: int, faults: FaultBoard, receivers: Iterable[VehicleId],
                 positions: Optional[Mapping[VehicleId, float]] = None,
                 ) -> dict[VehicleId, list[V2VMessage]]:
-        """Pop all messages due at ``tick`` into per-receiver inboxes."""
+        """Pop all messages due at ``tick`` into per-receiver inboxes.
+
+        The due messages are sorted once. Sorted by sender, a receiver's own
+        messages form one block, so its inbox is everything before and after
+        that block (never self-deliver). ``range_m`` then drops senders
+        farther away than the range, when positions are given.
+        """
         due = sorted((m for t, m in self._in_flight if t <= tick),
                      key=V2VMessage.sort_key)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
-        inboxes: dict[VehicleId, list[V2VMessage]] = {r: [] for r in receivers}
-        for msg in due:
-            for rid in inboxes:
-                if rid == msg.sender:
-                    continue  # never self-deliver
-                if faults.has(rid, FaultKind.V2V_FAIL):
-                    continue
-                if (self.config.range_m is not None and positions is not None
-                        and msg.sender in positions
-                        and abs(positions[rid] - positions[msg.sender]) > self.config.range_m):
-                    continue
-                inboxes[rid].append(msg)
+        senders = [m.sender for m in due]
+        range_m = self.config.range_m if positions is not None else None
+        inboxes: dict[VehicleId, list[V2VMessage]] = {}
+        for rid in receivers:
+            if faults.has(rid, FaultKind.V2V_FAIL):
+                inboxes[rid] = []
+                continue
+            inbox = due[:bisect_left(senders, rid)] + due[bisect_right(senders, rid):]
+            if range_m is not None:
+                inbox = [m for m in inbox if not (
+                    m.sender in positions
+                    and abs(positions[rid] - positions[m.sender]) > range_m)]
+            inboxes[rid] = inbox
         return inboxes
 
 
@@ -107,7 +121,6 @@ class RadarReading:
     valid: bool
     gap: float
     rel_speed: float
-    max_range: float = 200.0
     target: Optional[VehicleId] = None
 
 
@@ -118,27 +131,37 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
 
     A target counts as in-lane when its lateral center lies within half a
     lane width of the ego lane center, so a vehicle crossing into the lane
-    becomes visible mid lane-change.
+    becomes visible mid lane-change. The gap is ``rear - ego.s`` and must lie
+    in [0, max_range]; the smallest gap wins, and equal gaps go to the lower
+    id.
+
+    The search bisects the snapshot's ``(rear, id)`` order to the first
+    ``rear >= ego.s`` and walks forward. Gaps never shrink along the walk,
+    so it stops past ``max_range`` or once a gap exceeds the best one found;
+    it walks on through equal gaps, because two different rears can round
+    to the same gap and the lower id must still win.
     """
     ego = states[ego_id]
     if faults.has(ego_id, FaultKind.RADAR_FAIL):
-        return RadarReading(False, max_range, 0.0, max_range, None)
+        return RadarReading(False, max_range, 0.0, None)
+    order = Snapshot.of(states).by_rear()
     center = geom.center(ego.lane)
-    best: Optional[tuple[float, VehicleId]] = None
-    for vid, st in states.items():
+    best: Optional[tuple[float, VehicleId, VehicleState]] = None
+    for i in range(bisect_left(order, (ego.s,)), len(order)):
+        rear, vid, st = order[i]
+        gap = rear - ego.s
+        if gap > max_range or (best is not None and gap > best[0]):
+            break
         if vid == ego_id:
             continue
         if abs(lateral_position(st, geom) - center) > geom.lane_width / 2.0:
             continue
-        gap = st.rear - ego.s
-        if gap < 0.0 or gap > max_range:
-            continue
         if best is None or gap < best[0] or (gap == best[0] and vid < best[1]):
-            best = (gap, vid)
+            best = (gap, vid, st)
     if best is None:
-        return RadarReading(True, max_range, 0.0, max_range, None)
-    gap, vid = best
-    return RadarReading(True, gap, states[vid].v - ego.v, max_range, vid)
+        return RadarReading(True, max_range, 0.0, None)
+    gap, vid, st = best
+    return RadarReading(True, gap, st.v - ego.v, vid)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +189,24 @@ class PeerViewStore:
 
     def __init__(self) -> None:
         self._latest: dict[VehicleId, V2VMessage] = {}
+        self._known: Optional[tuple[VehicleId, ...]] = ()
 
     def update(self, inbox: Iterable[V2VMessage]) -> None:
         for msg in inbox:
             if msg.kind is not MessageKind.HEARTBEAT:
                 continue
             cur = self._latest.get(msg.sender)
+            if cur is None:
+                self._known = None  # a new sender: re-sort on next use
             if cur is None or msg.tick_sent >= cur.tick_sent:
                 self._latest[msg.sender] = msg
 
     def known_peers(self) -> tuple[VehicleId, ...]:
-        return tuple(sorted(self._latest))
+        """Every peer heard from, ascending; sorted again only after a new
+        sender appears."""
+        if self._known is None:
+            self._known = tuple(sorted(self._latest))
+        return self._known
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return self._latest.get(peer)
@@ -184,19 +214,20 @@ class PeerViewStore:
     def preceding_member(self, ego: VehicleState) -> Optional[VehicleId]:
         """Nearest platoon member ahead of ``ego``, from the freshest
         heartbeats. Same-lane members win over one mid lane-change
-        elsewhere."""
+        elsewhere; the smallest ``(lane_rank, ahead, peer)`` wins, so equal
+        distances go to the lower id."""
         best: Optional[tuple[int, float, VehicleId]] = None
-        for peer in self.known_peers():
-            msg = self._latest[peer]
-            if msg.role is None or not msg.role.is_member():
-                continue
-            assert msg.state is not None
-            ahead = msg.state.s - ego.s
+        for peer, msg in self._latest.items():
+            if msg.role is None or msg.role is Role.FREE_VEHICLE:
+                continue  # not a platoon member
+            state = msg.state
+            assert state is not None
+            ahead = state.s - ego.s
             if ahead <= 0.0:
                 continue
-            lane_rank = 0 if msg.state.lane == ego.lane else 1
-            if best is None or (lane_rank, ahead) < best[:2]:
-                best = (lane_rank, ahead, peer)
+            key = (0 if state.lane == ego.lane else 1, ahead, peer)
+            if best is None or key < best:
+                best = key
         return best[2] if best else None
 
     def age(self, peer: VehicleId, tick: int) -> int:
@@ -208,29 +239,54 @@ class PeerViewStore:
         return {p: self.age(p, tick) for p in peers}
 
 
+class PeerViews(Mapping[VehicleId, PeerView]):
+    """Read-only mapping from peer id to :class:`PeerView` at one tick.
+
+    A view is built from the store's freshest heartbeat each time it is
+    looked up, so a tick pays only for the peers it reads. Iteration is in
+    ascending peer id. The mapping reads the store live: it is valid until
+    the store's next ``update``.
+    """
+
+    def __init__(self, store: PeerViewStore, tick: int, timeout_ticks: int,
+                 degradation_enabled: bool) -> None:
+        self._store = store
+        self._tick = tick
+        self._timeout_ticks = timeout_ticks
+        self._degradation_enabled = degradation_enabled
+
+    def __getitem__(self, peer: VehicleId) -> PeerView:
+        msg = self._store.raw(peer)
+        if msg is None:
+            raise KeyError(peer)
+        assert msg.state is not None and msg.role is not None
+        age = self._tick - msg.tick_sent
+        if not self._degradation_enabled and age > self._timeout_ticks:
+            return PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
+                            msg.platoon, age, msg.state.lane, zeroed=True)
+        return PeerView(msg.state.s, msg.state.v, msg.state.a,
+                        msg.state.length, msg.role, msg.platoon, age,
+                        msg.state.lane)
+
+    def __iter__(self) -> Iterator[VehicleId]:
+        return iter(self._store.known_peers())
+
+    def __len__(self) -> int:
+        return len(self._store.known_peers())
+
+
 def v2v_payload(store: PeerViewStore, tick: int, timeout_ticks: int,
-                degradation_enabled: bool) -> dict[VehicleId, PeerView]:
+                degradation_enabled: bool) -> Mapping[VehicleId, PeerView]:
     """Per-peer kinematic view from the freshest heartbeats.
 
     With degradation enabled a stale peer keeps its last-known values (the
     failure is reported separately through detect_peer_failure). With
     degradation disabled, a heartbeat absent past the timeout turns the
     peer's communicated data to all zeros, which is the raw failure
-    semantics the degraded controllers are protecting against.
+    semantics the degraded controllers are protecting against. Views are
+    built on lookup (see :class:`PeerViews`).
     """
-    views: dict[VehicleId, PeerView] = {}
-    for peer in store.known_peers():
-        msg = store.raw(peer)
-        assert msg is not None and msg.state is not None and msg.role is not None
-        age = tick - msg.tick_sent
-        if not degradation_enabled and age > timeout_ticks:
-            views[peer] = PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
-                                   msg.platoon, age, msg.state.lane, zeroed=True)
-        else:
-            views[peer] = PeerView(msg.state.s, msg.state.v, msg.state.a,
-                                   msg.state.length, msg.role, msg.platoon, age,
-                                   msg.state.lane)
-    return views
+    return PeerViews(store, tick, timeout_ticks, degradation_enabled)
 
 
 def detect_peer_failure(heartbeat_ages: Mapping[VehicleId, int],

@@ -1,11 +1,17 @@
 """Physical layer: point-mass longitudinal dynamics, kinematic lane changes
 and collision detection. All functions are pure over state snapshots; the
 engine steps vehicles one tick at a time in any order.
+
+A :class:`Snapshot` holds one tick's states together with their order by
+``(rear, id)``, sorted once on first use; radar and collision detection walk
+that order instead of scanning every pair of vehicles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping, Optional
+
 from .core import (
     LateralCommand,
     LateralMode,
@@ -115,26 +121,51 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
     return replace(state, lateral_offset=off)
 
 
-def detect_collisions(states: dict[VehicleId, VehicleState], geom: LaneGeometry,
+class Snapshot(dict[VehicleId, VehicleState]):
+    """The states of one tick by vehicle id, plus the vehicles ordered by
+    ``(rear, id)``, sorted on the first call of :meth:`by_rear`. The order is
+    not rebuilt after a change, so a snapshot must not be modified once it
+    has been read in order."""
+
+    _by_rear: Optional[list[tuple[float, VehicleId, VehicleState]]] = None
+
+    @classmethod
+    def of(cls, states: Mapping[VehicleId, VehicleState]) -> "Snapshot":
+        return states if isinstance(states, Snapshot) else cls(states)
+
+    def by_rear(self) -> list[tuple[float, VehicleId, VehicleState]]:
+        if self._by_rear is None:
+            self._by_rear = sorted((st.rear, vid, st) for vid, st in self.items())
+        return self._by_rear
+
+
+def detect_collisions(states: Mapping[VehicleId, VehicleState], geom: LaneGeometry,
                       vehicle_width: float) -> list[tuple[VehicleId, VehicleId]]:
-    """Report vehicle pairs whose bodies overlap.
+    """Report vehicle pairs whose bodies overlap, as id-sorted (low, high).
 
     A pair collides when their longitudinal intervals [s - length, s]
     overlap and their lateral overlap exceeds half a vehicle width. The
-    result is sorted and deduplicated, so it is deterministic.
+    sweep walks the ``(rear, id)`` order: from each vehicle it visits the
+    later ones in that order only while their rear lies behind its front;
+    once one does not, no later one can overlap it. Both predicates are
+    symmetric in the pair, so each pair is tested once, with the same
+    floats as an all-pairs scan. The result is sorted and has no
+    duplicates, so it is deterministic.
     """
-    ids = sorted(states)
+    order = Snapshot.of(states).by_rear()
     hits: list[tuple[VehicleId, VehicleId]] = []
-    for i, a in enumerate(ids):
-        sa = states[a]
+    for i, (_, a, sa) in enumerate(order):
         ya = lateral_position(sa, geom)
-        for b in ids[i + 1:]:
-            sb = states[b]
-            if sb.rear >= sa.s or sa.rear >= sb.s:
-                continue  # no longitudinal overlap
+        for j in range(i + 1, len(order)):
+            rear_b, b, sb = order[j]
+            if rear_b >= sa.s:
+                break  # no longitudinal overlap from here on
+            if sa.rear >= sb.s:
+                continue
             if abs(ya - lateral_position(sb, geom)) >= vehicle_width / 2.0:
                 continue
-            hits.append((a, b))
+            hits.append((a, b) if a < b else (b, a))
+    hits.sort()
     return hits
 
 

@@ -5,6 +5,10 @@ management per vehicle by ascending id, controller evaluation, dynamics
 step, then collision detection and trace append. Every stage reads only the
 pre-tick snapshot, so no vehicle ever observes another vehicle's same-tick
 update and two runs of the same scenario produce bit-identical traces.
+
+The runtimes are kept in ascending id order from construction on, so no
+stage sorts them; the snapshot sorts its vehicles by position once per tick
+for radar (see :class:`~platoonsim.dynamics.Snapshot`).
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .cloud import Cloud, IntruderScript
 from .comms import (
     FaultBoard,
     MessageBus,
+    PeerView,
     PeerViewStore,
     RadarReading,
     detect_peer_failure,
@@ -38,7 +43,7 @@ from .core import (
     VehicleState,
     heartbeat,
 )
-from .dynamics import detect_collisions, step_lateral, step_longitudinal
+from .dynamics import Snapshot, detect_collisions, step_lateral, step_longitudinal
 from .management import (
     DriverState,
     StrategyContext,
@@ -145,7 +150,7 @@ class _Runtime:
         self.pid_cacc = PidState()
         self.reported_own: set[FaultKind] = set()
         self.reported_silent: set[VehicleId] = set()
-        self.last_payload: dict = {}
+        self.last_payload: Mapping[VehicleId, PeerView] = {}
 
     @property
     def managed(self) -> bool:
@@ -217,6 +222,8 @@ class Simulator:
                                   length=self.params.vehicle_length)
             self.runtimes[vid] = _Runtime(vid, parked, None, script)
             self._intruders[id(event)] = vid
+        # every stage and the trace columns walk the runtimes by ascending id
+        self.runtimes = dict(sorted(self.runtimes.items()))
 
         self.report = RunReport(scenario=spec.name, spec_hash=spec.spec_hash(),
                                 ticks=spec.tick_count(),
@@ -229,19 +236,17 @@ class Simulator:
         self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, detail))
 
     def _leader_runtime(self) -> Optional[_Runtime]:
-        for vid in sorted(self.runtimes):
-            rt = self.runtimes[vid]
+        for rt in self.runtimes.values():
             if rt.managed and rt.manager.role is Role.LEADER and rt.active:
                 return rt
         return None
 
     def _managed_active(self) -> list[VehicleId]:
-        return [vid for vid in sorted(self.runtimes)
-                if self.runtimes[vid].managed and self.runtimes[vid].active]
+        return [vid for vid, rt in self.runtimes.items() if rt.managed and rt.active]
 
     # -- per-tick stages ----------------------------------------------------
 
-    def _stage_cloud(self, tick: int, snapshot: dict[VehicleId, VehicleState]) -> None:
+    def _stage_cloud(self, tick: int) -> None:
         leader = self._leader_runtime()
         out = self.cloud.tick(tick, self._uplink, leader.replica if leader else None)
         self._uplink = []
@@ -251,7 +256,8 @@ class Simulator:
         for spawn in out.spawns:
             vid = self._intruders[id(spawn)]
             rt = self.runtimes[vid]
-            target_state = snapshot[spawn.target]
+            # the target is a declared vehicle: active, and not moved by this stage
+            target_state = self.runtimes[spawn.target].state
             rt.state = rt.script.spawn_state(target_state, self.params.vehicle_length)
             rt.active = True
             self._log(tick, vid, "cut_in_spawn",
@@ -264,10 +270,10 @@ class Simulator:
             for vid in self._managed_active():
                 self.runtimes[vid].manager.offer_instruction(instr)
 
-    def _stage_sense(self, tick: int, snapshot: dict[VehicleId, VehicleState],
+    def _stage_sense(self, snapshot: Snapshot, managed: list[VehicleId],
                      ) -> dict[VehicleId, RadarReading]:
         readings: dict[VehicleId, RadarReading] = {}
-        for vid in self._managed_active():
+        for vid in managed:
             reading = radar_sense(vid, snapshot, self.faults,
                                   self.params.geometry, self.params.radar_max_range)
             if not self.spec.degradation_enabled and not reading.valid:
@@ -276,9 +282,8 @@ class Simulator:
             readings[vid] = reading
         return readings
 
-    def _stage_bus(self, tick: int, snapshot: dict[VehicleId, VehicleState],
+    def _stage_bus(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
                    ) -> dict[VehicleId, list[V2VMessage]]:
-        managed = self._managed_active()
         positions = {vid: st.s for vid, st in snapshot.items()}
         inboxes = self.bus.deliver(tick, self.faults, managed, positions)
         for vid in managed:
@@ -292,12 +297,12 @@ class Simulator:
                     rt.replica_tick = msg.tick_sent
         return inboxes
 
-    def _stage_manage(self, tick: int, snapshot: dict[VehicleId, VehicleState],
+    def _stage_manage(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
                       readings: dict[VehicleId, RadarReading],
                       inboxes: dict[VehicleId, list[V2VMessage]]) -> None:
         sent: list[V2VMessage] = []
         hb_timeout = self.params.heartbeat_timeout_ticks(self.dt)
-        for vid in self._managed_active():
+        for vid in managed:
             rt = self.runtimes[vid]
             reading = readings[vid]
             assert rt.monitor is not None and rt.manager is not None
@@ -360,13 +365,12 @@ class Simulator:
             self.bus.send(hb, self.faults)
         self._uplink = sent
 
-    def _stage_step(self, tick: int, snapshot: dict[VehicleId, VehicleState],
+    def _stage_step(self, tick: int, snapshot: Snapshot,
                     readings: dict[VehicleId, RadarReading]) -> None:
         stale_after = (self.params.heartbeat_timeout_ticks(self.dt)
                        if self.spec.degradation_enabled else None)
         new_states: dict[VehicleId, VehicleState] = {}
-        for vid in sorted(self.runtimes):
-            rt = self.runtimes[vid]
+        for vid, rt in self.runtimes.items():
             if not rt.active:
                 continue
             if rt.script is not None:
@@ -387,10 +391,11 @@ class Simulator:
         for vid, state in new_states.items():
             self.runtimes[vid].state = state
 
-    def _stage_record(self, tick: int, readings: dict[VehicleId, RadarReading],
-                      trace: Trace) -> bool:
+    def _stage_record(self, tick: int, managed: list[VehicleId],
+                      readings: dict[VehicleId, RadarReading], trace: Trace) -> bool:
         time_end = (tick + 1) * self.dt
-        states = {vid: rt.state for vid, rt in self.runtimes.items() if rt.active}
+        states = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
+                          if rt.active)
         hit_pairs = detect_collisions(states, self.params.geometry,
                                       self.params.vehicle_width)
         halt = False
@@ -402,7 +407,7 @@ class Simulator:
             if self.spec.halt_on_collision:
                 halt = True
 
-        for vid in self._managed_active():
+        for vid in managed:
             reading = readings[vid]
             if reading.valid and reading.target is not None:
                 key = (reading.target, vid)
@@ -411,8 +416,7 @@ class Simulator:
                     self.report.min_gaps[key] = reading.gap
 
         row: list = [tick, time_end]
-        for vid in sorted(self.runtimes):
-            rt = self.runtimes[vid]
+        for vid, rt in self.runtimes.items():
             reading = readings.get(vid)
             gap = reading.gap if reading is not None else 0.0
             if rt.managed:
@@ -434,21 +438,23 @@ class Simulator:
 
     def run(self, observer: Optional[Observer] = None) -> tuple[Trace, RunReport]:
         columns: list[str] = ["tick", "time"]
-        for vid in sorted(self.runtimes):
+        for vid in self.runtimes:
             columns.extend(f"v{vid}_{name}" for name in
                            ("s", "lane", "v", "a", "controller", "maneuver",
                             "role", "gap", "psize"))
         trace = Trace(self.report.spec_hash, tuple(columns))
 
         for tick in range(self.spec.tick_count()):
-            snapshot = {vid: rt.state for vid, rt in self.runtimes.items() if rt.active}
-            self._stage_cloud(tick, snapshot)
-            snapshot = {vid: rt.state for vid, rt in self.runtimes.items() if rt.active}
-            readings = self._stage_sense(tick, snapshot)
-            inboxes = self._stage_bus(tick, snapshot)
-            self._stage_manage(tick, snapshot, readings, inboxes)
+            self._stage_cloud(tick)
+            # the cloud stage is the only one that activates a vehicle
+            snapshot = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
+                                if rt.active)
+            managed = self._managed_active()
+            readings = self._stage_sense(snapshot, managed)
+            inboxes = self._stage_bus(tick, snapshot, managed)
+            self._stage_manage(tick, snapshot, managed, readings, inboxes)
             self._stage_step(tick, snapshot, readings)
-            halt = self._stage_record(tick, readings, trace)
+            halt = self._stage_record(tick, managed, readings, trace)
             if observer is not None:
                 observer(self, tick)
             if halt:

@@ -11,6 +11,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -129,6 +132,9 @@ _PARAM_SCALARS = tuple(
     f.name for f in dataclasses.fields(Parameters)
     if f.name not in _PARAM_GROUPS
 )
+# field types of every parameter dataclass, resolved once
+_FIELD_TYPES = {cls: typing.get_type_hints(cls)
+                for cls in (*_PARAM_GROUPS.values(), Parameters)}
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: Sequence[str], where: str,
@@ -141,11 +147,32 @@ def _require_keys(obj: Mapping[str, Any], allowed: Sequence[str], where: str,
         raise SpecError(f"missing key(s) {missing} in {where}")
 
 
+def _numeric(value: Any, where: str, integral: bool = False) -> Union[int, float]:
+    """``value`` if it is a JSON number that a float holds finitely, or
+    with ``integral`` a JSON integer. A JSON boolean decodes to a bool, not
+    an int, so it is no number here."""
+    if type(value) is int:
+        if integral or abs(value) <= sys.float_info.max:
+            return value
+    elif type(value) is float and not integral and math.isfinite(value):
+        return value
+    raise SpecError(f"{where} must be {'an integer' if integral else 'a finite number'}")
+
+
 def _number(obj: Mapping[str, Any], key: str, where: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where}.{key} must be a number")
-    return float(value)
+    return float(_numeric(obj[key], f"{where}.{key}"))
+
+
+def _check_fields(raw: Mapping[str, Any], cls: type, where: str) -> None:
+    """Type-check the numeric fields of dataclass ``cls`` given in ``raw``:
+    ``int`` fields take JSON integers, ``float`` fields finite numbers, and
+    an ``Optional`` field also takes null."""
+    hints = _FIELD_TYPES[cls]
+    for key, value in raw.items():
+        hint = hints[key]
+        if value is None and type(None) in typing.get_args(hint):
+            continue
+        _numeric(value, f"{where}.{key}", integral=hint is int)
 
 
 def _boolean(obj: Mapping[str, Any], key: str, where: str,
@@ -209,9 +236,11 @@ def _load_parameters(raw: Mapping[str, Any]) -> Parameters:
                 raise SpecError(f"{where} must be an object")
             allowed = [f.name for f in dataclasses.fields(cls)]
             _require_keys(group_raw, allowed, where)
+            _check_fields(group_raw, cls, where)
             groups[name] = cls(**group_raw)
         where = "parameters"
         scalars = {k: raw[k] for k in _PARAM_SCALARS if k in raw}
+        _check_fields(scalars, Parameters, where)
         return Parameters(**groups, **scalars)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid {where}: {exc}") from exc
@@ -224,8 +253,8 @@ def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> Scenar
 
     run_raw = raw.get("run", {})
     _require_keys(run_raw, ["dt", "duration"], "run")
-    run = RunSpec(dt=float(run_raw.get("dt", 0.05)),
-                  duration=float(run_raw.get("duration", 30.0)))
+    run = RunSpec(**{k: _number(run_raw, k, "run") for k in ("dt", "duration")
+                     if k in run_raw})
     if run.dt <= 0:
         raise SpecError("run.dt must be positive")
 
@@ -238,11 +267,14 @@ def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> Scenar
                       ["id", "s", "lane", "v", "role"])
         if vraw["role"] not in _ROLES:
             raise SpecError(f"{where}.role must be one of {sorted(_ROLES)}")
+        length = (_number(vraw, "length", where) if "length" in vraw
+                  else params.vehicle_length)
+        if length <= 0:
+            raise SpecError(f"{where}.length must be positive")
         vehicles.append(VehicleSpec(
             vid=int(vraw["id"]), s=_number(vraw, "s", where),
             lane=int(vraw["lane"]), v=_number(vraw, "v", where),
-            role=_ROLES[vraw["role"]],
-            length=float(vraw.get("length", params.vehicle_length))))
+            role=_ROLES[vraw["role"]], length=length))
 
     events = tuple(_load_event(e, i) for i, e in enumerate(raw.get("events", [])))
 

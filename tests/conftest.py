@@ -25,8 +25,8 @@ PARAMS = Parameters()
 DT = 0.05
 
 
-def make_reading(gap=13.0, rel_speed=0.0, valid=True, target=1, max_range=200.0):
-    return RadarReading(valid, gap, rel_speed, max_range, target)
+def make_reading(gap=13.0, rel_speed=0.0, valid=True, target=1):
+    return RadarReading(valid, gap, rel_speed, target)
 
 
 def make_peer(s=400.0, v=20.0, a=0.0, role=Role.FOLLOWER, platoon=None,

@@ -36,7 +36,7 @@ DT = 0.05
 
 
 def reading(gap, rel_speed=0.0, valid=True, target=1):
-    return RadarReading(valid, gap, rel_speed, 200.0, target)
+    return RadarReading(valid, gap, rel_speed, target)
 
 
 def peer(v=20.0, a=0.0, age=1, zeroed=False, s=100.0):

@@ -1,6 +1,7 @@
 """Scenario file loading, strict validation, and the scripted cloud layer."""
 
 import json
+import re
 
 import pytest
 
@@ -44,6 +45,17 @@ def doc(**overrides):
     out = json.loads(json.dumps(BASE))
     out.update(overrides)
     return out
+
+
+def vehicle(index, **fields):
+    """Overrides replacing the base vehicles, with ``fields`` set on one."""
+    vehicles = json.loads(json.dumps(BASE["vehicles"]))
+    vehicles[index].update(fields)
+    return {"vehicles": vehicles}
+
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestLoading:
@@ -122,9 +134,20 @@ class TestLoading:
         ({"parameters": {"geometry": {"lane_change_duration": 0}}}, "parameters.geometry"),
         ({"modes": {"degradation_enabled": "false"}}, "modes.degradation_enabled"),
         ({"modes": {"halt_on_collision": "no"}}, "modes.halt_on_collision"),
+        ({"parameters": {"gains": {"ki": "a"}}}, "parameters.gains.ki"),
+        ({"parameters": {"geometry": {"lane_count": 2.5}}}, "parameters.geometry.lane_count"),
+        (vehicle(0, s=NAN), "vehicles[0].s"),
+        (vehicle(1, s=-INF), "vehicles[1].s"),
+        (vehicle(1, v=NAN), "vehicles[1].v"),
+        (vehicle(1, length=NAN), "vehicles[1].length"),
+        (vehicle(1, length=-5), "vehicles[1].length"),
+        (vehicle(1, length=0), "vehicles[1].length"),
+        ({"run": {"dt": NAN, "duration": 10.0}}, "run.dt"),
+        ({"run": {"dt": "0.05", "duration": 10.0}}, "run.dt"),
+        ({"run": {"dt": 0.05, "duration": INF}}, "run.duration"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
-        with pytest.raises(SpecError, match=where):
+        with pytest.raises(SpecError, match=re.escape(where)):
             scenario_from_dict(doc(**overrides))
 
 
