@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .engine import RunReport, Simulator, Trace
-from .scenario import RunSpec, ScenarioSpec, SpecError, load_scenario
+from .scenario import ScenarioSpec, SpecError, load_scenario, replace_run
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
@@ -22,16 +22,12 @@ EXIT_COLLISION = 2
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    run = spec.run
-    if args.dt is not None or args.duration is not None:
-        run = RunSpec(dt=args.dt if args.dt is not None else run.dt,
-                      duration=args.duration if args.duration is not None else run.duration)
-    spec = dataclasses.replace(
-        spec, run=run,
+    window = {key: value for key, value in (("dt", args.dt), ("duration", args.duration))
+              if value is not None}
+    return dataclasses.replace(
+        replace_run(spec, **window),
         degradation_enabled=spec.degradation_enabled and not args.no_degradation,
         halt_on_collision=spec.halt_on_collision or args.halt_on_collision)
-    spec.tick_count()  # re-validate the run window
-    return spec
 
 
 def _write_outputs(out_dir: Path, trace: Trace, report: RunReport,

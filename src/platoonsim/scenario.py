@@ -1,55 +1,68 @@
 """Scenario files: declarative description of vehicles, scripted events,
 faults and parameter overrides, with strict load-time validation.
 
-The on-disk format is JSON (key-value with nested lists), all numbers in SI
-units. Unknown keys anywhere are load-time errors so typos cannot silently
-change a run.
+The on-disk format is JSON, all numbers in SI units. The spec dataclasses
+are the schema: one loader reads each section from its dataclass's fields.
+A field's type decides the JSON values it takes, its default whether its key
+may be omitted, and its metadata a lower bound (``params.positive``) or a
+JSON key that differs from its name. Unknown keys anywhere are errors, so a
+typo cannot silently change a run, and every error names its JSON path.
+Rules across fields live in ``validate`` and the groups' ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import math
+import re
 import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Any, Callable, Mapping, Optional, Union
 
-from .comms import BusConfig
-from .controllers import GainSet, SpacingPolicy, TtcConfig
 from .core import FaultKind, Role, VehicleId
-from .dynamics import DynamicsLimits, LaneGeometry
-from .params import Parameters
+from .params import Parameters, non_negative, positive
 
 
 class SpecError(Exception):
     """A scenario file failed validation."""
 
 
+def _join_position(value: Any, where: str) -> Optional[VehicleId]:
+    """``tail`` joins at the tail (None); ``before:<id>`` ahead of member <id>."""
+    match = re.fullmatch(r"tail|before:(\d+)", value, re.ASCII) if type(value) is str else None
+    if match is None:
+        raise SpecError(f"{where} must be 'tail' or 'before:<id>'")
+    return None if match[1] is None else int(match[1])
+
+
 @dataclass(frozen=True)
 class VehicleSpec:
-    vid: VehicleId
+    vid: VehicleId = field(metadata={"key": "id"})
     s: float
     lane: int
-    v: float
+    v: float = non_negative()
     role: Role
-    length: float = 5.0
+    length: float = positive(5.0)  # scenario files default to parameters.vehicle_length
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    dt: float = 0.05
-    duration: float = 30.0
+    dt: float = positive(0.05)
+    duration: float = non_negative(30.0)
 
 
 @dataclass(frozen=True)
 class JoinEvent:
     t: float
     target: VehicleId
-    before: Optional[VehicleId] = None  # None joins at the tail
+    before: Optional[VehicleId] = field(  # None joins at the tail
+        default=None,
+        metadata={"key": "position", "parse": _join_position, "required": True})
 
 
 @dataclass(frozen=True)
@@ -63,20 +76,23 @@ class CutInEvent:
     t: float
     target: VehicleId      # the intruder cuts in ahead of this vehicle
     lane: int              # lane the intruder starts in (adjacent)
-    s_offset: float        # bumper gap ahead of the target at lane entry
-    duration: float        # seconds the intruder stays in-lane after entry
+    s_offset: float = non_negative()  # bumper gap ahead of the target at lane entry
+    duration: float = positive()      # seconds the intruder stays in-lane after entry
     ttc_satisfying: bool   # True: emergency geometry, intruder brakes to rest
-    speed_delta: Optional[float] = None  # m/s slower than the target
+    speed_delta: Optional[float] = non_negative(None)  # m/s slower than the target
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     t: float
     target: VehicleId
-    kind: FaultKind
+    kind: FaultKind = field(metadata={"key": "fault"})
 
 
 ScenarioEvent = Union[JoinEvent, LeaveEvent, CutInEvent, FaultEvent]
+_EVENT_KINDS = {"join": JoinEvent, "leave": LeaveEvent, "cut_in": CutInEvent,
+                "fault": FaultEvent}
+_MODE = {"section": "modes"}  # ScenarioSpec fields read from "modes"
 
 
 @dataclass(frozen=True)
@@ -86,20 +102,14 @@ class ScenarioSpec:
     vehicles: tuple[VehicleSpec, ...]
     events: tuple[ScenarioEvent, ...] = ()
     params: Parameters = field(default_factory=Parameters)
-    degradation_enabled: bool = True
-    halt_on_collision: bool = False
+    degradation_enabled: bool = field(default=True, metadata=_MODE)
+    halt_on_collision: bool = field(default=False, metadata=_MODE)
 
     def tick_count(self) -> int:
         ticks = self.run.duration / self.run.dt
         if abs(ticks - round(ticks)) > 1e-6:
-            raise SpecError("duration must be an integer number of ticks")
+            raise SpecError("run.duration must be an integer number of ticks")
         return int(round(ticks))
-
-    def vehicle(self, vid: VehicleId) -> VehicleSpec:
-        for v in self.vehicles:
-            if v.vid == vid:
-                return v
-        raise SpecError(f"vehicle {vid} not declared")
 
     def members(self) -> tuple[VehicleSpec, ...]:
         return tuple(v for v in self.vehicles if v.role.is_member())
@@ -117,175 +127,156 @@ class ScenarioSpec:
 # Loading
 # ---------------------------------------------------------------------------
 
-_ROLES = {"leader": Role.LEADER, "follower": Role.FOLLOWER, "free": Role.FREE_VEHICLE}
-_FAULTS = {"radar": FaultKind.RADAR_FAIL, "v2v": FaultKind.V2V_FAIL}
+_Check = Callable[[Any, str], Any]
 
-_PARAM_GROUPS = {
-    "limits": DynamicsLimits,
-    "geometry": LaneGeometry,
-    "bus": BusConfig,
-    "spacing": SpacingPolicy,
-    "gains": GainSet,
-    "ttc": TtcConfig,
+_ENUM_NAMES: dict[type, dict[str, enum.Enum]] = {
+    Role: {"leader": Role.LEADER, "follower": Role.FOLLOWER, "free": Role.FREE_VEHICLE},
+    FaultKind: {"radar": FaultKind.RADAR_FAIL, "v2v": FaultKind.V2V_FAIL},
 }
-_PARAM_SCALARS = tuple(
-    f.name for f in dataclasses.fields(Parameters)
-    if f.name not in _PARAM_GROUPS
-)
-# field types of every parameter dataclass, resolved once
-_FIELD_TYPES = {cls: typing.get_type_hints(cls)
-                for cls in (*_PARAM_GROUPS.values(), Parameters)}
+_BOUNDS: dict[str, Callable[[float], bool]] = {
+    "positive": lambda x: x > 0, "non-negative": lambda x: x >= 0}
 
 
-def _require_keys(obj: Mapping[str, Any], allowed: Sequence[str], where: str,
-                  required: Sequence[str] = ()) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise SpecError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise SpecError(f"missing key(s) {missing} in {where}")
-
-
-def _numeric(value: Any, where: str, integral: bool = False) -> Union[int, float]:
-    """``value`` if it is a JSON number that a float holds finitely, or
-    with ``integral`` a JSON integer. A JSON boolean decodes to a bool, not
-    an int, so it is no number here."""
-    if type(value) is int:
-        if integral or abs(value) <= sys.float_info.max:
-            return value
-    elif type(value) is float and not integral and math.isfinite(value):
+def _finite(value: Any, where: str) -> float:
+    """A JSON number that a float holds finitely. A JSON boolean decodes to a
+    bool, not an int, so it is no number here."""
+    if type(value) is float and math.isfinite(value):
         return value
-    raise SpecError(f"{where} must be {'an integer' if integral else 'a finite number'}")
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise SpecError(f"{where} must be a finite number")
 
 
-def _number(obj: Mapping[str, Any], key: str, where: str) -> float:
-    return float(_numeric(obj[key], f"{where}.{key}"))
+def _exact(kind: type, noun: str) -> _Check:
+    def check(value: Any, where: str) -> Any:
+        if type(value) is kind:
+            return value
+        raise SpecError(f"{where} must be {noun}")
+    return check
 
 
-def _check_fields(raw: Mapping[str, Any], cls: type, where: str) -> None:
-    """Type-check the numeric fields of dataclass ``cls`` given in ``raw``:
-    ``int`` fields take JSON integers, ``float`` fields finite numbers, and
-    an ``Optional`` field also takes null."""
-    hints = _FIELD_TYPES[cls]
+_SCALARS: dict[type, _Check] = {
+    float: _finite, int: _exact(int, "an integer"),
+    bool: _exact(bool, "a boolean"), str: _exact(str, "a string")}
+
+
+def _checker(hint: Any, meta: Mapping[str, Any]) -> _Check:
+    """The check of one field, built once: it takes the JSON value and the
+    path naming it, and returns the field value or raises ``SpecError``."""
+    if "parse" in meta:
+        return meta["parse"]
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Union and type(None) in args:
+        (inner_hint,) = [a for a in args if a is not type(None)]
+        inner = _checker(inner_hint, meta)
+        return lambda value, where: None if value is None else inner(value, where)
+    if dataclasses.is_dataclass(hint):
+        _schema(hint)
+        return lambda value, where: _load(hint, value, where)
+    if hint in _ENUM_NAMES:
+        names = _ENUM_NAMES[hint]
+
+        def member(value: Any, where: str) -> enum.Enum:
+            if type(value) is str and value in names:
+                return names[value]
+            raise SpecError(f"{where} must be one of {sorted(names)}")
+        return member
+    check = _SCALARS[hint]
+    if "bound" not in meta:
+        return check
+    bound, within = meta["bound"], _BOUNDS[meta["bound"]]
+
+    def bounded(value: Any, where: str) -> Any:
+        value = check(value, where)
+        if within(value):
+            return value
+        raise SpecError(f"{where} must be {bound}")
+    return bounded
+
+
+# per dataclass: JSON key -> (field name, check), and the required JSON keys
+_SCHEMAS: dict[type, tuple[dict[str, tuple[str, _Check]], frozenset[str]]] = {}
+
+
+def _schema(cls: type, section: Optional[str] = None) -> None:
+    """Register the fields of ``cls`` that sit in ``section`` of its JSON."""
+    hints = typing.get_type_hints(cls)
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)
+              if f.metadata.get("section") == section}
+    _SCHEMAS[cls] = (
+        {key: (f.name, _checker(hints[f.name], f.metadata)) for key, f in fields.items()},
+        frozenset(key for key, f in fields.items() if f.metadata.get(
+            "required", f.default is f.default_factory is dataclasses.MISSING)))
+
+
+def _check_keys(raw: Any, keys: AbstractSet[str], required: AbstractSet[str],
+                where: str) -> None:
+    if not isinstance(raw, dict):
+        raise SpecError(f"{where} must be an object")
+    if not raw.keys() <= keys:
+        raise SpecError(f"unknown key(s) {sorted(raw.keys() - keys)} in {where}")
+    if not required <= raw.keys():
+        raise SpecError(f"missing key(s) {sorted(required - raw.keys())} in {where}")
+
+
+def _load(cls: type, raw: Any, where: str, **given: Any) -> Any:
+    """Build dataclass ``cls`` from the JSON object ``raw`` at path ``where``.
+    ``given`` holds field values for keys that ``raw`` omits, and for fields
+    outside the schema (the parts of a ``ScenarioSpec`` not in ``modes``)."""
+    fields, required = _SCHEMAS[cls]
+    _check_keys(raw, fields.keys(), required, where)
     for key, value in raw.items():
-        hint = hints[key]
-        if value is None and type(None) in typing.get_args(hint):
-            continue
-        _numeric(value, f"{where}.{key}", integral=hint is int)
-
-
-def _boolean(obj: Mapping[str, Any], key: str, where: str,
-             default: bool = False) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise SpecError(f"{where}.{key} must be a boolean")
-    return value
-
-
-def _load_event(raw: Mapping[str, Any], index: int) -> ScenarioEvent:
-    where = f"events[{index}]"
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise SpecError(f"{where} must be an object with a 'kind'")
-    kind = raw["kind"]
-    t_keys = {"t", "kind", "target"}
-    if kind == "join":
-        _require_keys(raw, [*t_keys, "position"], where, ["t", "target", "position"])
-        pos = raw["position"]
-        if pos == "tail":
-            before = None
-        elif isinstance(pos, str) and pos.startswith("before:"):
-            before = int(pos.split(":", 1)[1])
-        else:
-            raise SpecError(f"{where}.position must be 'tail' or 'before:<id>'")
-        return JoinEvent(_number(raw, "t", where), int(raw["target"]), before)
-    if kind == "leave":
-        _require_keys(raw, list(t_keys), where, ["t", "target"])
-        return LeaveEvent(_number(raw, "t", where), int(raw["target"]))
-    if kind == "fault":
-        _require_keys(raw, [*t_keys, "fault"], where, ["t", "target", "fault"])
-        if raw["fault"] not in _FAULTS:
-            raise SpecError(f"{where}.fault must be one of {sorted(_FAULTS)}")
-        return FaultEvent(_number(raw, "t", where), int(raw["target"]),
-                          _FAULTS[raw["fault"]])
-    if kind == "cut_in":
-        _require_keys(raw, [*t_keys, "lane", "s_offset", "duration",
-                            "ttc_satisfying", "speed_delta"], where,
-                      ["t", "target", "lane", "s_offset", "duration", "ttc_satisfying"])
-        delta = None
-        if "speed_delta" in raw:
-            delta = _number(raw, "speed_delta", where)
-        return CutInEvent(_number(raw, "t", where), int(raw["target"]),
-                          int(raw["lane"]), _number(raw, "s_offset", where),
-                          _number(raw, "duration", where),
-                          _boolean(raw, "ttc_satisfying", where), delta)
-    raise SpecError(f"{where}.kind {kind!r} is not a known event kind")
-
-
-def _load_parameters(raw: Mapping[str, Any]) -> Parameters:
-    _require_keys(raw, [*_PARAM_GROUPS, *_PARAM_SCALARS], "parameters")
-    groups = {}
-    where = "parameters"
+        name, check = fields[key]
+        given[name] = check(value, f"{where}.{key}")
     try:
-        for name, cls in _PARAM_GROUPS.items():
-            if name not in raw:
-                continue
-            where = f"parameters.{name}"
-            group_raw = raw[name]
-            if not isinstance(group_raw, dict):
-                raise SpecError(f"{where} must be an object")
-            allowed = [f.name for f in dataclasses.fields(cls)]
-            _require_keys(group_raw, allowed, where)
-            _check_fields(group_raw, cls, where)
-            groups[name] = cls(**group_raw)
-        where = "parameters"
-        scalars = {k: raw[k] for k in _PARAM_SCALARS if k in raw}
-        _check_fields(scalars, Parameters, where)
-        return Parameters(**groups, **scalars)
-    except (TypeError, ValueError) as exc:
+        return cls(**given)
+    except ValueError as exc:  # a rule of the dataclass's __post_init__
         raise SpecError(f"invalid {where}: {exc}") from exc
 
 
+def _load_event(raw: Any, where: str) -> ScenarioEvent:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise SpecError(f"{where} must be an object with a 'kind'")
+    kind = raw["kind"]
+    cls = _EVENT_KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
+        raise SpecError(f"{where}.kind {kind!r} is not a known event kind")
+    return _load(cls, {k: v for k, v in raw.items() if k != "kind"}, where)
+
+
+def _array(value: Any, where: str) -> list:
+    if type(value) is not list:
+        raise SpecError(f"{where} must be an array")
+    return value
+
+
+for _cls in (RunSpec, VehicleSpec, *_EVENT_KINDS.values(), Parameters):
+    _schema(_cls)
+_schema(ScenarioSpec, section="modes")
+
+
 def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> ScenarioSpec:
-    _require_keys(raw, ["name", "run", "vehicles", "events", "parameters", "modes"],
-                  "scenario", ["vehicles"])
-    name = raw.get("name", name)
-
-    run_raw = raw.get("run", {})
-    _require_keys(run_raw, ["dt", "duration"], "run")
-    run = RunSpec(**{k: _number(run_raw, k, "run") for k in ("dt", "duration")
-                     if k in run_raw})
-    if run.dt <= 0:
-        raise SpecError("run.dt must be positive")
-
-    params = _load_parameters(raw.get("parameters", {}))
-
-    vehicles = []
-    for i, vraw in enumerate(raw["vehicles"]):
-        where = f"vehicles[{i}]"
-        _require_keys(vraw, ["id", "s", "lane", "v", "role", "length"], where,
-                      ["id", "s", "lane", "v", "role"])
-        if vraw["role"] not in _ROLES:
-            raise SpecError(f"{where}.role must be one of {sorted(_ROLES)}")
-        length = (_number(vraw, "length", where) if "length" in vraw
-                  else params.vehicle_length)
-        if length <= 0:
-            raise SpecError(f"{where}.length must be positive")
-        vehicles.append(VehicleSpec(
-            vid=int(vraw["id"]), s=_number(vraw, "s", where),
-            lane=int(vraw["lane"]), v=_number(vraw, "v", where),
-            role=_ROLES[vraw["role"]], length=length))
-
-    events = tuple(_load_event(e, i) for i, e in enumerate(raw.get("events", [])))
-
-    modes_raw = raw.get("modes", {})
-    _require_keys(modes_raw, ["degradation_enabled", "halt_on_collision"], "modes")
-
-    spec = ScenarioSpec(
-        name=name, run=run, vehicles=tuple(vehicles), events=events, params=params,
-        degradation_enabled=_boolean(modes_raw, "degradation_enabled", "modes", True),
-        halt_on_collision=_boolean(modes_raw, "halt_on_collision", "modes"))
+    _check_keys(raw, {"name", "run", "vehicles", "events", "parameters", "modes"},
+                {"vehicles"}, "scenario")
+    run = _load(RunSpec, raw.get("run", {}), "run")
+    params = _load(Parameters, raw.get("parameters", {}), "parameters")
+    vehicles = tuple(
+        _load(VehicleSpec, v, f"vehicles[{i}]", length=params.vehicle_length)
+        for i, v in enumerate(_array(raw["vehicles"], "vehicles")))
+    events = tuple(_load_event(e, f"events[{i}]")
+                   for i, e in enumerate(_array(raw.get("events", []), "events")))
+    spec = _load(ScenarioSpec, raw.get("modes", {}), "modes",
+                 name=_SCALARS[str](raw.get("name", name), "name"), run=run,
+                 vehicles=vehicles, events=events, params=params)
     validate(spec)
+    return spec
+
+
+def replace_run(spec: ScenarioSpec, **window: float) -> ScenarioSpec:
+    """``spec`` with the ``run`` fields in ``window`` replaced, checked as
+    the ``run`` section of a scenario file is."""
+    spec = dataclasses.replace(spec, run=_load(RunSpec, window, "run", **vars(spec.run)))
+    spec.tick_count()
     return spec
 
 
@@ -311,8 +302,6 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
         raise SpecError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SpecError("scenario file must contain a JSON object")
     return scenario_from_dict(raw, name=path.stem)
 
 
@@ -324,11 +313,9 @@ def validate(spec: ScenarioSpec) -> None:
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise SpecError("vehicle ids must be dense 1..N")
     geom = spec.params.geometry
-    for v in spec.vehicles:
+    for i, v in enumerate(spec.vehicles):
         if not (0 <= v.lane < geom.lane_count):
-            raise SpecError(f"vehicle {v.vid} lane {v.lane} out of range")
-        if v.v < 0:
-            raise SpecError(f"vehicle {v.vid} speed must be non-negative")
+            raise SpecError(f"vehicles[{i}].lane {v.lane} out of range")
 
     leaders = [v for v in spec.vehicles if v.role is Role.LEADER]
     followers = [v for v in spec.vehicles if v.role is Role.FOLLOWER]
@@ -345,20 +332,27 @@ def validate(spec: ScenarioSpec) -> None:
                 raise SpecError(f"follower {f.vid} must start behind the leader")
 
     last_t = -float("inf")
-    for e in spec.events:
+    for i, e in enumerate(spec.events):
+        where = f"events[{i}]"
         if e.t < last_t:
             raise SpecError("events must be sorted by time")
         last_t = e.t
         if e.t < 0 or e.t > spec.run.duration:
-            raise SpecError(f"event at t={e.t} outside the run window")
-        spec.vehicle(e.target)  # UnknownTarget at load time
-        if isinstance(e, JoinEvent) and e.before is not None:
-            spec.vehicle(e.before)
+            raise SpecError(f"{where} at t={e.t} outside the run window")
+        referenced = (e.target, e.before) if isinstance(e, JoinEvent) else (e.target,)
+        for vid in referenced:
+            if vid is not None and vid not in ids:
+                raise SpecError(f"{where}: vehicle {vid} not declared")
+        # both would wait in LeaveMiddle / JoinMiddle until maneuver_timeout_s
+        if isinstance(e, LeaveEvent) and leaders and e.target == leaders[0].vid:
+            raise SpecError(f"{where}: the declared leader cannot be told to leave")
+        if isinstance(e, JoinEvent) and e.before == e.target:
+            raise SpecError(f"{where}: a vehicle cannot join before itself")
         if isinstance(e, CutInEvent):
             # adjacency to the target is checked at spawn time: the target
             # may have changed lanes by then
             if not (0 <= e.lane < geom.lane_count):
-                raise SpecError(f"cut-in lane {e.lane} out of range")
+                raise SpecError(f"{where}.lane {e.lane} out of range")
 
 
 def initial_platoon(spec: ScenarioSpec) -> Optional[tuple[VehicleId, ...]]:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from platoonsim.cli import main
 from platoonsim.scenario import bundled_scenario_path
 
@@ -48,6 +50,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "parameters.gains" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, where", [
+        ("--dt", "0", "run.dt"),
+        ("--dt", "-0.05", "run.dt"),
+        ("--dt", "nan", "run.dt"),
+        ("--duration", "-5", "run.duration"),
+        ("--duration", "inf", "run.duration"),
+    ])
+    def test_bad_run_window_override_is_a_one_line_error(self, tmp_path, capsys,
+                                                         flag, value, where):
+        code = main(["run", scenario("steady"), "--out", str(tmp_path), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} ") and err.count("\n") == 1
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_duration_override(self, tmp_path):
         code = main(["run", scenario("steady"), "--out", str(tmp_path),

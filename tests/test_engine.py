@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from platoonsim import comms, engine
+from platoonsim import comms, engine, scenario
 from platoonsim.core import FaultKind, Role
 from platoonsim.engine import Simulator, SpecHashMismatch, replay_check, run
 from platoonsim.scenario import (
@@ -262,3 +262,17 @@ class TestBenchmarkHookPoints:
         assert callable(comms.MessageBus.deliver)
         assert callable(comms.MessageBus.send)
         assert callable(comms.PeerViewStore.update)
+        assert callable(scenario.load_scenario)
+        assert callable(scenario.scenario_from_dict)
+
+    def test_load_scenario_resolves_scenario_from_dict_on_the_module(self, monkeypatch):
+        calls = []
+        original = scenario.scenario_from_dict
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "scenario_from_dict", counting)
+        spec = scenario.load_scenario(scenario.bundled_scenario_path("steady"))
+        assert len(calls) == 1 and spec.name == "steady"

@@ -1,7 +1,11 @@
 """Scenario file loading, strict validation, and the scripted cloud layer."""
 
+import copy
+import dataclasses
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from platoonsim.core import (
 )
 from platoonsim.params import Parameters
 from platoonsim.scenario import (
+    _EVENT_KINDS,
     CutInEvent,
     FaultEvent,
     JoinEvent,
@@ -25,6 +30,7 @@ from platoonsim.scenario import (
     ScenarioSpec,
     SpecError,
     VehicleSpec,
+    bundled_scenario_path,
     initial_platoon,
     load_scenario,
     scenario_from_dict,
@@ -54,8 +60,15 @@ def vehicle(index, **fields):
     return {"vehicles": vehicles}
 
 
+def event(**fields):
+    """Overrides holding one event, at t = 1 s unless ``fields`` says otherwise."""
+    return {"events": [{"t": 1.0, **fields}]}
+
+
 NAN = float("nan")
 INF = float("inf")
+CUT_IN = {"kind": "cut_in", "target": 1, "lane": 0, "s_offset": 8.0, "duration": 5.0,
+          "ttc_satisfying": False}
 
 
 class TestLoading:
@@ -145,6 +158,36 @@ class TestLoading:
         ({"run": {"dt": NAN, "duration": 10.0}}, "run.dt"),
         ({"run": {"dt": "0.05", "duration": 10.0}}, "run.dt"),
         ({"run": {"dt": 0.05, "duration": INF}}, "run.duration"),
+        ({"run": {"dt": 0.05, "duration": -5.0}}, "run.duration"),
+        ({"vehicles": [BASE["vehicles"][0], 5]}, "vehicles[1]"),
+        ({"vehicles": 5}, "vehicles"),
+        (vehicle(1, lane="1"), "vehicles[1].lane"),
+        (vehicle(1, lane=1.9), "vehicles[1].lane"),
+        (vehicle(0, id=True), "vehicles[0].id"),
+        (vehicle(1, id=2.0), "vehicles[1].id"),
+        (vehicle(1, role=["follower"]), "vehicles[1].role"),
+        (vehicle(1, v=-1.0), "vehicles[1].v"),
+        ({"name": 5}, "name"),
+        ({"run": []}, "run"),
+        ({"parameters": []}, "parameters"),
+        ({"modes": []}, "modes"),
+        ({"events": {}}, "events"),
+        (event(kind="leave", target="two"), "events[0].target"),
+        (event(kind="leave", target=2.7), "events[0].target"),
+        (event(kind="leave", target=True), "events[0].target"),
+        (event(kind=["leave"], target=2), "events[0].kind"),
+        (event(kind="join", target=2, position="before:x"), "events[0].position"),
+        (event(kind="fault", target=2, fault=["v2v"]), "events[0].fault"),
+        (event(**CUT_IN, speed_delta=-1.0), "events[0].speed_delta"),
+        (event(**{**CUT_IN, "duration": -1}), "events[0].duration"),
+        (event(**{**CUT_IN, "duration": 0}), "events[0].duration"),
+        ({"parameters": {"radar_max_range": -1}}, "parameters.radar_max_range"),
+        ({"parameters": {"heartbeat_timeout_s": -1}}, "parameters.heartbeat_timeout_s"),
+        ({"parameters": {"vehicle_length": 0}}, "parameters.vehicle_length"),
+        ({"parameters": {"join_gap": -0.5}}, "parameters.join_gap"),
+        # both would hang in LeaveMiddle / JoinMiddle until the maneuver timeout
+        (event(kind="leave", target=1), "events[0]"),
+        (event(kind="join", target=2, position="before:2"), "events[0]"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
         with pytest.raises(SpecError, match=re.escape(where)):
@@ -183,6 +226,130 @@ class TestValidation:
     def test_initial_platoon_order_is_front_to_back(self):
         spec = scenario_from_dict(doc())
         assert initial_platoon(spec) == (1, 2)
+
+
+def full_document():
+    """BASE with every key of every section spelled out, at its default where
+    it has one; ``parameters`` comes from the dataclass, so a parameter added
+    later is covered without editing this document."""
+    out = doc(
+        run={"dt": 0.05, "duration": 10.0},
+        events=[
+            {"t": 1.0, "kind": "join", "target": 2, "position": "tail"},
+            {"t": 2.0, "kind": "leave", "target": 2},
+            {**CUT_IN, "t": 3.0, "speed_delta": 0.0},
+            {"t": 4.0, "kind": "fault", "target": 2, "fault": "radar"},
+        ],
+        parameters=dataclasses.asdict(Parameters()),
+        modes={"degradation_enabled": True, "halt_on_collision": False},
+    )
+    out["vehicles"][1]["length"] = 5.0
+    return out
+
+
+def json_keys(cls, section=None):
+    return {f.metadata.get("key", f.name) for f in dataclasses.fields(cls)
+            if f.metadata.get("section") == section}
+
+
+def values(node, path=""):
+    """(JSON path, value) of every value below ``node``, paths as SpecErrors
+    name them."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        child = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        yield child, value
+        yield from values(value, child)
+
+
+def locate(raw, path):
+    """The container holding the value at JSON ``path``, and its key there."""
+    *parents, last = re.findall(r"[^.\[\]]+", path)
+    node = raw
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node, int(last) if isinstance(node, list) else last
+
+
+class TestSchemaCoverage:
+    """Every field of every loaded dataclass takes a well-typed value and
+    rejects a wrong-typed one with a SpecError naming its path."""
+
+    def test_full_document_spells_out_every_field(self):
+        raw = full_document()
+        assert set(raw["run"]) == json_keys(RunSpec)
+        assert set(raw["vehicles"][1]) == json_keys(VehicleSpec)
+        assert set(raw["modes"]) == json_keys(ScenarioSpec, "modes")
+        kinds = {e["kind"]: set(e) - {"kind"} for e in raw["events"]}
+        assert kinds == {kind: json_keys(cls) for kind, cls in _EVENT_KINDS.items()}
+        assert set(raw["parameters"]) == json_keys(Parameters)
+        for group in dataclasses.fields(Parameters):
+            value = getattr(Parameters(), group.name)
+            if dataclasses.is_dataclass(value):
+                assert set(raw["parameters"][group.name]) == json_keys(type(value))
+
+    def test_well_typed_values_load(self):
+        spec = scenario_from_dict(full_document())
+        assert spec.params == Parameters()
+        assert spec.run == RunSpec(dt=0.05, duration=10.0)
+        assert spec.vehicles[1].length == 5.0
+        assert [type(e) for e in spec.events] == [JoinEvent, LeaveEvent, CutInEvent,
+                                                  FaultEvent]
+        assert spec.degradation_enabled and not spec.halt_on_collision
+
+    def test_wrong_typed_values_name_their_path(self):
+        raw = full_document()
+        checked = 0
+        for path, value in values(raw):
+            if isinstance(value, (dict, list)):
+                continue
+            wrong = [5 if isinstance(value, str) else "x"]
+            if type(value) is int:
+                wrong.append(2.5)
+            for bad in wrong:
+                mutant = copy.deepcopy(raw)
+                node, key = locate(mutant, path)
+                node[key] = bad
+                with pytest.raises(SpecError, match=re.escape(path)):
+                    scenario_from_dict(mutant)
+                checked += 1
+        assert checked > 60
+
+
+MUTANTS = [None, True, "x", [], {}, -1, 2.5, NAN]
+BUNDLED = sorted(p.stem for p in bundled_scenario_path("steady").parent.glob("*.scenario"))
+
+
+@pytest.mark.parametrize("seed, name", enumerate(BUNDLED))
+def test_mutated_bundled_scenarios_load_or_raise_spec_errors(seed, name):
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    paths = [path for path, _ in values(raw)]
+    rng = random.Random(seed)
+    for _ in range(100):
+        mutant = copy.deepcopy(raw)
+        path = rng.choice(paths)
+        node, key = locate(mutant, path)
+        if rng.random() < 0.2:
+            del node[key]
+            change = f"del {path}"
+        else:
+            node[key] = copy.deepcopy(rng.choice(MUTANTS))
+            change = f"{path} = {node[key]!r}"
+        try:
+            assert isinstance(scenario_from_dict(mutant), ScenarioSpec)
+        except SpecError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other exception fails the test
+            pytest.fail(f"{name}: {change}: {exc!r}")
+
+
+def test_readme_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    spec = scenario_from_dict(json.loads(block[1]))
+    assert spec.events
 
 
 def five_platoon():
