@@ -20,7 +20,7 @@ from .core import (
     maneuver_transition,
     role_transition,
 )
-from .engine import RunReport, Simulator, Trace, replay_check, run
+from .engine import RunReport, Simulator, TickError, Trace, replay_check, run
 from .management import (
     StrategyContext,
     StrategyKey,
@@ -51,6 +51,7 @@ __all__ = [
     "StrategyOutput",
     "StrategyProgress",
     "StrategyRegistry",
+    "TickError",
     "Trace",
     "V2VMessage",
     "VehicleState",

@@ -2,7 +2,8 @@
 execute the built-in acceptance suite.
 
 Exit codes are the only machine contract: 0 for a clean completion, 2 when a
-run ends with a collision, 1 for scenario/spec errors.
+run ends with a collision, 1 for scenario/spec errors, 3 when a run stops on
+a protocol error inside a tick.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import RunReport, Simulator, Trace
+from .engine import RunReport, Simulator, TickError, Trace
 from .scenario import ScenarioSpec, SpecError, load_scenario, replace_run
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
 EXIT_COLLISION = 2
+EXIT_TICK_ERROR = 3
 
 
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
@@ -45,6 +47,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except TickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TICK_ERROR
     _write_outputs(Path(args.out), trace, report)
     for t, a, b in report.collisions:
         print(f"collision at t={t:.3f} between v{a} and v{b}", file=sys.stderr)
@@ -76,6 +81,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except TickError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TICK_ERROR
 
     lines = [f"scenario: {spec.name}", ""]
     for label in ("on", "off"):

@@ -3,8 +3,16 @@ single-target radar model, permanent fault injection and peer-failure
 detection from heartbeat ages.
 
 No path here scans every pair of vehicles in a tick. Radar bisects the
-snapshot's ``(rear, id)`` order, delivery slices one sorted list of due
-messages per receiver, and peer views are built only when looked up.
+snapshot's ``(rear, id)`` order, and delivery slices one sorted list of due
+messages per receiver. The bus keeps one heartbeat table, the freshest
+heartbeat per sender, updated once per tick; each receiver's peer store is
+that table minus the receiver's own entry, so no receiver stores or scans
+its own copy of the N - 1 heartbeats. A store detaches onto a private copy
+the first tick its receiver misses a delivered message (its own V2V fault,
+a range drop, or its absence from the receivers), and is fed its own
+inboxes from then on. The predecessor search bisects per-lane member
+orders, silent peers are a set difference against the fresh senders, and
+peer views are built only when looked up.
 """
 
 from __future__ import annotations
@@ -64,11 +72,19 @@ class MessageBus:
     broadcast; a receiver with a V2V fault gets an empty inbox. Inboxes are
     sorted by (sender id, message kind, send tick), ties in send order, so
     delivery order is reproducible.
+
+    The bus keeps one :class:`HeartbeatTable` of the freshest delivered
+    heartbeat per sender, and opens each vehicle's :class:`PeerViewStore`
+    on it (see :meth:`peer_store` and :meth:`deliver`).
     """
 
     def __init__(self, config: BusConfig) -> None:
         self.config = config
         self._in_flight: list[tuple[int, V2VMessage]] = []
+        self.heartbeats = HeartbeatTable()
+        self._stores: dict[VehicleId, PeerViewStore] = {}
+        # the non-heartbeat part of the last delivery's inboxes
+        self.flag_inboxes: dict[VehicleId, list[V2VMessage]] = {}
 
     def send(self, msg: V2VMessage, faults: FaultBoard) -> bool:
         """Queue a broadcast; returns False when the sender's V2V is dead."""
@@ -76,6 +92,15 @@ class MessageBus:
             return False
         self._in_flight.append((msg.tick_sent + self.config.delivery_delay_ticks, msg))
         return True
+
+    def peer_store(self, owner: VehicleId) -> PeerViewStore:
+        """Open the peer store of ``owner``, which :meth:`deliver` keeps up
+        to date. It reads the bus's heartbeat table, unless heartbeats were
+        delivered before it was opened: then it starts on an empty table of
+        its own, as the owner heard none of them."""
+        table = HeartbeatTable() if self.heartbeats.known() else self.heartbeats
+        store = self._stores[owner] = PeerViewStore(owner, table)
+        return store
 
     def deliver(self, tick: int, faults: FaultBoard, receivers: Iterable[VehicleId],
                 positions: Optional[Mapping[VehicleId, float]] = None,
@@ -85,24 +110,56 @@ class MessageBus:
         The due messages are sorted once. Sorted by sender, a receiver's own
         messages form one block, so its inbox is everything before and after
         that block (never self-deliver). ``range_m`` then drops senders
-        farther away than the range, when positions are given.
+        farther away than the range, when positions are given. The
+        non-heartbeat part of each inbox is kept in :attr:`flag_inboxes`,
+        cut the same way from the due flags when no range applies.
+
+        The due heartbeats then update the bus's heartbeat table once. A
+        store that shares the table stays exact only while its owner gets
+        every delivered message, so the first tick its owner misses one (a
+        V2V fault, a ``range_m`` drop, or no place among ``receivers``), the
+        store detaches: it takes a private copy of the table as it stood
+        before this tick, and from then on is fed its owner's inboxes.
         """
         due = sorted((m for t, m in self._in_flight if t <= tick),
                      key=V2VMessage.sort_key)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
         senders = [m.sender for m in due]
+        flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
+        flag_senders = [m.sender for m in flags]
         range_m = self.config.range_m if positions is not None else None
+        table, stores = self.heartbeats, self._stores
         inboxes: dict[VehicleId, list[V2VMessage]] = {}
+        self.flag_inboxes = flag_inboxes = {}
         for rid in receivers:
+            lo, hi = bisect_left(senders, rid), bisect_right(senders, rid)
             if faults.has(rid, FaultKind.V2V_FAIL):
-                inboxes[rid] = []
-                continue
-            inbox = due[:bisect_left(senders, rid)] + due[bisect_right(senders, rid):]
-            if range_m is not None:
-                inbox = [m for m in inbox if not (
-                    m.sender in positions
-                    and abs(positions[rid] - positions[m.sender]) > range_m)]
+                inbox: list[V2VMessage] = []
+                own_flags: list[V2VMessage] = []
+            else:
+                inbox = due[:lo] + due[hi:]
+                if range_m is None:
+                    own_flags = (flags[:bisect_left(flag_senders, rid)]
+                                 + flags[bisect_right(flag_senders, rid):])
+                else:
+                    inbox = [m for m in inbox if not (
+                        m.sender in positions
+                        and abs(positions[rid] - positions[m.sender]) > range_m)]
+                    own_flags = [m for m in inbox if m.kind is not MessageKind.HEARTBEAT]
             inboxes[rid] = inbox
+            flag_inboxes[rid] = own_flags
+            store = stores.get(rid)
+            if store is not None:
+                if store.table is table and len(inbox) < len(due) - (hi - lo):
+                    store.table = table.copy()
+                if store.table is not table:
+                    store.update(inbox)
+        for owner in stores.keys() - inboxes.keys():
+            store = stores[owner]
+            if store.table is table and bisect_right(senders, owner) - bisect_left(
+                    senders, owner) < len(due):
+                store.table = table.copy()
+        table.update(due)
         return inboxes
 
 
@@ -184,59 +241,175 @@ class PeerView:
     zeroed: bool = False
 
 
-class PeerViewStore:
-    """Per-vehicle registry of the freshest heartbeat from each peer."""
+# one lane's platoon members: their positions, and their (s, id) alongside
+_LaneOrder = tuple[list[float], list[tuple[float, VehicleId]]]
 
-    def __init__(self) -> None:
-        self._latest: dict[VehicleId, V2VMessage] = {}
-        self._known: Optional[tuple[VehicleId, ...]] = ()
 
-    def update(self, inbox: Iterable[V2VMessage]) -> None:
-        for msg in inbox:
+class HeartbeatTable:
+    """The freshest heartbeat from each sender, with the indexes its readers
+    need, each built on first use after an update.
+
+    A heartbeat replaces the kept one when its send tick is not older, so of
+    two with the same tick the later in delivery order wins. The bus keeps
+    one table for every receiver (see :meth:`MessageBus.deliver`).
+    """
+
+    def __init__(self, latest: Optional[Mapping[VehicleId, V2VMessage]] = None) -> None:
+        self._latest: dict[VehicleId, V2VMessage] = dict(latest or {})
+        # the leader heartbeats carrying a platoon in the last update, in order
+        self.leader_beats: list[V2VMessage] = []
+        self._known: Optional[tuple[VehicleId, ...]] = None
+        self._lanes: Optional[dict[int, _LaneOrder]] = None
+        self._fresh: Optional[tuple[int, int, frozenset[VehicleId]]] = None
+
+    def copy(self) -> "HeartbeatTable":
+        return HeartbeatTable(self._latest)
+
+    def update(self, msgs: Iterable[V2VMessage]) -> None:
+        latest = self._latest
+        leaders: list[V2VMessage] = []
+        for msg in msgs:
             if msg.kind is not MessageKind.HEARTBEAT:
                 continue
-            cur = self._latest.get(msg.sender)
+            cur = latest.get(msg.sender)
             if cur is None:
-                self._known = None  # a new sender: re-sort on next use
+                self._known = None
             if cur is None or msg.tick_sent >= cur.tick_sent:
-                self._latest[msg.sender] = msg
+                latest[msg.sender] = msg
+            if msg.role is Role.LEADER and msg.platoon is not None:
+                leaders.append(msg)
+        self.leader_beats = leaders
+        self._lanes = None
+        self._fresh = None
 
-    def known_peers(self) -> tuple[VehicleId, ...]:
-        """Every peer heard from, ascending; sorted again only after a new
-        sender appears."""
+    def get(self, sender: VehicleId) -> Optional[V2VMessage]:
+        return self._latest.get(sender)
+
+    def known(self) -> tuple[VehicleId, ...]:
+        """Every sender heard from, ascending."""
         if self._known is None:
             self._known = tuple(sorted(self._latest))
         return self._known
 
+    def member_lanes(self) -> dict[int, _LaneOrder]:
+        """Per lane, the platoon members' ``(s, id)`` in ascending order and,
+        alongside, their positions alone for bisection."""
+        if self._lanes is None:
+            by_lane: dict[int, list[tuple[float, VehicleId]]] = {}
+            for vid, msg in self._latest.items():
+                if msg.role is None or msg.role is Role.FREE_VEHICLE:
+                    continue  # not a platoon member
+                state = msg.state
+                assert state is not None
+                by_lane.setdefault(state.lane, []).append((state.s, vid))
+            self._lanes = {}
+            for lane, order in by_lane.items():
+                order.sort()
+                self._lanes[lane] = ([s for s, _ in order], order)
+        return self._lanes
+
+    def fresh(self, tick: int, timeout_ticks: int) -> frozenset[VehicleId]:
+        """The senders whose heartbeat is at most ``timeout_ticks`` old."""
+        if self._fresh is None or self._fresh[:2] != (tick, timeout_ticks):
+            horizon = tick - timeout_ticks
+            self._fresh = (tick, timeout_ticks, frozenset(
+                vid for vid, msg in self._latest.items() if msg.tick_sent >= horizon))
+        return self._fresh[2]
+
+
+class PeerViewStore:
+    """One vehicle's registry of the freshest heartbeat from each peer: a
+    :class:`HeartbeatTable` minus the owner's own entry.
+
+    A store opened by :meth:`MessageBus.peer_store` reads the bus's table
+    until its owner misses a delivery, and then a private copy that the bus
+    feeds from the owner's inboxes. A store built directly has no owner and
+    a private table fed by :meth:`update`. Every reader runs the same code
+    on either table.
+    """
+
+    def __init__(self, owner: Optional[VehicleId] = None,
+                 table: Optional[HeartbeatTable] = None) -> None:
+        self.owner = owner
+        self.table = table if table is not None else HeartbeatTable()
+        self._known_from: Optional[tuple[VehicleId, ...]] = None
+        self._known: tuple[VehicleId, ...] = ()
+
+    def update(self, inbox: Iterable[V2VMessage]) -> None:
+        self.table.update(inbox)
+
+    def known_peers(self) -> tuple[VehicleId, ...]:
+        """Every peer heard from, ascending; rebuilt only after the table's
+        list of senders changed."""
+        known = self.table.known()
+        if known is not self._known_from:
+            self._known_from = known
+            self._known = tuple(p for p in known if p != self.owner)
+        return self._known
+
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
-        return self._latest.get(peer)
+        return None if peer == self.owner else self.table.get(peer)
+
+    def age(self, peer: VehicleId, tick: int) -> int:
+        """Heartbeat age in ticks; a never-heard peer ages from tick 0."""
+        msg = self.raw(peer)
+        return tick if msg is None else tick - msg.tick_sent
+
+    def silent_ages(self, peers: Iterable[VehicleId], tick: int,
+                    timeout_ticks: int) -> dict[VehicleId, int]:
+        """The ages of those ``peers``, other than the owner, whose
+        heartbeat is older than ``timeout_ticks`` or never came (the
+        candidates for :func:`detect_peer_failure`)."""
+        quiet = set(peers).difference(self.table.fresh(tick, timeout_ticks))
+        return {p: self.age(p, tick) for p in quiet if p != self.owner}
+
+    def leader_heartbeat(self) -> Optional[V2VMessage]:
+        """Of the last update's leader heartbeats carrying a platoon, other
+        than the owner's, the first with the newest send tick."""
+        best: Optional[V2VMessage] = None
+        for msg in self.table.leader_beats:
+            if msg.sender != self.owner and (best is None or msg.tick_sent > best.tick_sent):
+                best = msg
+        return best
 
     def preceding_member(self, ego: VehicleState) -> Optional[VehicleId]:
         """Nearest platoon member ahead of ``ego``, from the freshest
         heartbeats. Same-lane members win over one mid lane-change
         elsewhere; the smallest ``(lane_rank, ahead, peer)`` wins, so equal
         distances go to the lower id."""
-        best: Optional[tuple[int, float, VehicleId]] = None
-        for peer, msg in self._latest.items():
-            if msg.role is None or msg.role is Role.FREE_VEHICLE:
-                continue  # not a platoon member
-            state = msg.state
-            assert state is not None
-            ahead = state.s - ego.s
-            if ahead <= 0.0:
+        lanes = self.table.member_lanes()
+        best = self._nearest_ahead(lanes.get(ego.lane), ego.s)
+        if best is None:
+            for lane, order in lanes.items():
+                if lane != ego.lane:
+                    found = self._nearest_ahead(order, ego.s)
+                    if found is not None and (best is None or found < best):
+                        best = found
+        return best[1] if best else None
+
+    def _nearest_ahead(self, order: Optional[_LaneOrder],
+                       s: float) -> Optional[tuple[float, VehicleId]]:
+        """The smallest ``(ahead, id)`` in one lane's member order, over the
+        members other than the owner at a position past ``s``.
+
+        The walk starts at the first position past ``s`` (bisected), where
+        ``ahead`` is least, and goes on through equal ``ahead`` values: two
+        different positions can round to the same distance, and the lower
+        id must still win."""
+        if order is None:
+            return None
+        positions, members = order
+        best: Optional[tuple[float, VehicleId]] = None
+        for i in range(bisect_right(positions, s), len(members)):
+            pos, vid = members[i]
+            if vid == self.owner:
                 continue
-            key = (0 if state.lane == ego.lane else 1, ahead, peer)
-            if best is None or key < best:
-                best = key
-        return best[2] if best else None
-
-    def age(self, peer: VehicleId, tick: int) -> int:
-        """Heartbeat age in ticks; a never-heard peer ages from tick 0."""
-        msg = self._latest.get(peer)
-        return tick if msg is None else tick - msg.tick_sent
-
-    def ages(self, peers: Iterable[VehicleId], tick: int) -> dict[VehicleId, int]:
-        return {p: self.age(p, tick) for p in peers}
+            ahead = pos - s
+            if best is not None and ahead > best[0]:
+                break
+            if best is None or vid < best[1]:
+                best = (ahead, vid)
+        return best
 
 
 class PeerViews(Mapping[VehicleId, PeerView]):
@@ -244,8 +417,9 @@ class PeerViews(Mapping[VehicleId, PeerView]):
 
     A view is built from the store's freshest heartbeat each time it is
     looked up, so a tick pays only for the peers it reads. Iteration is in
-    ascending peer id. The mapping reads the store live: it is valid until
-    the store's next ``update``.
+    ascending peer id. The mapping reads the store's table live: it is valid
+    until the table's next update, which for a store on the bus is the
+    next delivery.
     """
 
     def __init__(self, store: PeerViewStore, tick: int, timeout_ticks: int,

@@ -9,6 +9,15 @@ update and two runs of the same scenario produce bit-identical traces.
 The runtimes are kept in ascending id order from construction on, so no
 stage sorts them; the snapshot sorts its vehicles by position once per tick
 for radar (see :class:`~platoonsim.dynamics.Snapshot`).
+
+Each managed vehicle's peer store is opened on the bus, whose delivery
+keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
+so the bus stage is one ``deliver`` call; management reads the leader
+replica, the silent peers and the predecessor from the store without
+walking an inbox, and strategies get only the non-heartbeat messages.
+
+A protocol error a strategy causes inside a tick is raised as a
+:class:`TickError` naming the tick, the vehicle and its maneuver.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .controllers import PidState, TtcMonitor, longitudinal_command
 from .core import (
     ControllerKind,
     FaultKind,
+    IllegalTransition,
     LongitudinalCommand,
     LongitudinalMode,
     MessageKind,
@@ -43,12 +53,19 @@ from .core import (
     VehicleState,
     heartbeat,
 )
-from .dynamics import Snapshot, detect_collisions, step_lateral, step_longitudinal
+from .dynamics import (
+    InvalidLane,
+    Snapshot,
+    detect_collisions,
+    step_lateral,
+    step_longitudinal,
+)
 from .management import (
     DriverState,
     StrategyContext,
     StrategyRegistry,
     TickSignals,
+    UnknownJoiner,
     VehicleManager,
 )
 from .scenario import CutInEvent, ScenarioSpec, initial_platoon
@@ -57,6 +74,24 @@ from .strategies import default_registry
 
 class SpecHashMismatch(Exception):
     """Two traces from different scenario specs cannot be compared."""
+
+
+class TickError(Exception):
+    """A protocol error raised inside a tick, with the tick, its time, the
+    vehicle and its maneuver; the original exception is its ``__cause__``."""
+
+    def __init__(self, tick: int, time: float, vehicle: VehicleId, maneuver: str,
+                 error: Exception) -> None:
+        super().__init__(f"tick {tick} (t={time:.3f} s), v{vehicle} in {maneuver}: "
+                         f"{type(error).__name__}: {error}")
+        self.tick = tick
+        self.time = time
+        self.vehicle = vehicle
+        self.maneuver = maneuver
+
+
+# what a strategy can get wrong; anything else is a fault of the engine
+_PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
 
 @dataclass(frozen=True)
@@ -133,7 +168,7 @@ class _Runtime:
     """Engine-side container for one vehicle."""
 
     def __init__(self, vid: VehicleId, state: VehicleState,
-                 manager: Optional[VehicleManager],
+                 manager: Optional[VehicleManager], peer_store: PeerViewStore,
                  script: Optional[IntruderScript] = None) -> None:
         self.vid = vid
         self.state = state
@@ -142,7 +177,7 @@ class _Runtime:
         self.active = script is None
         self.controller = ControllerKind(LongitudinalCommand(LongitudinalMode.DRIVER))
         self.driver = DriverState(v_set=state.v)
-        self.peer_store = PeerViewStore()
+        self.peer_store = peer_store
         self.replica: Optional[PlatoonInfo] = None
         self.replica_tick = -1
         self.monitor: Optional[TtcMonitor] = None
@@ -197,7 +232,7 @@ class Simulator:
         for v in spec.vehicles:
             state = VehicleState(s=v.s, lane=v.lane, v=v.v, length=v.length)
             manager = VehicleManager(v.vid, v.role, self.registry, self.params, self.dt)
-            rt = _Runtime(v.vid, state, manager)
+            rt = _Runtime(v.vid, state, manager, self.bus.peer_store(v.vid))
             rt.monitor = TtcMonitor(self.params.ttc)
             if v.role.is_member():
                 rt.replica = platoon
@@ -220,7 +255,8 @@ class Simulator:
             script = IntruderScript(event, vid, self.params, self.dt)
             parked = VehicleState(s=-1000.0 - 100.0 * i, lane=0, v=0.0,
                                   length=self.params.vehicle_length)
-            self.runtimes[vid] = _Runtime(vid, parked, None, script)
+            # scripted: never a receiver, and its store is never read
+            self.runtimes[vid] = _Runtime(vid, parked, None, PeerViewStore(vid), script)
             self._intruders[id(event)] = vid
         # every stage and the trace columns walk the runtimes by ascending id
         self.runtimes = dict(sorted(self.runtimes.items()))
@@ -234,6 +270,11 @@ class Simulator:
     def _log(self, tick: int, vehicle: Optional[VehicleId], kind: str,
              detail: str = "") -> None:
         self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, detail))
+
+    def _tick_error(self, tick: int, vid: VehicleId, error: Exception) -> TickError:
+        rt = self.runtimes[vid]
+        maneuver = rt.manager.maneuver.name if rt.managed else "-"
+        return TickError(tick, tick * self.dt, vid, maneuver, error)
 
     def _leader_runtime(self) -> Optional[_Runtime]:
         for rt in self.runtimes.values():
@@ -284,26 +325,24 @@ class Simulator:
 
     def _stage_bus(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
                    ) -> dict[VehicleId, list[V2VMessage]]:
-        positions = {vid: st.s for vid, st in snapshot.items()}
-        inboxes = self.bus.deliver(tick, self.faults, managed, positions)
-        for vid in managed:
-            rt = self.runtimes[vid]
-            inbox = inboxes[vid]
-            rt.peer_store.update(inbox)
-            for msg in inbox:
-                if (msg.kind is MessageKind.HEARTBEAT and msg.role is Role.LEADER
-                        and msg.platoon is not None and msg.tick_sent > rt.replica_tick):
-                    rt.replica = msg.platoon
-                    rt.replica_tick = msg.tick_sent
-        return inboxes
+        """Deliver the due messages, which also brings every peer store up
+        to date; returns each receiver's non-heartbeat messages."""
+        positions = ({vid: st.s for vid, st in snapshot.items()}
+                     if self.params.bus.range_m is not None else None)
+        self.bus.deliver(tick, self.faults, managed, positions)
+        return self.bus.flag_inboxes
 
     def _stage_manage(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
                       readings: dict[VehicleId, RadarReading],
-                      inboxes: dict[VehicleId, list[V2VMessage]]) -> None:
+                      flag_inboxes: dict[VehicleId, list[V2VMessage]]) -> None:
         sent: list[V2VMessage] = []
         hb_timeout = self.params.heartbeat_timeout_ticks(self.dt)
         for vid in managed:
             rt = self.runtimes[vid]
+            store = rt.peer_store
+            beat = store.leader_heartbeat()  # replicate the platoon from the leader
+            if beat is not None and beat.tick_sent > rt.replica_tick:
+                rt.replica, rt.replica_tick = beat.platoon, beat.tick_sent
             reading = readings[vid]
             assert rt.monitor is not None and rt.manager is not None
             ttc_result = rt.monitor.update(reading)
@@ -317,25 +356,27 @@ class Simulator:
                 rt.reported_own |= own
                 new_own = tuple(sorted(fresh, key=lambda k: k.value))
                 if rt.manager.role.is_member() and rt.replica is not None:
-                    monitored = [p for p in rt.replica.id_series if p != vid]
-                    ages = rt.peer_store.ages(monitored, tick)
-                    silent = set(detect_peer_failure(ages, hb_timeout))
+                    candidates = store.silent_ages(rt.replica.id_series, tick, hb_timeout)
+                    silent = set(detect_peer_failure(candidates, hb_timeout))
                     newly_silent = tuple(sorted(silent - rt.reported_silent))
                     rt.reported_silent |= silent
 
-            rt.last_payload = v2v_payload(rt.peer_store, tick, hb_timeout,
+            rt.last_payload = v2v_payload(store, tick, hb_timeout,
                                           self.spec.degradation_enabled)
             ctx = StrategyContext(
                 tick=tick, dt=self.dt, ego_id=vid, ego=snapshot[vid],
                 role=rt.manager.role, maneuver=rt.manager.maneuver,
-                reading=reading, peers=rt.last_payload, inbox=inboxes[vid],
+                reading=reading, peers=rt.last_payload, inbox=flag_inboxes[vid],
                 platoon=rt.replica, instruction=None, params=self.params,
                 degradation_enabled=self.spec.degradation_enabled,
                 own_faults=own, driver=rt.driver)
             signals = TickSignals(new_own_faults=new_own,
                                   newly_silent_peers=newly_silent,
                                   ttc_result=ttc_result)
-            output, mevents = rt.manager.tick(ctx, signals)
+            try:
+                output, mevents = rt.manager.tick(ctx, signals)
+            except _PROTOCOL_ERRORS as exc:
+                raise self._tick_error(tick, vid, exc) from exc
             if rt.manager.monitor_reset_requested:
                 rt.monitor.reset()
 
@@ -387,7 +428,10 @@ class Simulator:
                     self.params, rt.pid_acc, rt.pid_cacc, self.dt, stale_after)
                 lateral = rt.controller.lateral
             state = step_longitudinal(snapshot[vid], a_cmd, self.params.limits, self.dt)
-            new_states[vid] = step_lateral(state, lateral, self.params.geometry, self.dt)
+            try:
+                new_states[vid] = step_lateral(state, lateral, self.params.geometry, self.dt)
+            except _PROTOCOL_ERRORS as exc:
+                raise self._tick_error(tick, vid, exc) from exc
         for vid, state in new_states.items():
             self.runtimes[vid].state = state
 
@@ -451,8 +495,8 @@ class Simulator:
                                 if rt.active)
             managed = self._managed_active()
             readings = self._stage_sense(snapshot, managed)
-            inboxes = self._stage_bus(tick, snapshot, managed)
-            self._stage_manage(tick, snapshot, managed, readings, inboxes)
+            flag_inboxes = self._stage_bus(tick, snapshot, managed)
+            self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
             self._stage_step(tick, snapshot, readings)
             halt = self._stage_record(tick, managed, readings, trace)
             if observer is not None:

@@ -78,7 +78,12 @@ class DriverState:
 
 @dataclass
 class StrategyContext:
-    """Read-only snapshot of everything one vehicle can see this tick."""
+    """Read-only snapshot of everything one vehicle can see this tick.
+
+    ``inbox`` holds the non-heartbeat messages delivered to the vehicle this
+    tick, in delivery order (read them with :meth:`flags`); heartbeats are
+    read through ``peers``, the freshest one from each peer.
+    """
 
     tick: int
     dt: float
@@ -226,12 +231,9 @@ class VehicleManager:
     def _queue_announces(self, ctx: StrategyContext) -> None:
         if not self.role.is_member():
             return
-        for msg in ctx.inbox:
-            if msg.kind is not MessageKind.MANEUVER_ANNOUNCE or msg.maneuver is None:
-                continue
-            if msg.maneuver == self.maneuver:
-                continue
-            self._pending_announces.append((msg.sender, msg.maneuver))
+        for msg in ctx.flags(MessageKind.MANEUVER_ANNOUNCE):
+            if msg.maneuver is not None and msg.maneuver != self.maneuver:
+                self._pending_announces.append((msg.sender, msg.maneuver))
 
     def _queue_faults(self, ctx: StrategyContext, signals: TickSignals) -> None:
         """Latch one-tick fault signals; they stay queued until consumed so a
@@ -242,8 +244,8 @@ class VehicleManager:
             # the leader is driver-operated and never degrades itself
             for kind in sorted(signals.new_own_faults, key=lambda k: k.value):
                 self._pending_faults.append((kind, self.vid, True))
-        for msg in ctx.inbox:
-            if msg.kind is MessageKind.FAULT_FLAG and msg.fault is not None:
+        for msg in ctx.flags(MessageKind.FAULT_FLAG):
+            if msg.fault is not None:
                 self._pending_faults.append((msg.fault, msg.sender, False))
         for peer in sorted(signals.newly_silent_peers):
             self._pending_faults.append((FaultKind.V2V_FAIL, peer, False))

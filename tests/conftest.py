@@ -6,6 +6,12 @@ import pytest
 
 from platoonsim.comms import PeerView, RadarReading
 from platoonsim.core import (
+    ControllerKind,
+    IllegalTransition,
+    LateralCommand,
+    LateralMode,
+    LongitudinalCommand,
+    LongitudinalMode,
     ManeuverState,
     MessageKind,
     PlatoonInfo,
@@ -13,13 +19,18 @@ from platoonsim.core import (
     V2VMessage,
     VehicleState,
 )
+from platoonsim.dynamics import InvalidLane
 from platoonsim.management import (
     ActiveInstruction,
     DriverState,
     StrategyContext,
+    StrategyKey,
+    StrategyOutput,
     StrategyProgress,
+    StrategyRegistry,
 )
 from platoonsim.params import Parameters
+from platoonsim.strategies import default_registry
 
 PARAMS = Parameters()
 DT = 0.05
@@ -65,3 +76,39 @@ def fresh_progress(tick=100, **data) -> StrategyProgress:
 @pytest.fixture
 def params():
     return PARAMS
+
+
+def registry_replacing(key, strategy):
+    """The default registry with ``strategy`` under ``key``."""
+    default = default_registry()
+    registry = StrategyRegistry()
+    for k in default.keys():
+        registry.register(k, strategy if k == key else default.lookup(k))
+    return registry
+
+
+# Follower strategies that break the protocol at tick 40, listed below with
+# the exception each one causes and a piece of its message.
+
+class RoleChangeWithoutCompletion:
+    def step(self, ctx, progress):
+        out = StrategyOutput(controller=ControllerKind(
+            LongitudinalCommand(LongitudinalMode.CACC)))
+        if ctx.tick == 40:
+            out.role_change = Role.FREE_VEHICLE
+        return out
+
+
+class LaneChangeToLaneFive:
+    def step(self, ctx, progress):
+        lateral = (LateralCommand(LateralMode.LANE_CHANGE, 5) if ctx.tick == 40
+                   else LateralCommand(LateralMode.LANE_CENTER))
+        return StrategyOutput(controller=ControllerKind(
+            LongitudinalCommand(LongitudinalMode.CACC), lateral))
+
+
+FOLLOWER_PLATOONING = StrategyKey(ManeuverState.PLATOONING, Role.FOLLOWER)
+BROKEN_STRATEGIES = [
+    (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
+    (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
+]

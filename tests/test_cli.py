@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
+
+from platoonsim import engine
 from platoonsim.cli import main
 from platoonsim.scenario import bundled_scenario_path
 
@@ -104,6 +107,19 @@ class TestCompare:
         code = main(["compare", scenario("steady"), "--out", str(tmp_path)])
         assert code == 1
         assert "fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy, cause, text", BROKEN_STRATEGIES)
+@pytest.mark.parametrize("command, name", [("run", "steady"), ("compare", "v2v_fault")])
+def test_tick_error_is_a_one_line_error_with_exit_three(
+        tmp_path, capsys, monkeypatch, strategy, cause, text, command, name):
+    monkeypatch.setattr(engine, "default_registry",
+                        lambda: registry_replacing(FOLLOWER_PLATOONING, strategy))
+    code = main([command, scenario(name), "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: tick 40 (t=2.000 s), v2 in Platooning: ")
+    assert f"{cause.__name__}: " in err and text in err and err.count("\n") == 1
 
 
 class TestAccept:

@@ -32,6 +32,11 @@ def msg(sender, kind=MessageKind.JOIN_FLAG, tick=100):
     return V2VMessage(sender, kind, tick)
 
 
+def ages(store, peers, tick):
+    """Heartbeat age of each of ``peers`` in ``store``."""
+    return {p: store.age(p, tick) for p in peers}
+
+
 def bus_deliver(outbox, faults, tick, receivers, config=BusConfig()):
     """Send ``outbox`` (all sent at ``tick``) on a fresh bus and return the
     inboxes at tick + delay."""
@@ -198,8 +203,8 @@ class TestPeerFailureDetection:
 
     def test_never_heard_peer_fails_once_tick_exceeds_timeout(self):
         store = PeerViewStore()
-        assert detect_peer_failure(store.ages([4], tick=10), timeout_ticks=10) == []
-        assert detect_peer_failure(store.ages([4], tick=11), timeout_ticks=10) == [4]
+        assert detect_peer_failure(ages(store, [4], tick=10), timeout_ticks=10) == []
+        assert detect_peer_failure(ages(store, [4], tick=11), timeout_ticks=10) == [4]
 
     def test_heartbeat_liveness_age_bound(self):
         # a peer heard via a delay-1 bus is never older than delay + 1 ticks

@@ -3,12 +3,17 @@ and the cross-layer invariants that only show up in full runs."""
 
 import dataclasses
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
+from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
+
 from platoonsim import comms, engine, scenario
+from platoonsim.comms import BusConfig, HeartbeatTable
 from platoonsim.core import FaultKind, Role
-from platoonsim.engine import Simulator, SpecHashMismatch, replay_check, run
+from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
 from platoonsim.scenario import (
     FaultEvent,
     RunSpec,
@@ -18,11 +23,15 @@ from platoonsim.scenario import (
 )
 
 
-def platoon_spec(name="five", duration=30.0, events=(), spacing=18.0, **modes):
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "platoonbench" / "golden.json").read_text())
+
+
+def platoon_spec(name="five", duration=30.0, events=(), spacing=18.0, count=5, **modes):
     vehicles = tuple(
         VehicleSpec(vid=i, s=500.0 - spacing * (i - 1), lane=1, v=20.0,
                     role=Role.LEADER if i == 1 else Role.FOLLOWER)
-        for i in range(1, 6))
+        for i in range(1, count + 1))
     return ScenarioSpec(name=name, run=RunSpec(dt=0.05, duration=duration),
                         vehicles=vehicles, events=tuple(events), **modes)
 
@@ -276,3 +285,92 @@ class TestBenchmarkHookPoints:
         monkeypatch.setattr(scenario, "scenario_from_dict", counting)
         spec = scenario.load_scenario(scenario.bundled_scenario_path("steady"))
         assert len(calls) == 1 and spec.name == "steady"
+
+
+class TestSharedHeartbeatTable:
+    """Which peer stores read the bus's heartbeat table; the equivalence of
+    shared and private stores is in tests/test_heartbeat_table.py."""
+
+    @staticmethod
+    def detached(sim):
+        return {vid for vid, rt in sim.runtimes.items()
+                if rt.managed and rt.peer_store.table is not sim.bus.heartbeats}
+
+    def test_steady_platoon_keeps_every_store_on_the_bus_table(self):
+        sim = Simulator(platoon_spec(duration=3.0, count=40))
+        seen = []
+        sim.run(lambda s, tick: seen.append(self.detached(s)))
+        assert len(seen) == 60 and not any(seen)
+
+    def test_only_the_faulty_receiver_detaches(self):
+        spec = bundled_scenario("v2v_fault")
+        (fault,) = spec.fault_events()
+        sim = Simulator(spec)
+        first = {}
+
+        def observer(s, tick):
+            for vid in self.detached(s):
+                first.setdefault(vid, tick)
+
+        sim.run(observer)
+        # the fault is injected in the cloud stage, before that tick's delivery
+        assert first == {fault.target: round(fault.t / spec.run.dt)}
+
+    def test_range_limited_views_match_private_stores(self):
+        # 18 m spacing, 50 m range: all but the middle vehicle miss
+        # someone's messages and detach; the middle one keeps the table
+        base = platoon_spec(duration=6.0)
+        spec = dataclasses.replace(base, params=dataclasses.replace(
+            base.params, bus=BusConfig(delivery_delay_ticks=1, range_m=50.0)))
+
+        def record(sim, log):
+            def observer(s, tick):
+                for vid, rt in s.runtimes.items():
+                    store = rt.peer_store
+                    log.append((tick, vid, dict(rt.last_payload.items()),
+                                store.preceding_member(rt.state), rt.replica,
+                                rt.replica_tick))
+            return observer
+
+        shared_run = Simulator(spec)
+        private_run = Simulator(spec)
+        for rt in private_run.runtimes.values():
+            rt.peer_store.table = HeartbeatTable()  # private from the start
+        shared_log, private_log = [], []
+        trace_a, _ = shared_run.run(record(shared_run, shared_log))
+        trace_b, _ = private_run.run(record(private_run, private_log))
+        assert shared_log == private_log
+        assert trace_a.rows == trace_b.rows
+        assert self.detached(shared_run) == {1, 2, 4, 5}
+
+
+class TestTickErrors:
+    @pytest.mark.parametrize("strategy, cause, text", BROKEN_STRATEGIES)
+    def test_protocol_error_names_tick_vehicle_and_maneuver(self, strategy, cause, text):
+        registry = registry_replacing(FOLLOWER_PLATOONING, strategy)
+        with pytest.raises(TickError) as info:
+            Simulator(platoon_spec(duration=5.0), registry).run()
+        err = info.value
+        assert (err.tick, err.vehicle, err.maneuver) == (40, 2, "Platooning")
+        assert err.time == pytest.approx(2.0)
+        assert isinstance(err.__cause__, cause)
+        assert str(err).startswith("tick 40 (t=2.000 s), v2 in Platooning: ")
+        assert text in str(err) and "\n" not in str(err)
+
+
+class TestBenchmarkDeliveryCount:
+    def test_deliver_returns_lists_whose_lengths_sum_to_the_copy_count(self, monkeypatch):
+        # the benchmark's tracer counts bus copies as the summed lengths of
+        # deliver's values and checks the sum against the golden count
+        copies = []
+        original = comms.MessageBus.deliver
+
+        def counting(*args, **kwargs):
+            inboxes = original(*args, **kwargs)
+            assert all(type(box) is list for box in inboxes.values())
+            copies.append(sum(map(len, inboxes.values())))
+            return inboxes
+
+        monkeypatch.setattr(comms.MessageBus, "deliver", counting)
+        run(bundled_scenario("v2v_fault"))
+        assert sum(copies) == GOLDEN["v2v_fault"]["bus_copies"]

@@ -1,0 +1,324 @@
+"""The bus's shared heartbeat table against the per-receiver peer stores it
+replaced, kept here verbatim as references, on seeded multi-tick worlds.
+
+Every tick, every receiver's store (shared or detached) must agree with a
+reference store fed that receiver's full inbox: known peers, every peer
+view, the predecessor, the silent peers and the leader replica; and its
+flags inbox must be the full inbox without the heartbeats.
+"""
+
+import math
+import random
+
+import pytest
+
+from platoonsim.comms import (
+    BusConfig,
+    FaultBoard,
+    MessageBus,
+    PeerView,
+    PeerViewStore,
+    detect_peer_failure,
+    v2v_payload,
+)
+from platoonsim.core import (
+    FaultKind,
+    MessageKind,
+    PlatoonInfo,
+    Role,
+    V2VMessage,
+    VehicleState,
+    heartbeat,
+)
+
+SEEDS = range(40)
+TIMEOUT = 3
+LANES = 3
+
+
+# ---------------------------------------------------------------------------
+# References: one private store per receiver, as before the shared table
+# ---------------------------------------------------------------------------
+
+class ReferenceStore:
+    """Per-vehicle registry of the freshest heartbeat from each peer."""
+
+    def __init__(self):
+        self._latest = {}
+
+    def update(self, inbox):
+        for msg in inbox:
+            if msg.kind is not MessageKind.HEARTBEAT:
+                continue
+            cur = self._latest.get(msg.sender)
+            if cur is None or msg.tick_sent >= cur.tick_sent:
+                self._latest[msg.sender] = msg
+
+    def preceding_member(self, ego):
+        best = None
+        for peer, msg in self._latest.items():
+            if msg.role is None or msg.role is Role.FREE_VEHICLE:
+                continue  # not a platoon member
+            state = msg.state
+            ahead = state.s - ego.s
+            if ahead <= 0.0:
+                continue
+            key = (0 if state.lane == ego.lane else 1, ahead, peer)
+            if best is None or key < best:
+                best = key
+        return best[2] if best else None
+
+    def age(self, peer, tick):
+        msg = self._latest.get(peer)
+        return tick if msg is None else tick - msg.tick_sent
+
+    def ages(self, peers, tick):
+        return {p: self.age(p, tick) for p in peers}
+
+
+def reference_views(store, tick, timeout_ticks, degradation_enabled):
+    views = {}
+    for peer in sorted(store._latest):
+        msg = store._latest[peer]
+        age = tick - msg.tick_sent
+        if not degradation_enabled and age > timeout_ticks:
+            views[peer] = PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
+                                   msg.platoon, age, msg.state.lane, zeroed=True)
+        else:
+            views[peer] = PeerView(msg.state.s, msg.state.v, msg.state.a,
+                                   msg.state.length, msg.role, msg.platoon, age,
+                                   msg.state.lane)
+    return views
+
+
+def reference_silent(store, vid, series, tick):
+    monitored = [p for p in series if p != vid]
+    return detect_peer_failure(store.ages(monitored, tick), TIMEOUT)
+
+
+def reference_replica(inbox, replica, replica_tick):
+    """The engine's leader-replica loop over one receiver's inbox."""
+    for msg in inbox:
+        if (msg.kind is MessageKind.HEARTBEAT and msg.role is Role.LEADER
+                and msg.platoon is not None and msg.tick_sent > replica_tick):
+            replica = msg.platoon
+            replica_tick = msg.tick_sent
+    return replica, replica_tick
+
+
+def store_replica(store, replica, replica_tick):
+    """The same rule, as the engine applies it to a store."""
+    beat = store.leader_heartbeat()
+    if beat is not None and beat.tick_sent > replica_tick:
+        return beat.platoon, beat.tick_sent
+    return replica, replica_tick
+
+
+# ---------------------------------------------------------------------------
+# Random worlds
+# ---------------------------------------------------------------------------
+
+# seen from EGO_FAR, these two distinct positions are the same distance ahead
+EGO_FAR = -300.0
+NEAR = next(p for p in (300.0 + k / 64 for k in range(64))
+            if math.nextafter(p, math.inf) - EGO_FAR == p - EGO_FAR)
+ROUNDS_TO_NEAR = math.nextafter(NEAR, math.inf)
+
+
+def random_position(rng):
+    if rng.random() < 0.15:
+        return rng.choice((NEAR, ROUNDS_TO_NEAR))
+    return rng.randrange(-40, 80) * 2.5  # a coarse grid: equal positions occur
+
+
+class World:
+    """Vehicles on 3 lanes that send heartbeats and flags each tick."""
+
+    def __init__(self, rng, config):
+        self.rng = rng
+        self.ids = rng.sample(range(1, 60), rng.randrange(2, 18))
+        self.state = {vid: VehicleState(s=random_position(rng), lane=rng.randrange(LANES),
+                                        v=rng.uniform(0.0, 30.0))
+                      for vid in self.ids}
+        self.role = {vid: rng.choice((Role.FOLLOWER, Role.FOLLOWER, Role.FREE_VEHICLE))
+                     for vid in self.ids}
+        self.role[rng.choice(self.ids)] = Role.LEADER
+        self.series = self.new_series()
+        self.faults = FaultBoard()
+        self.bus = MessageBus(config)
+        self.stores = {vid: self.bus.peer_store(vid) for vid in self.ids}
+        self.refs = {vid: ReferenceStore() for vid in self.ids}
+        self.replicas = {vid: (None, -1) for vid in self.ids}
+        self.ref_replicas = dict(self.replicas)
+
+    def detached(self):
+        return {vid for vid, store in self.stores.items()
+                if store.table is not self.bus.heartbeats}
+
+    def new_series(self):
+        members = [vid for vid in self.ids if self.role[vid].is_member()]
+        self.rng.shuffle(members)
+        series = tuple(members[:self.rng.randrange(1, len(members) + 1)])
+        return PlatoonInfo(len(series), series)
+
+    def move(self):
+        rng = self.rng
+        for vid in self.ids:
+            if rng.random() < 0.5:
+                self.state[vid] = VehicleState(s=random_position(rng),
+                                               lane=rng.randrange(LANES), v=20.0)
+            if rng.random() < 0.05:
+                self.role[vid] = rng.choice(list(Role))  # a second leader may appear
+        if rng.random() < 0.3:
+            self.series = self.new_series()  # the leader replica changes
+
+    def send(self, tick):
+        rng = self.rng
+        for vid in self.ids:
+            if rng.random() < 0.04:
+                self.faults.inject(vid, FaultKind.V2V_FAIL)  # senders and receivers
+        outbox = []
+        for vid in self.ids:
+            role = self.role[vid]
+            platoon = self.series if role is Role.LEADER else (
+                self.series if role.is_member() and rng.random() < 0.5 else None)
+            if rng.random() < 0.9:
+                outbox.append(heartbeat(vid, tick, self.state[vid], role, platoon))
+            if rng.random() < 0.1:  # a second beat of the same tick: the later wins
+                moved = VehicleState(s=random_position(rng), lane=rng.randrange(LANES), v=19.0)
+                outbox.append(heartbeat(vid, tick, moved, role, platoon))
+            if rng.random() < 0.05 and tick > 0:  # an older beat arriving late
+                outbox.append(heartbeat(vid, tick - 1, self.state[vid], role, platoon))
+            if rng.random() < 0.2:
+                kind = rng.choice([k for k in MessageKind if k is not MessageKind.HEARTBEAT])
+                outbox.append(V2VMessage(vid, kind, tick))
+        rng.shuffle(outbox)
+        for msg in outbox:
+            self.bus.send(msg, self.faults)
+
+    def deliver(self, tick):
+        rng = self.rng
+        receivers = self.ids if rng.random() < 0.8 else rng.sample(
+            self.ids, rng.randrange(1, len(self.ids) + 1))
+        positions = {vid: self.state[vid].s for vid in self.ids}
+        if rng.random() < 0.1:
+            positions = None
+        return receivers, self.bus.deliver(tick, self.faults, receivers, positions)
+
+    def probes(self, vid):
+        """Egos to search ahead of: the vehicle itself, a spot just behind
+        its own last heartbeat (so the owner's entry lies ahead), the far
+        ego that makes two positions round to one distance, and grid spots."""
+        rng = self.rng
+        own = self.state[vid]
+        yield own
+        yield VehicleState(s=own.s - 1.0, lane=own.lane, v=20.0)
+        for lane in range(LANES):
+            yield VehicleState(s=EGO_FAR, lane=lane, v=20.0)
+        for _ in range(3):
+            yield VehicleState(s=random_position(rng), lane=rng.randrange(LANES), v=20.0)
+
+
+def check_receiver(world, vid, tick, inbox):
+    store, ref = world.stores[vid], world.refs[vid]
+    assert store.known_peers() == tuple(sorted(ref._latest))
+    for degradation in (True, False):
+        views = v2v_payload(store, tick, TIMEOUT, degradation)
+        expected = reference_views(ref, tick, TIMEOUT, degradation)
+        assert list(views) == list(expected) and len(views) == len(expected)
+        assert dict(views.items()) == expected
+    for ego in world.probes(vid):
+        assert store.preceding_member(ego) == ref.preceding_member(ego)
+    for series in (world.series.id_series, tuple(world.ids)):
+        silent = detect_peer_failure(store.silent_ages(series, tick, TIMEOUT), TIMEOUT)
+        assert silent == reference_silent(ref, vid, series, tick)
+    assert world.replicas[vid] == world.ref_replicas[vid]
+    assert world.bus.flag_inboxes[vid] == [
+        m for m in inbox if m.kind is not MessageKind.HEARTBEAT]
+
+
+def run_world(seed, delay, ticks=10):
+    rng = random.Random(seed)
+    config = BusConfig(delivery_delay_ticks=delay, range_m=rng.choice((None, 40.0)))
+    world = World(rng, config)
+    detached = set()
+    checks = {"shared": 0, "detached": 0}
+    for tick in range(ticks):
+        world.send(tick)
+        receivers, inboxes = world.deliver(tick)
+        for vid in receivers:
+            world.refs[vid].update(inboxes[vid])
+            world.ref_replicas[vid] = reference_replica(inboxes[vid], *world.ref_replicas[vid])
+            world.replicas[vid] = store_replica(world.stores[vid], *world.replicas[vid])
+        for vid in receivers:
+            check_receiver(world, vid, tick, inboxes[vid])
+            checks["detached" if vid in world.detached() else "shared"] += 1
+        now = world.detached()
+        assert detached <= now  # a detached store never comes back
+        detached = now
+        world.move()
+    return checks
+
+
+class TestSharedTableAgainstPrivateStores:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("delay", (0, 1, 2))
+    def test_random_worlds(self, seed, delay):
+        run_world(seed, delay)
+
+    def test_worlds_exercise_sharing_and_detaching(self):
+        # the seeds above must check both kinds of store, or the comparison
+        # says nothing about one of them
+        checks = {"shared": 0, "detached": 0}
+        for seed in SEEDS:
+            for kind, count in run_world(seed, 1).items():
+                checks[kind] += count
+        assert checks["shared"] > 500 and checks["detached"] > 500, checks
+
+
+class TestDetachRule:
+    def beats(self, bus, faults, tick, ids):
+        for vid in ids:
+            bus.send(heartbeat(vid, tick, VehicleState(s=10.0 * vid, lane=1, v=20.0),
+                               Role.FOLLOWER, None), faults)
+
+    def test_full_receivers_share_and_a_faulty_one_detaches(self):
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        stores = {vid: bus.peer_store(vid) for vid in (1, 2, 3)}
+        self.beats(bus, faults, 0, (1, 2, 3))
+        bus.deliver(0, faults, [1, 2, 3])
+        assert all(s.table is bus.heartbeats for s in stores.values())
+        faults.inject(2, FaultKind.V2V_FAIL)
+        self.beats(bus, faults, 1, (1, 2, 3))
+        bus.deliver(1, faults, [1, 2, 3])
+        assert stores[2].table is not bus.heartbeats
+        assert stores[1].table is bus.heartbeats and stores[3].table is bus.heartbeats
+        assert stores[2].raw(1).tick_sent == 0  # the copy is the table before tick 1
+        assert stores[1].raw(3).tick_sent == 1
+
+    def test_absent_receiver_detaches(self):
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        stores = {vid: bus.peer_store(vid) for vid in (1, 2)}
+        self.beats(bus, faults, 0, (1,))
+        bus.deliver(0, faults, [1])  # only its own beat was due: nothing missed
+        assert stores[1].table is bus.heartbeats
+        self.beats(bus, faults, 1, (2,))
+        bus.deliver(1, faults, [2])
+        assert stores[1].table is not bus.heartbeats and stores[1].known_peers() == ()
+
+    def test_store_opened_after_a_delivery_starts_private_and_empty(self):
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        bus.peer_store(1)
+        self.beats(bus, faults, 0, (1, 2))
+        bus.deliver(0, faults, [1])
+        late = bus.peer_store(3)
+        assert late.table is not bus.heartbeats and late.known_peers() == ()
+        self.beats(bus, faults, 1, (1, 2))
+        bus.deliver(1, faults, [1, 3])
+        assert late.known_peers() == (1, 2)
+
+    def test_bare_store_is_private(self):
+        store = PeerViewStore()
+        store.update([heartbeat(4, 2, VehicleState(s=5.0, lane=0, v=1.0), Role.LEADER,
+                                PlatoonInfo.solo(4))])
+        assert store.known_peers() == (4,) and store.leader_heartbeat().sender == 4

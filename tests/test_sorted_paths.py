@@ -96,8 +96,8 @@ def deliver_reference(bus, tick, faults, receivers, positions=None):
 
 def preceding_member_reference(store, ego):
     best = None
-    for peer in sorted(store._latest):
-        msg = store._latest[peer]
+    for peer in sorted(store.table._latest):
+        msg = store.table._latest[peer]
         if msg.role is None or not msg.role.is_member():
             continue
         ahead = msg.state.s - ego.s
@@ -111,7 +111,7 @@ def preceding_member_reference(store, ego):
 
 def v2v_payload_reference(store, tick, timeout_ticks, degradation_enabled):
     views = {}
-    for peer in sorted(store._latest):
+    for peer in sorted(store.table._latest):
         msg = store.raw(peer)
         age = tick - msg.tick_sent
         if not degradation_enabled and age > timeout_ticks:
