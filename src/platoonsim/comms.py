@@ -51,6 +51,8 @@ class FaultBoard:
     """Per-vehicle set of active hardware faults. Faults are permanent:
     there is no API to clear one."""
 
+    _NONE: frozenset[FaultKind] = frozenset()
+
     def __init__(self) -> None:
         self._faults: dict[VehicleId, set[FaultKind]] = {}
 
@@ -58,10 +60,11 @@ class FaultBoard:
         self._faults.setdefault(vid, set()).add(kind)
 
     def has(self, vid: VehicleId, kind: FaultKind) -> bool:
-        return kind in self._faults.get(vid, ())
+        return bool(self._faults) and kind in self._faults.get(vid, ())
 
     def active(self, vid: VehicleId) -> frozenset[FaultKind]:
-        return frozenset(self._faults.get(vid, ()))
+        faults = self._faults.get(vid)
+        return frozenset(faults) if faults else self._NONE
 
 
 class MessageBus:
@@ -360,7 +363,8 @@ class PeerViewStore:
         """The ages of those ``peers``, other than the owner, whose
         heartbeat is older than ``timeout_ticks`` or never came (the
         candidates for :func:`detect_peer_failure`)."""
-        quiet = set(peers).difference(self.table.fresh(tick, timeout_ticks))
+        fresh = self.table.fresh(tick, timeout_ticks)
+        quiet = () if fresh.issuperset(peers) else set(peers).difference(fresh)
         return {p: self.age(p, tick) for p in quiet if p != self.owner}
 
     def leader_heartbeat(self) -> Optional[V2VMessage]:

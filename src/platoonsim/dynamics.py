@@ -9,7 +9,7 @@ that order instead of scanning every pair of vehicles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import (
@@ -73,16 +73,17 @@ def step_longitudinal(state: VehicleState, a_cmd: float, limits: DynamicsLimits,
     if dt <= 0:
         raise ValueError("dt must be positive")
     a = limits.clamp(a_cmd)
-    if state.v <= 0.0 and a <= 0.0:
-        return replace(state, v=0.0, a=a if state.v > 0 else 0.0)
-    v_next = state.v + a * dt
-    if v_next < 0.0:
+    s, v = state.s, state.v
+    v_next = v + a * dt
+    if v <= 0.0 and a <= 0.0:
+        v_next, a = 0.0, a if v > 0 else 0.0
+    elif v_next < 0.0:
         # partial step up to the standstill instant, exact for constant a
-        t_stop = state.v / -a
-        s_next = state.s + state.v * t_stop + 0.5 * a * t_stop * t_stop
-        return replace(state, s=s_next, v=0.0, a=a)
-    s_next = state.s + state.v * dt + 0.5 * a * dt * dt
-    return replace(state, s=s_next, v=v_next, a=a)
+        t_stop = v / -a
+        s, v_next = s + v * t_stop + 0.5 * a * t_stop * t_stop, 0.0
+    else:
+        s = s + v * dt + 0.5 * a * dt * dt
+    return VehicleState(s, state.lane, v_next, a, state.lateral_offset, state.length)
 
 
 def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
@@ -100,9 +101,8 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
         if off == 0.0:
             return state
         step = rate * dt
-        if abs(off) <= step:
-            return replace(state, lateral_offset=0.0)
-        return replace(state, lateral_offset=off - step if off > 0 else off + step)
+        off = 0.0 if abs(off) <= step else off - step if off > 0 else off + step
+        return VehicleState(state.s, state.lane, state.v, state.a, off, state.length)
 
     target = lateral_cmd.target_lane
     assert target is not None
@@ -117,8 +117,8 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
     direction = 1.0 if target > state.lane else -1.0
     off = state.lateral_offset + direction * rate * dt
     if abs(off) >= geom.lane_width:
-        return replace(state, lane=target, lateral_offset=0.0)
-    return replace(state, lateral_offset=off)
+        return VehicleState(state.s, target, state.v, state.a, 0.0, state.length)
+    return VehicleState(state.s, state.lane, state.v, state.a, off, state.length)
 
 
 class Snapshot(dict[VehicleId, VehicleState]):

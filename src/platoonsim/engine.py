@@ -7,8 +7,9 @@ pre-tick snapshot, so no vehicle ever observes another vehicle's same-tick
 update and two runs of the same scenario produce bit-identical traces.
 
 The runtimes are kept in ascending id order from construction on, so no
-stage sorts them; the snapshot sorts its vehicles by position once per tick
-for radar (see :class:`~platoonsim.dynamics.Snapshot`).
+stage sorts them. The post-step snapshot, sorted by position for collision
+detection, is the next tick's snapshot for radar unless an intruder spawns
+(see :class:`~platoonsim.dynamics.Snapshot`).
 
 Each managed vehicle's peer store is opened on the bus, whose delivery
 keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
@@ -38,7 +39,7 @@ from .comms import (
     radar_sense,
     v2v_payload,
 )
-from .controllers import PidState, TtcMonitor, longitudinal_command
+from .controllers import PidState, TriggerKind, TtcMonitor, longitudinal_command
 from .core import (
     ControllerKind,
     FaultKind,
@@ -93,6 +94,8 @@ class TickError(Exception):
 # what a strategy can get wrong; anything else is a fault of the engine
 _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
+_NO_SIGNALS = TickSignals()  # for a tick with nothing to signal
+
 
 @dataclass(frozen=True)
 class EngineEvent:
@@ -117,14 +120,8 @@ class Trace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+            writer.writerows([f"{v:.6f}" if isinstance(v, float) else str(v)
+                              for v in row] for row in self.rows)
 
 
 @dataclass
@@ -164,18 +161,25 @@ class RunReport:
         Path(path).write_text("".join(e.line() + "\n" for e in self.events))
 
 
+# a vehicle's controller until its first selection; scripted vehicles keep it
+_UNSELECTED = ControllerKind(LongitudinalCommand(LongitudinalMode.DRIVER))
+_UNSELECTED_LABEL = _UNSELECTED.longitudinal.mode.value
+
+
 class _Runtime:
     """Engine-side container for one vehicle."""
 
     def __init__(self, vid: VehicleId, state: VehicleState,
-                 manager: Optional[VehicleManager], peer_store: PeerViewStore,
+                 manager: Optional[VehicleManager], peer_store: Optional[PeerViewStore],
                  script: Optional[IntruderScript] = None) -> None:
         self.vid = vid
         self.state = state
         self.manager = manager
         self.script = script
         self.active = script is None
-        self.controller = ControllerKind(LongitudinalCommand(LongitudinalMode.DRIVER))
+        self.controller = _UNSELECTED
+        # the trace's controller cell; a scripted vehicle shows whether it drives
+        self.label = "Off" if script is not None else _UNSELECTED_LABEL
         self.driver = DriverState(v_set=state.v)
         self.peer_store = peer_store
         self.replica: Optional[PlatoonInfo] = None
@@ -197,17 +201,15 @@ class _Runtime:
             self.pid_acc.reset()
             self.pid_cacc.reset()
         self.controller = kind
+        if changed:
+            lon = kind.longitudinal
+            self.label = (lon.mode.value if lon.v_set is None
+                          else f"{lon.mode.value}@{lon.v_set:.2f}")
         return changed
 
-    def controller_label(self) -> str:
-        if self.script is not None:
-            return "Script" if self.active else "Off"
-        lon = self.controller.longitudinal
-        if lon.v_set is not None:
-            return f"{lon.mode.value}@{lon.v_set:.2f}"
-        return lon.mode.value
 
-
+# Called after each recorded tick. It must not modify the runtimes: the
+# recorded states are the next tick's snapshot.
 Observer = Callable[["Simulator", int], None]
 
 
@@ -225,6 +227,9 @@ class Simulator:
         self.cloud = Cloud(spec, self.params, self.dt)
         self._uplink: list[V2VMessage] = []
         self._collided: set[tuple[VehicleId, VehicleId]] = set()
+        self._hb_timeout = self.params.heartbeat_timeout_ticks(self.dt)
+        # the states the last tick recorded; None until then, or after a spawn
+        self._snapshot: Optional[Snapshot] = None
 
         series = initial_platoon(spec)
         platoon = PlatoonInfo(len(series), series) if series else None
@@ -255,11 +260,12 @@ class Simulator:
             script = IntruderScript(event, vid, self.params, self.dt)
             parked = VehicleState(s=-1000.0 - 100.0 * i, lane=0, v=0.0,
                                   length=self.params.vehicle_length)
-            # scripted: never a receiver, and its store is never read
-            self.runtimes[vid] = _Runtime(vid, parked, None, PeerViewStore(vid), script)
+            self.runtimes[vid] = _Runtime(vid, parked, None, None, script)
             self._intruders[id(event)] = vid
         # every stage and the trace columns walk the runtimes by ascending id
         self.runtimes = dict(sorted(self.runtimes.items()))
+        # only scripted vehicles start inactive, so this set never changes
+        self._managed = [vid for vid, rt in self.runtimes.items() if rt.managed]
 
         self.report = RunReport(scenario=spec.name, spec_hash=spec.spec_hash(),
                                 ticks=spec.tick_count(),
@@ -282,9 +288,6 @@ class Simulator:
                 return rt
         return None
 
-    def _managed_active(self) -> list[VehicleId]:
-        return [vid for vid, rt in self.runtimes.items() if rt.managed and rt.active]
-
     # -- per-tick stages ----------------------------------------------------
 
     def _stage_cloud(self, tick: int) -> None:
@@ -301,6 +304,8 @@ class Simulator:
             target_state = self.runtimes[spawn.target].state
             rt.state = rt.script.spawn_state(target_state, self.params.vehicle_length)
             rt.active = True
+            rt.label = "Script"
+            self._snapshot = None
             self._log(tick, vid, "cut_in_spawn",
                       f"ahead_of=v{spawn.target} gap={spawn.s_offset:.1f}")
         for instr in out.instructions:
@@ -308,7 +313,7 @@ class Simulator:
             if instr.before is not None:
                 detail += f" before=v{instr.before}"
             self._log(tick, instr.target, "instruction", detail)
-            for vid in self._managed_active():
+            for vid in self._managed:
                 self.runtimes[vid].manager.offer_instruction(instr)
 
     def _stage_sense(self, snapshot: Snapshot, managed: list[VehicleId],
@@ -317,7 +322,7 @@ class Simulator:
         for vid in managed:
             reading = radar_sense(vid, snapshot, self.faults,
                                   self.params.geometry, self.params.radar_max_range)
-            if not self.spec.degradation_enabled and not reading.valid:
+            if not reading.valid and not self.spec.degradation_enabled:
                 # without fault detection the corrupted range is consumed as-is
                 reading = replace(reading, valid=True)
             readings[vid] = reading
@@ -336,7 +341,8 @@ class Simulator:
                       readings: dict[VehicleId, RadarReading],
                       flag_inboxes: dict[VehicleId, list[V2VMessage]]) -> None:
         sent: list[V2VMessage] = []
-        hb_timeout = self.params.heartbeat_timeout_ticks(self.dt)
+        hb_timeout = self._hb_timeout
+        degradation = self.spec.degradation_enabled
         for vid in managed:
             rt = self.runtimes[vid]
             store = rt.peer_store
@@ -350,29 +356,33 @@ class Simulator:
             own: frozenset[FaultKind] = frozenset()
             new_own: tuple[FaultKind, ...] = ()
             newly_silent: tuple[VehicleId, ...] = ()
-            if self.spec.degradation_enabled:
+            if degradation:
                 own = self.faults.active(vid)
                 fresh = own - rt.reported_own
-                rt.reported_own |= own
-                new_own = tuple(sorted(fresh, key=lambda k: k.value))
-                if rt.manager.role.is_member() and rt.replica is not None:
+                if fresh:
+                    rt.reported_own |= fresh
+                    new_own = tuple(sorted(fresh, key=lambda k: k.value))
+                # a vehicle that cannot hear does not blame its peers for the silence
+                if (rt.manager.role.is_member() and rt.replica is not None
+                        and (not own or FaultKind.V2V_FAIL not in own)):
                     candidates = store.silent_ages(rt.replica.id_series, tick, hb_timeout)
-                    silent = set(detect_peer_failure(candidates, hb_timeout))
-                    newly_silent = tuple(sorted(silent - rt.reported_silent))
-                    rt.reported_silent |= silent
+                    if candidates:
+                        # sorted, so the new ones are too
+                        silent = detect_peer_failure(candidates, hb_timeout)
+                        newly_silent = tuple(p for p in silent
+                                             if p not in rt.reported_silent)
+                        rt.reported_silent.update(newly_silent)
 
-            rt.last_payload = v2v_payload(store, tick, hb_timeout,
-                                          self.spec.degradation_enabled)
+            rt.last_payload = v2v_payload(store, tick, hb_timeout, degradation)
             ctx = StrategyContext(
                 tick=tick, dt=self.dt, ego_id=vid, ego=snapshot[vid],
                 role=rt.manager.role, maneuver=rt.manager.maneuver,
                 reading=reading, peers=rt.last_payload, inbox=flag_inboxes[vid],
                 platoon=rt.replica, instruction=None, params=self.params,
-                degradation_enabled=self.spec.degradation_enabled,
-                own_faults=own, driver=rt.driver)
-            signals = TickSignals(new_own_faults=new_own,
-                                  newly_silent_peers=newly_silent,
-                                  ttc_result=ttc_result)
+                degradation_enabled=degradation, own_faults=own, driver=rt.driver)
+            signals = (TickSignals(new_own, newly_silent, ttc_result)
+                       if new_own or newly_silent or ttc_result is not TriggerKind.NONE
+                       else _NO_SIGNALS)
             try:
                 output, mevents = rt.manager.tick(ctx, signals)
             except _PROTOCOL_ERRORS as exc:
@@ -399,7 +409,7 @@ class Simulator:
                 if msg.kind is not MessageKind.HEARTBEAT:
                     self._log(tick, vid, "flag", msg.kind.value)
             if output.controller is not None and rt.set_controller(output.controller):
-                self._log(tick, vid, "controller", rt.controller_label())
+                self._log(tick, vid, "controller", rt.label)
 
             hb = heartbeat(vid, tick, snapshot[vid], rt.manager.role,
                            rt.replica if rt.manager.role.is_member() else None)
@@ -408,8 +418,7 @@ class Simulator:
 
     def _stage_step(self, tick: int, snapshot: Snapshot,
                     readings: dict[VehicleId, RadarReading]) -> None:
-        stale_after = (self.params.heartbeat_timeout_ticks(self.dt)
-                       if self.spec.degradation_enabled else None)
+        stale_after = self._hb_timeout if self.spec.degradation_enabled else None
         new_states: dict[VehicleId, VehicleState] = {}
         for vid, rt in self.runtimes.items():
             if not rt.active:
@@ -438,8 +447,8 @@ class Simulator:
     def _stage_record(self, tick: int, managed: list[VehicleId],
                       readings: dict[VehicleId, RadarReading], trace: Trace) -> bool:
         time_end = (tick + 1) * self.dt
-        states = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
-                          if rt.active)
+        self._snapshot = states = Snapshot(
+            (vid, rt.state) for vid, rt in self.runtimes.items() if rt.active)
         hit_pairs = detect_collisions(states, self.params.geometry,
                                       self.params.vehicle_width)
         halt = False
@@ -474,7 +483,7 @@ class Simulator:
                 role = "-"
                 psize = 0
             row.extend([rt.state.s, rt.state.lane, rt.state.v, rt.state.a,
-                        rt.controller_label(), maneuver, role, gap, psize])
+                        rt.label, maneuver, role, gap, psize])
         trace.rows.append(tuple(row))
         return halt
 
@@ -488,12 +497,14 @@ class Simulator:
                             "role", "gap", "psize"))
         trace = Trace(self.report.spec_hash, tuple(columns))
 
+        managed = self._managed
         for tick in range(self.spec.tick_count()):
             self._stage_cloud(tick)
-            # the cloud stage is the only one that activates a vehicle
-            snapshot = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
-                                if rt.active)
-            managed = self._managed_active()
+            # the cloud stage drops the snapshot when it activates a vehicle
+            snapshot = self._snapshot
+            if snapshot is None:
+                snapshot = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
+                                    if rt.active)
             readings = self._stage_sense(snapshot, managed)
             flag_inboxes = self._stage_bus(tick, snapshot, managed)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)

@@ -170,7 +170,7 @@ class StrategyRegistry:
         return tuple(self._entries)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TickSignals:
     """Per-tick detector outputs the engine feeds into the manager."""
 
@@ -217,6 +217,10 @@ class VehicleManager:
         self._pending_announces: deque[tuple[VehicleId, ManeuverState]] = deque()
         self._pending_faults: deque[tuple[FaultKind, VehicleId, bool]] = deque()
         self.monitor_reset_requested = False
+        self._timeout_ticks = params.ticks(params.maneuver_timeout_s, dt)
+        # the last hit by (maneuver, role): the registry never replaces an entry
+        self._strategy_key: Optional[tuple[ManeuverState, Role]] = None
+        self._strategy: Optional[Strategy] = None
 
     # -- trigger handling ---------------------------------------------------
 
@@ -229,7 +233,7 @@ class VehicleManager:
         return True
 
     def _queue_announces(self, ctx: StrategyContext) -> None:
-        if not self.role.is_member():
+        if not ctx.inbox or not self.role.is_member():
             return
         for msg in ctx.flags(MessageKind.MANEUVER_ANNOUNCE):
             if msg.maneuver is not None and msg.maneuver != self.maneuver:
@@ -238,7 +242,8 @@ class VehicleManager:
     def _queue_faults(self, ctx: StrategyContext, signals: TickSignals) -> None:
         """Latch one-tick fault signals; they stay queued until consumed so a
         same-tick cloud instruction cannot swallow a failure."""
-        if not ctx.degradation_enabled or not self.role.is_member():
+        if not ((ctx.inbox or signals.new_own_faults or signals.newly_silent_peers)
+                and ctx.degradation_enabled and self.role.is_member()):
             return
         if self.role is Role.FOLLOWER:
             # the leader is driver-operated and never degrades itself
@@ -315,7 +320,12 @@ class VehicleManager:
         ctx.maneuver = self.maneuver
         ctx.instruction = self.active_instruction
 
-        strategy = self.registry.lookup(StrategyKey(self.maneuver, self.role))
+        key = (self.maneuver, self.role)
+        strategy = self._strategy if key == self._strategy_key else None
+        if strategy is None:
+            strategy = self.registry.lookup(StrategyKey(*key))
+            if strategy is not None:
+                self._strategy_key, self._strategy = key, strategy
         if strategy is None:
             output = StrategyOutput(notes=[
                 f"no strategy for ({self.maneuver.name}, {self.role.value}); holding"])
@@ -332,9 +342,8 @@ class VehicleManager:
                 "role change is only allowed with maneuver completion or takeover")
 
         # liveness bound: abort any maneuver stuck past the timeout
-        timeout_ticks = ctx.ticks(self.params.maneuver_timeout_s)
         if (self.maneuver != ManeuverState.PLATOONING and not output.maneuver_done
-                and self.progress.age(ctx.tick) > timeout_ticks):
+                and self.progress.age(ctx.tick) > self._timeout_ticks):
             output.maneuver_done = True
             output.role_change = None
             output.notes.append(f"{self.maneuver.name} timed out; aborting")

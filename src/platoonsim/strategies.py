@@ -40,12 +40,18 @@ def _ctrl(mode: LongitudinalMode, v_set: Optional[float] = None,
     return ControllerKind(LongitudinalCommand(mode, v_set), lateral)
 
 
+# ControllerKind is frozen, so the parameterless selections are shared
+_CACC = _ctrl(LongitudinalMode.CACC)
+_ACC = _ctrl(LongitudinalMode.ACC)
+_AEB = _ctrl(LongitudinalMode.AEB)
+
+
 def CACC() -> ControllerKind:
-    return _ctrl(LongitudinalMode.CACC)
+    return _CACC
 
 
 def ACC() -> ControllerKind:
-    return _ctrl(LongitudinalMode.ACC)
+    return _ACC
 
 
 def CC(v_set: float) -> ControllerKind:
@@ -53,7 +59,7 @@ def CC(v_set: float) -> ControllerKind:
 
 
 def AEB() -> ControllerKind:
-    return _ctrl(LongitudinalMode.AEB)
+    return _AEB
 
 
 def DRIVER(v_set: float) -> ControllerKind:

@@ -1,6 +1,7 @@
 """Dynamics tests: integration arithmetic, clamping, the closed-form braking
 oracle, lane changes and collision detection."""
 
+import dataclasses
 import random
 
 import pytest
@@ -147,3 +148,86 @@ class TestCollisions:
 
     def test_lateral_position_helper(self):
         assert lateral_position(vehicle(lane=2, offset=-0.5), GEOM) == pytest.approx(6.5)
+
+
+def replace_longitudinal(state, a_cmd, limits, dt):
+    """The ``dataclasses.replace`` formulation of :func:`step_longitudinal`."""
+    a = limits.clamp(a_cmd)
+    if state.v <= 0.0 and a <= 0.0:
+        return dataclasses.replace(state, v=0.0, a=a if state.v > 0 else 0.0)
+    v_next = state.v + a * dt
+    if v_next < 0.0:
+        t_stop = state.v / -a
+        s_next = state.s + state.v * t_stop + 0.5 * a * t_stop * t_stop
+        return dataclasses.replace(state, s=s_next, v=0.0, a=a)
+    s_next = state.s + state.v * dt + 0.5 * a * dt * dt
+    return dataclasses.replace(state, s=s_next, v=v_next, a=a)
+
+
+def replace_lateral(state, cmd, geom, dt):
+    """The ``dataclasses.replace`` formulation of :func:`step_lateral`."""
+    rate = geom.lane_width / geom.lane_change_duration
+    if cmd.mode is LateralMode.LANE_CENTER or cmd.target_lane == state.lane:
+        off = state.lateral_offset
+        if off == 0.0:
+            return state
+        step = rate * dt
+        if abs(off) <= step:
+            return dataclasses.replace(state, lateral_offset=0.0)
+        return dataclasses.replace(
+            state, lateral_offset=off - step if off > 0 else off + step)
+    direction = 1.0 if cmd.target_lane > state.lane else -1.0
+    off = state.lateral_offset + direction * rate * dt
+    if abs(off) >= geom.lane_width:
+        return dataclasses.replace(state, lane=cmd.target_lane, lateral_offset=0.0)
+    return dataclasses.replace(state, lateral_offset=off)
+
+
+def fields_of(state):
+    return tuple(getattr(state, f.name) for f in dataclasses.fields(state))
+
+
+class TestConstructorMatchesReplace:
+    """The steps build their states with the constructor; every field must
+    equal the ``dataclasses.replace`` formulation exactly."""
+
+    STATES = [
+        VehicleState(s=12.5, lane=1, v=0.0, a=-3.0, lateral_offset=0.7, length=4.2),
+        VehicleState(s=-3.25, lane=0, v=0.0, length=16.5),          # standstill
+        VehicleState(s=100.0, lane=2, v=0.05, a=-9.81, length=5.0),  # brakes through zero
+        VehicleState(s=250.0, lane=1, v=0.3, lateral_offset=-0.04),
+        VehicleState(s=400.0, lane=1, v=20.0, a=0.4, lateral_offset=1.75),
+        VehicleState(s=401.0, lane=1, v=27.3, lateral_offset=-2.1, length=7.5),
+        VehicleState(s=7.0, lane=0, v=13.9, lateral_offset=3.49),    # arrives next step
+    ]
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("a_cmd", [-50.0, -G, -0.5, 0.0, 0.25, 1.7, 50.0])
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1])
+    def test_longitudinal(self, state, a_cmd, dt):
+        out = step_longitudinal(state, a_cmd, LIMITS, dt)
+        assert fields_of(out) == fields_of(replace_longitudinal(state, a_cmd, LIMITS, dt))
+
+    @pytest.mark.parametrize("state", STATES)
+    @pytest.mark.parametrize("target", [None, 0, 1, 2])
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1])
+    def test_lateral(self, state, target, dt):
+        if target is not None and abs(target - state.lane) > 1:
+            return
+        cmd = (LANE_CENTER if target is None
+               else LateralCommand(LateralMode.LANE_CHANGE, target_lane=target))
+        out = step_lateral(state, cmd, GEOM, dt)
+        assert fields_of(out) == fields_of(replace_lateral(state, cmd, GEOM, dt))
+
+    def test_lane_change_runs_match_to_arrival_and_decay(self):
+        # a whole change, arrival included, then a decay from a kicked offset
+        new = ref = VehicleState(s=0.0, lane=1, v=20.0, lateral_offset=0.3, length=6.0)
+        for cmd in [LateralCommand(LateralMode.LANE_CHANGE, target_lane=2)] * 70 \
+                + [LANE_CENTER] * 5:
+            new, ref = step_lateral(new, cmd, GEOM, 0.05), replace_lateral(ref, cmd, GEOM, 0.05)
+            assert fields_of(new) == fields_of(ref)
+        assert new.lane == 2
+
+    def test_negative_speed_still_rejected(self):
+        with pytest.raises(ValueError):
+            VehicleState(s=0.0, lane=0, v=-1.0)

@@ -1,6 +1,7 @@
 """Engine-level tests: determinism, snapshot semantics, protocol liveness
 and the cross-layer invariants that only show up in full runs."""
 
+import csv
 import dataclasses
 import inspect
 import json
@@ -12,8 +13,9 @@ from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
 
 from platoonsim import comms, engine, scenario
 from platoonsim.comms import BusConfig, HeartbeatTable
-from platoonsim.core import FaultKind, Role
+from platoonsim.core import FaultKind, ManeuverState, Role
 from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
+from platoonsim.management import StrategyKey, StrategyOutput
 from platoonsim.scenario import (
     FaultEvent,
     RunSpec,
@@ -21,6 +23,7 @@ from platoonsim.scenario import (
     VehicleSpec,
     bundled_scenario,
 )
+from platoonsim.strategies import CC
 
 
 GOLDEN = json.loads(
@@ -374,3 +377,82 @@ class TestBenchmarkDeliveryCount:
         monkeypatch.setattr(comms.MessageBus, "deliver", counting)
         run(bundled_scenario("v2v_fault"))
         assert sum(copies) == GOLDEN["v2v_fault"]["bus_copies"]
+
+
+class TestTraceCsv:
+    def test_cells_are_formatted_and_quoted(self, tmp_path):
+        trace = engine.Trace("hash", ("tick", "time", "v1_s", "v1_maneuver", "v1_gap"))
+        trace.rows.append((0, 0.05, 3, "A,B", 1.0 / 3.0))
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        text = path.read_text()
+        assert text.splitlines()[1] == '0,0.050000,3,"A,B",0.333333'
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [list(trace.columns), ["0", "0.050000", "3", "A,B", "0.333333"]]
+
+
+class LeaderSpeedStep:
+    """Platooning leader that cruises at 15 m/s, then at 20 m/s from tick 20."""
+
+    def step(self, ctx, progress):
+        return StrategyOutput(controller=CC(15.0 if ctx.tick < 20 else 20.0))
+
+
+class TestTickCaches:
+    def test_controller_label_follows_a_set_speed_change(self):
+        registry = registry_replacing(
+            StrategyKey(ManeuverState.PLATOONING, Role.LEADER), LeaderSpeedStep())
+        trace, report = Simulator(platoon_spec(duration=2.0), registry).run()
+        labels = [e.detail for e in report.events
+                  if e.kind == "controller" and e.vehicle == 1]
+        assert labels == ["CC@15.00", "CC@20.00"]
+        column = trace.columns.index("v1_controller")
+        assert [row[column] for row in trace.rows] == ["CC@15.00"] * 20 + ["CC@20.00"] * 20
+
+    def test_intruder_is_in_the_radar_snapshot_on_its_spawn_tick(self, monkeypatch):
+        sensed = []
+        original = engine.radar_sense
+
+        def recording(ego_id, states, *args, **kwargs):
+            sensed[-1] = dict(states)
+            return original(ego_id, states, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "radar_sense", recording)
+        spec = dataclasses.replace(bundled_scenario("cut_in"), run=RunSpec(0.05, 12.0))
+        sim = Simulator(spec)
+        sensed.append(None)
+        _, report = sim.run(lambda s, tick: sensed.append(None))
+        (spawn,) = [e for e in report.events if e.kind == "cut_in_spawn"]
+        states = sensed[spawn.tick]
+        assert spawn.vehicle in states
+        assert states[spawn.vehicle].lane == spec.events[0].lane
+        assert spawn.vehicle not in sensed[spawn.tick - 1]
+
+
+class TestLeaderV2VFault:
+    """A leader that cannot hear must not blame its followers for the silence."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        spec = bundled_scenario("steady")
+        return run(dataclasses.replace(
+            spec, events=(FaultEvent(5.0, 1, FaultKind.V2V_FAIL),)))[1]
+
+    def test_leader_handles_at_most_one_failure(self, report):
+        starts = [e for e in report.events
+                  if e.vehicle == 1 and e.kind == "maneuver_start"
+                  and e.detail == "HardwareFailures"]
+        assert len(starts) <= 1
+
+    def test_no_prune_before_the_first_takeover(self, report):
+        first_takeover = min(e.time for e in report.events
+                             if e.kind == "note" and e.detail == "driver took over")
+        assert first_takeover == pytest.approx(8.5)
+        assert not [e for e in report.events if e.kind == "note"
+                    and e.detail.startswith("pruned") and e.time < first_takeover]
+
+    def test_every_follower_still_takes_over(self, report):
+        taken_over = {e.vehicle for e in report.events
+                      if e.kind == "role_change" and e.detail == "FreeVehicle"}
+        assert taken_over == {2, 3, 4, 5}

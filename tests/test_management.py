@@ -20,6 +20,7 @@ from platoonsim.management import (
     DriverState,
     DuplicateKey,
     StrategyKey,
+    StrategyOutput,
     StrategyRegistry,
     TickSignals,
     UnknownJoiner,
@@ -112,6 +113,42 @@ class TestPlatooningDispatch:
                                    maneuver=ManeuverState.HARDWARE_FAILURES), TickSignals())
         assert out.controller is None
         assert any("no strategy" in note for note in out.notes)
+
+    def test_key_registered_after_a_hold_is_dispatched_next_tick(self):
+        registry = StrategyRegistry()
+        mgr = VehicleManager(9, Role.FREE_VEHICLE, registry, PARAMS, DT)
+        ctx = make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=1)
+        _, events = mgr.tick(ctx, TickSignals())
+        assert [e.kind for e in events] == ["no_strategy"]
+        registry.register(StrategyKey(ManeuverState.PLATOONING, Role.FREE_VEHICLE),
+                          PlatooningFree())
+        out, events = mgr.tick(
+            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=2), TickSignals())
+        assert events == []
+        assert out.controller.longitudinal.mode is LongitudinalMode.DRIVER
+
+    def test_each_tick_runs_the_strategy_of_the_current_key(self):
+        calls = []
+
+        class Recording:
+            def __init__(self, name):
+                self.name = name
+
+            def step(self, ctx, progress):
+                calls.append(self.name)
+                return StrategyOutput(maneuver_done=self.name == "join")
+
+        registry = StrategyRegistry()
+        registry.register(StrategyKey(ManeuverState.PLATOONING, Role.FREE_VEHICLE),
+                          Recording("platooning"))
+        registry.register(StrategyKey(ManeuverState.JOIN_TAIL, Role.FREE_VEHICLE),
+                          Recording("join"))
+        mgr = VehicleManager(9, Role.FREE_VEHICLE, registry, PARAMS, DT)
+        mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, 9))
+        for tick in range(3):
+            mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=tick),
+                     TickSignals())
+        assert calls == ["join", "platooning", "platooning"]
 
 
 class TestJoinTailFree:
