@@ -32,24 +32,24 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         halt_on_collision=spec.halt_on_collision or args.halt_on_collision)
 
 
-def _write_outputs(out_dir: Path, trace: Trace, report: RunReport,
-                   prefix: str = "") -> None:
+def _write_outputs(out_dir: Path, trace: Trace, report: RunReport) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out_dir / f"{prefix}trace.csv")
-    (out_dir / f"{prefix}report.txt").write_text(report.to_text())
-    report.write_events(out_dir / f"{prefix}events.log")
+    trace.write_csv(out_dir / "trace.csv")
+    (out_dir / "report.txt").write_text(report.to_text())
+    report.write_events(out_dir / "events.log")
+
+
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_TICK_ERROR if isinstance(exc, TickError) else EXIT_SPEC_ERROR
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = _apply_overrides(load_scenario(args.scenario), args)
         trace, report = Simulator(spec).run()
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except TickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TICK_ERROR
+    except (SpecError, TickError) as exc:
+        return _error(exc)
     _write_outputs(Path(args.out), trace, report)
     for t, a, b in report.collisions:
         print(f"collision at t={t:.3f} between v{a} and v{b}", file=sys.stderr)
@@ -78,12 +78,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             trace, report = Simulator(leg).run()
             _write_outputs(out_dir / label, trace, report)
             results[label] = report
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except TickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TICK_ERROR
+    except (SpecError, TickError) as exc:
+        return _error(exc)
 
     lines = [f"scenario: {spec.name}", ""]
     for label in ("on", "off"):

@@ -434,9 +434,15 @@ class PeerViews(Mapping[VehicleId, PeerView]):
         self._degradation_enabled = degradation_enabled
 
     def __getitem__(self, peer: VehicleId) -> PeerView:
+        view = self.get(peer)
+        if view is None:
+            raise KeyError(peer)
+        return view
+
+    def get(self, peer: VehicleId, default: Optional[PeerView] = None) -> Optional[PeerView]:
         msg = self._store.raw(peer)
         if msg is None:
-            raise KeyError(peer)
+            return default
         assert msg.state is not None and msg.role is not None
         age = self._tick - msg.tick_sent
         if not self._degradation_enabled and age > self._timeout_ticks:

@@ -70,7 +70,7 @@ from .management import (
     VehicleManager,
 )
 from .scenario import CutInEvent, ScenarioSpec, initial_platoon
-from .strategies import default_registry
+from .strategies import CACC, CC, DRIVER, default_registry
 
 
 class SpecHashMismatch(Exception):
@@ -117,11 +117,34 @@ class Trace:
     rows: list[tuple] = field(default_factory=list)
 
     def write_csv(self, path: Union[str, Path]) -> None:
+        """Write the header and the rows as ``csv.writer`` would: floats with
+        6 decimals, other cells as ``str``, CRLF line ends, minimal quoting.
+        A row's exact cell types pick its ``%`` format, built once per call;
+        a row that needs quotes or holds another type goes through csv."""
+        formats: dict[tuple[type, ...], Optional[str]] = {}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            writer.writerows([f"{v:.6f}" if isinstance(v, float) else str(v)
-                              for v in row] for row in self.rows)
+            for row in map(tuple, self.rows):
+                types = tuple(map(type, row))
+                if types not in formats:
+                    cells = [_CELL_FORMATS.get(t) for t in types]
+                    # csv quotes a lone empty cell, so a formatted row has two
+                    formats[types] = (",".join(cells) + "\r\n"
+                                      if len(cells) > 1 and None not in cells else None)
+                fmt = formats[types]
+                if fmt is not None:
+                    line = fmt % row
+                    # a comma, quote or line break inside a str cell needs quotes
+                    if (line.count(",") == len(row) - 1 and '"' not in line
+                            and line.count("\r") == line.count("\n") == 1):
+                        fh.write(line)
+                        continue
+                writer.writerow([f"{v:.6f}" if isinstance(v, float) else str(v)
+                                 for v in row])
+
+
+_CELL_FORMATS = {float: "%.6f", int: "%s", str: "%s"}
 
 
 @dataclass
@@ -191,11 +214,9 @@ class _Runtime:
         self.reported_silent: set[VehicleId] = set()
         self.last_payload: Mapping[VehicleId, PeerView] = {}
 
-    @property
-    def managed(self) -> bool:
-        return self.manager is not None
-
     def set_controller(self, kind: ControllerKind) -> bool:
+        if kind is self.controller:
+            return False
         changed = kind != self.controller
         if kind.longitudinal.mode != self.controller.longitudinal.mode:
             self.pid_acc.reset()
@@ -241,15 +262,8 @@ class Simulator:
             rt.monitor = TtcMonitor(self.params.ttc)
             if v.role.is_member():
                 rt.replica = platoon
-            if v.role is Role.LEADER:
-                rt.set_controller(ControllerKind(
-                    LongitudinalCommand(LongitudinalMode.CC, self.params.platoon_speed)))
-            elif v.role is Role.FOLLOWER:
-                rt.set_controller(ControllerKind(
-                    LongitudinalCommand(LongitudinalMode.CACC)))
-            else:
-                rt.set_controller(ControllerKind(
-                    LongitudinalCommand(LongitudinalMode.DRIVER, v.v)))
+            rt.set_controller(CC(self.params.platoon_speed) if v.role is Role.LEADER
+                              else CACC() if v.role is Role.FOLLOWER else DRIVER(v.v))
             self.runtimes[v.vid] = rt
 
         next_vid = max(self.runtimes) + 1
@@ -265,7 +279,7 @@ class Simulator:
         # every stage and the trace columns walk the runtimes by ascending id
         self.runtimes = dict(sorted(self.runtimes.items()))
         # only scripted vehicles start inactive, so this set never changes
-        self._managed = [vid for vid, rt in self.runtimes.items() if rt.managed]
+        self._managed = [vid for vid, rt in self.runtimes.items() if rt.manager is not None]
 
         self.report = RunReport(scenario=spec.name, spec_hash=spec.spec_hash(),
                                 ticks=spec.tick_count(),
@@ -279,12 +293,12 @@ class Simulator:
 
     def _tick_error(self, tick: int, vid: VehicleId, error: Exception) -> TickError:
         rt = self.runtimes[vid]
-        maneuver = rt.manager.maneuver.name if rt.managed else "-"
+        maneuver = rt.manager.maneuver.name if rt.manager is not None else "-"
         return TickError(tick, tick * self.dt, vid, maneuver, error)
 
     def _leader_runtime(self) -> Optional[_Runtime]:
         for rt in self.runtimes.values():
-            if rt.managed and rt.manager.role is Role.LEADER and rt.active:
+            if rt.manager is not None and rt.manager.role is Role.LEADER and rt.active:
                 return rt
         return None
 
@@ -363,7 +377,7 @@ class Simulator:
                     rt.reported_own |= fresh
                     new_own = tuple(sorted(fresh, key=lambda k: k.value))
                 # a vehicle that cannot hear does not blame its peers for the silence
-                if (rt.manager.role.is_member() and rt.replica is not None
+                if (rt.manager.member and rt.replica is not None
                         and (not own or FaultKind.V2V_FAIL not in own)):
                     candidates = store.silent_ages(rt.replica.id_series, tick, hb_timeout)
                     if candidates:
@@ -412,7 +426,7 @@ class Simulator:
                 self._log(tick, vid, "controller", rt.label)
 
             hb = heartbeat(vid, tick, snapshot[vid], rt.manager.role,
-                           rt.replica if rt.manager.role.is_member() else None)
+                           rt.replica if rt.manager.member else None)
             self.bus.send(hb, self.faults)
         self._uplink = sent
 
@@ -472,15 +486,14 @@ class Simulator:
         for vid, rt in self.runtimes.items():
             reading = readings.get(vid)
             gap = reading.gap if reading is not None else 0.0
-            if rt.managed:
-                maneuver = rt.manager.maneuver.name
-                role = rt.manager.role.value
+            manager = rt.manager
+            if manager is not None:
+                maneuver = manager.maneuver.name
+                role = manager.role._value_  # the plain attribute behind Enum.value
                 psize = (len(rt.replica.id_series)
-                         if rt.replica is not None and rt.manager.role.is_member()
-                         else 0)
+                         if rt.replica is not None and manager.member else 0)
             else:
-                maneuver = "-"
-                role = "-"
+                maneuver = role = "-"
                 psize = 0
             row.extend([rt.state.s, rt.state.lane, rt.state.v, rt.state.a,
                         rt.label, maneuver, role, gap, psize])

@@ -207,6 +207,7 @@ class VehicleManager:
                  params: Parameters, dt: float) -> None:
         self.vid = vid
         self.role = role
+        self.member = role.is_member()  # kept with the role; read every tick
         self.registry = registry
         self.params = params
         self.dt = dt
@@ -233,7 +234,7 @@ class VehicleManager:
         return True
 
     def _queue_announces(self, ctx: StrategyContext) -> None:
-        if not ctx.inbox or not self.role.is_member():
+        if not ctx.inbox or not self.member:
             return
         for msg in ctx.flags(MessageKind.MANEUVER_ANNOUNCE):
             if msg.maneuver is not None and msg.maneuver != self.maneuver:
@@ -243,7 +244,7 @@ class VehicleManager:
         """Latch one-tick fault signals; they stay queued until consumed so a
         same-tick cloud instruction cannot swallow a failure."""
         if not ((ctx.inbox or signals.new_own_faults or signals.newly_silent_peers)
-                and ctx.degradation_enabled and self.role.is_member()):
+                and ctx.degradation_enabled and self.member):
             return
         if self.role is Role.FOLLOWER:
             # the leader is driver-operated and never degrades itself
@@ -275,7 +276,7 @@ class VehicleManager:
         fault = self._fault_trigger()
         if fault is not None:
             return fault
-        if in_platooning and self.role.is_member():
+        if in_platooning and self.member:
             if signals.ttc_result is TriggerKind.AEB:
                 return (ObstacleTtcTrigger(at_head=self.role is Role.LEADER),
                         {"detector": self.vid, "own_entry": True})
@@ -354,6 +355,7 @@ class VehicleManager:
             new_role = role_transition(self.role, cause)
             assert new_role == output.role_change
             self.role = new_role
+            self.member = new_role.is_member()
             events.append(ManagerEvent("role_change", self.role.value))
         if output.maneuver_done and self.maneuver != ManeuverState.PLATOONING:
             events.append(ManagerEvent("maneuver_complete", self.maneuver.name))

@@ -9,6 +9,8 @@ shared between vehicles and keys.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Optional
 
 from .core import (
@@ -55,6 +57,12 @@ def ACC() -> ControllerKind:
 
 
 def CC(v_set: float) -> ControllerKind:
+    # one shared selection per set speed; 0.0 == -0.0, but their labels differ
+    return _cc(v_set, math.copysign(1.0, v_set))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _cc(v_set: float, _sign: float) -> ControllerKind:
     return _ctrl(LongitudinalMode.CC, v_set)
 
 

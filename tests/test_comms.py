@@ -194,6 +194,35 @@ class TestPeerViews:
         assert views[3].v == 19.5
 
 
+class TestPeerViewsGet:
+    """``get`` answers as ``__getitem__`` does, with a default for a miss."""
+
+    @pytest.mark.parametrize("degradation", [True, False])
+    def test_known_peer_is_the_indexed_view(self, degradation):
+        views = v2v_payload(store_with(tick_sent=100), tick=111, timeout_ticks=10,
+                            degradation_enabled=degradation)
+        assert views.get(3) == views[3]
+        assert views.get(3, "default") == views[3]
+        assert views.get(3).zeroed is not degradation
+
+    def test_unknown_peer_is_the_default(self):
+        views = v2v_payload(store_with(tick_sent=100), tick=101, timeout_ticks=10,
+                            degradation_enabled=True)
+        assert views.get(4) is None
+        assert views.get(4, "default") == "default"
+        with pytest.raises(KeyError):
+            views[4]
+
+    def test_owner_is_the_default(self):
+        store = PeerViewStore(owner=3)
+        store.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
+                                Role.FOLLOWER, None)])
+        views = v2v_payload(store, tick=101, timeout_ticks=10, degradation_enabled=False)
+        assert views.get(3) is None
+        assert views.get(3, "default") == "default"
+        assert 3 not in views
+
+
 class TestPeerFailureDetection:
     def test_fresh_peer_not_failed(self):
         assert detect_peer_failure({2: 3}, timeout_ticks=10) == []

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
 
 from platoonsim import comms, engine, scenario
 from platoonsim.comms import BusConfig, HeartbeatTable
-from platoonsim.core import FaultKind, ManeuverState, Role
+from platoonsim.core import ControllerKind, FaultKind, ManeuverState, Role
 from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
 from platoonsim.management import StrategyKey, StrategyOutput
 from platoonsim.scenario import (
@@ -297,7 +298,7 @@ class TestSharedHeartbeatTable:
     @staticmethod
     def detached(sim):
         return {vid for vid, rt in sim.runtimes.items()
-                if rt.managed and rt.peer_store.table is not sim.bus.heartbeats}
+                if rt.manager is not None and rt.peer_store.table is not sim.bus.heartbeats}
 
     def test_steady_platoon_keeps_every_store_on_the_bus_table(self):
         sim = Simulator(platoon_spec(duration=3.0, count=40))
@@ -409,6 +410,51 @@ class TestTickCaches:
         assert labels == ["CC@15.00", "CC@20.00"]
         column = trace.columns.index("v1_controller")
         assert [row[column] for row in trace.rows] == ["CC@15.00"] * 20 + ["CC@20.00"] * 20
+
+    def test_steady_selections_run_no_controller_equality(self, monkeypatch):
+        calls = []
+        original = ControllerKind.__eq__
+
+        def counting(kind, other):
+            calls.append(kind)
+            return original(kind, other)
+
+        monkeypatch.setattr(ControllerKind, "__eq__", counting)
+        after_first_tick = []
+        Simulator(platoon_spec(duration=2.0)).run(
+            lambda sim, tick: after_first_tick.append(len(calls)) if tick == 0 else None)
+        assert len(calls) == after_first_tick[0]
+
+    def test_cc_shares_one_selection_per_set_speed_and_sign(self):
+        assert CC(15.0) is CC(15.0)
+        assert CC(-0.0) is not CC(0.0)
+        assert math.copysign(1.0, CC(-0.0).longitudinal.v_set) == -1.0
+        assert math.copysign(1.0, CC(0.0).longitudinal.v_set) == 1.0
+
+    def test_negative_zero_set_speed_keeps_its_label(self):
+        class LeaderNegativeZero:
+            def step(self, ctx, progress):
+                return StrategyOutput(controller=CC(-0.0))
+
+        CC(0.0)  # a cached +0.0 selection must not stand in for -0.0
+        registry = registry_replacing(
+            StrategyKey(ManeuverState.PLATOONING, Role.LEADER), LeaderNegativeZero())
+        trace, _ = Simulator(platoon_spec(duration=0.5), registry).run()
+        column = trace.columns.index("v1_controller")
+        assert {row[column] for row in trace.rows} == {"CC@-0.00"}
+
+    def test_membership_is_not_retested_every_vehicle_tick(self, monkeypatch):
+        calls = []
+        original = Role.is_member
+
+        def counting(role):
+            calls.append(role)
+            return original(role)
+
+        monkeypatch.setattr(Role, "is_member", counting)
+        spec = bundled_scenario("leave_middle")
+        _, report = Simulator(spec).run()
+        assert 0 < len(calls) <= len(spec.vehicles) * report.ticks / 100
 
     def test_intruder_is_in_the_radar_snapshot_on_its_spawn_tick(self, monkeypatch):
         sensed = []
