@@ -7,10 +7,9 @@ snapshot's ``(rear, id)`` order, and delivery slices one sorted list of due
 messages per receiver. The bus keeps one heartbeat table, the freshest
 heartbeat per sender, updated once per tick; each receiver's peer store is
 that table minus the receiver's own entry, so no receiver stores or scans
-its own copy of the N - 1 heartbeats. A store detaches onto a private copy
-the first tick its receiver misses a delivered message (its own V2V fault,
-a range drop, or its absence from the receivers), and is fed its own
-inboxes from then on. The predecessor search bisects per-lane member
+its own copy of the N - 1 heartbeats. The one way a vehicle stops hearing
+the bus is its own V2V fault: its store then keeps a frozen copy of the
+table as it stood before. The predecessor search bisects per-lane member
 orders, silent peers are a set difference against the fresh senders, and
 peer views are built only when looked up.
 """
@@ -37,10 +36,9 @@ from .dynamics import LaneGeometry, Snapshot, lateral_position
 @dataclass(frozen=True)
 class BusConfig:
     """Bus timing. The delay is fixed for a whole run so traces replay
-    bit-exactly; ``range_m`` of None means unlimited reach."""
+    bit-exactly."""
 
     delivery_delay_ticks: int = 1
-    range_m: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.delivery_delay_ticks < 0:
@@ -70,14 +68,15 @@ class FaultBoard:
 class MessageBus:
     """Broadcast bus with deterministic delivery.
 
-    Messages sent at tick t reach every other vehicle's inbox at
+    The receivers are the owners of the peer stores opened on the bus.
+    Messages sent at tick t reach every other receiver's inbox at
     t + delivery_delay. A sender with a V2V fault loses its ability to
     broadcast; a receiver with a V2V fault gets an empty inbox. Inboxes are
     sorted by (sender id, message kind, send tick), ties in send order, so
     delivery order is reproducible.
 
     The bus keeps one :class:`HeartbeatTable` of the freshest delivered
-    heartbeat per sender, and opens each vehicle's :class:`PeerViewStore`
+    heartbeat per sender, and opens each receiver's :class:`PeerViewStore`
     on it (see :meth:`peer_store` and :meth:`deliver`).
     """
 
@@ -97,32 +96,26 @@ class MessageBus:
         return True
 
     def peer_store(self, owner: VehicleId) -> PeerViewStore:
-        """Open the peer store of ``owner``, which :meth:`deliver` keeps up
-        to date. It reads the bus's heartbeat table, unless heartbeats were
-        delivered before it was opened: then it starts on an empty table of
-        its own, as the owner heard none of them."""
-        table = HeartbeatTable() if self.heartbeats.known() else self.heartbeats
-        store = self._stores[owner] = PeerViewStore(owner, table)
+        """Open the peer store of ``owner`` on the bus's heartbeat table, and
+        make ``owner`` a receiver of every later :meth:`deliver`. Open every
+        store before the first delivery: a store reads the whole table."""
+        store = self._stores[owner] = PeerViewStore(owner, self.heartbeats)
         return store
 
-    def deliver(self, tick: int, faults: FaultBoard, receivers: Iterable[VehicleId],
-                positions: Optional[Mapping[VehicleId, float]] = None,
-                ) -> dict[VehicleId, list[V2VMessage]]:
-        """Pop all messages due at ``tick`` into per-receiver inboxes.
+    def deliver(self, tick: int, faults: FaultBoard) -> dict[VehicleId, list[V2VMessage]]:
+        """Pop all messages due at ``tick`` into the inboxes of the owners of
+        the opened peer stores.
 
         The due messages are sorted once. Sorted by sender, a receiver's own
         messages form one block, so its inbox is everything before and after
-        that block (never self-deliver). ``range_m`` then drops senders
-        farther away than the range, when positions are given. The
-        non-heartbeat part of each inbox is kept in :attr:`flag_inboxes`,
-        cut the same way from the due flags when no range applies.
+        that block (never self-deliver); its non-heartbeat part, kept in
+        :attr:`flag_inboxes`, is cut the same way from the due flags.
 
         The due heartbeats then update the bus's heartbeat table once. A
-        store that shares the table stays exact only while its owner gets
-        every delivered message, so the first tick its owner misses one (a
-        V2V fault, a ``range_m`` drop, or no place among ``receivers``), the
-        store detaches: it takes a private copy of the table as it stood
-        before this tick, and from then on is fed its owner's inboxes.
+        store shares the table while its owner hears the bus, that is, until
+        its owner's V2V fault. On the first tick of the fault the store
+        detaches onto a copy of the table as it stood before this tick.
+        Faults are permanent, so nothing reaches that copy again.
         """
         due = sorted((m for t, m in self._in_flight if t <= tick),
                      key=V2VMessage.sort_key)
@@ -130,38 +123,19 @@ class MessageBus:
         senders = [m.sender for m in due]
         flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
         flag_senders = [m.sender for m in flags]
-        range_m = self.config.range_m if positions is not None else None
-        table, stores = self.heartbeats, self._stores
+        table = self.heartbeats
         inboxes: dict[VehicleId, list[V2VMessage]] = {}
         self.flag_inboxes = flag_inboxes = {}
-        for rid in receivers:
-            lo, hi = bisect_left(senders, rid), bisect_right(senders, rid)
+        for rid, store in self._stores.items():
             if faults.has(rid, FaultKind.V2V_FAIL):
-                inbox: list[V2VMessage] = []
-                own_flags: list[V2VMessage] = []
-            else:
-                inbox = due[:lo] + due[hi:]
-                if range_m is None:
-                    own_flags = (flags[:bisect_left(flag_senders, rid)]
-                                 + flags[bisect_right(flag_senders, rid):])
-                else:
-                    inbox = [m for m in inbox if not (
-                        m.sender in positions
-                        and abs(positions[rid] - positions[m.sender]) > range_m)]
-                    own_flags = [m for m in inbox if m.kind is not MessageKind.HEARTBEAT]
-            inboxes[rid] = inbox
-            flag_inboxes[rid] = own_flags
-            store = stores.get(rid)
-            if store is not None:
-                if store.table is table and len(inbox) < len(due) - (hi - lo):
+                inboxes[rid], flag_inboxes[rid] = [], []
+                if store.table is table:
                     store.table = table.copy()
-                if store.table is not table:
-                    store.update(inbox)
-        for owner in stores.keys() - inboxes.keys():
-            store = stores[owner]
-            if store.table is table and bisect_right(senders, owner) - bisect_left(
-                    senders, owner) < len(due):
-                store.table = table.copy()
+            else:
+                inboxes[rid] = (due[:bisect_left(senders, rid)]
+                                + due[bisect_right(senders, rid):])
+                flag_inboxes[rid] = (flags[:bisect_left(flag_senders, rid)]
+                                     + flags[bisect_right(flag_senders, rid):])
         table.update(due)
         return inboxes
 
@@ -325,10 +299,10 @@ class PeerViewStore:
     :class:`HeartbeatTable` minus the owner's own entry.
 
     A store opened by :meth:`MessageBus.peer_store` reads the bus's table
-    until its owner misses a delivery, and then a private copy that the bus
-    feeds from the owner's inboxes. A store built directly has no owner and
-    a private table fed by :meth:`update`. Every reader runs the same code
-    on either table.
+    until its owner's V2V fault, and then a frozen copy of it as it stood
+    before the fault. A store built directly has no owner and a private
+    table fed by :meth:`update`. Every reader runs the same code on either
+    table.
     """
 
     def __init__(self, owner: Optional[VehicleId] = None,

@@ -11,7 +11,8 @@ stage sorts them. The post-step snapshot, sorted by position for collision
 detection, is the next tick's snapshot for radar unless an intruder spawns
 (see :class:`~platoonsim.dynamics.Snapshot`).
 
-Each managed vehicle's peer store is opened on the bus, whose delivery
+Each managed vehicle's peer store is opened on the bus at construction,
+which makes the managed vehicles exactly the bus's receivers. Delivery
 keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
 so the bus stage is one ``deliver`` call; management reads the leader
 replica, the silent peers and the predecessor from the store without
@@ -316,7 +317,10 @@ class Simulator:
             rt = self.runtimes[vid]
             # the target is a declared vehicle: active, and not moved by this stage
             target_state = self.runtimes[spawn.target].state
-            rt.state = rt.script.spawn_state(target_state, self.params.vehicle_length)
+            try:
+                rt.state = rt.script.spawn_state(target_state, self.params.vehicle_length)
+            except ValueError as exc:  # the intruder's lane is not next to the target's
+                raise self._tick_error(tick, vid, exc) from exc
             rt.active = True
             rt.label = "Script"
             self._snapshot = None
@@ -342,13 +346,10 @@ class Simulator:
             readings[vid] = reading
         return readings
 
-    def _stage_bus(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
-                   ) -> dict[VehicleId, list[V2VMessage]]:
+    def _stage_bus(self, tick: int) -> dict[VehicleId, list[V2VMessage]]:
         """Deliver the due messages, which also brings every peer store up
-        to date; returns each receiver's non-heartbeat messages."""
-        positions = ({vid: st.s for vid, st in snapshot.items()}
-                     if self.params.bus.range_m is not None else None)
-        self.bus.deliver(tick, self.faults, managed, positions)
+        to date; returns each managed vehicle's non-heartbeat messages."""
+        self.bus.deliver(tick, self.faults)
         return self.bus.flag_inboxes
 
     def _stage_manage(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
@@ -519,7 +520,7 @@ class Simulator:
                 snapshot = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
                                     if rt.active)
             readings = self._stage_sense(snapshot, managed)
-            flag_inboxes = self._stage_bus(tick, snapshot, managed)
+            flag_inboxes = self._stage_bus(tick)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
             self._stage_step(tick, snapshot, readings)
             halt = self._stage_record(tick, managed, readings, trace)

@@ -122,6 +122,19 @@ def test_tick_error_is_a_one_line_error_with_exit_three(
     assert f"{cause.__name__}: " in err and text in err and err.count("\n") == 1
 
 
+def test_cut_in_from_a_non_adjacent_lane_is_a_one_line_error_with_exit_three(
+        tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path("cut_in").read_text())
+    raw["events"][0]["lane"] = 1  # the target's own lane
+    bad = tmp_path / "same_lane.scenario"
+    bad.write_text(json.dumps(raw))
+    code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: tick 200 (t=10.000 s), v6 in -: ValueError: ")
+    assert "not adjacent" in err and err.count("\n") == 1
+
+
 class TestAccept:
     def test_accept_exit_code_follows_results(self, monkeypatch, capsys):
         from platoonsim import acceptance

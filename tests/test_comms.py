@@ -37,22 +37,30 @@ def ages(store, peers, tick):
     return {p: store.age(p, tick) for p in peers}
 
 
+def bus_with_receivers(receivers, config=BusConfig()):
+    """A fresh bus with a peer store opened for each of ``receivers``."""
+    bus = MessageBus(config)
+    for rid in receivers:
+        bus.peer_store(rid)
+    return bus
+
+
 def bus_deliver(outbox, faults, tick, receivers, config=BusConfig()):
     """Send ``outbox`` (all sent at ``tick``) on a fresh bus and return the
-    inboxes at tick + delay."""
-    bus = MessageBus(config)
+    inboxes of ``receivers`` at tick + delay."""
+    bus = bus_with_receivers(receivers, config)
     for m in outbox:
         bus.send(m, faults)
-    return bus.deliver(tick + config.delivery_delay_ticks, faults, receivers)
+    return bus.deliver(tick + config.delivery_delay_ticks, faults)
 
 
 class TestBus:
     def test_delay_one_tick(self):
-        bus = MessageBus(BusConfig(delivery_delay_ticks=1))
+        bus = bus_with_receivers([1, 2, 3], BusConfig(delivery_delay_ticks=1))
         faults = FaultBoard()
         bus.send(msg(1, tick=100), faults)
-        assert bus.deliver(100, faults, [1, 2, 3]) == {1: [], 2: [], 3: []}
-        inboxes = bus.deliver(101, faults, [1, 2, 3])
+        assert bus.deliver(100, faults) == {1: [], 2: [], 3: []}
+        inboxes = bus.deliver(101, faults)
         assert [m.sender for m in inboxes[2]] == [1]
         assert [m.sender for m in inboxes[3]] == [1]
 
@@ -104,15 +112,6 @@ class TestBus:
         assert got == [(1, MessageKind.SAFE_FLAG),
                        (2, MessageKind.HEARTBEAT),
                        (2, MessageKind.UPDATE_FLAG)]
-
-    def test_range_limit(self):
-        bus = MessageBus(BusConfig(delivery_delay_ticks=0, range_m=50.0))
-        faults = FaultBoard()
-        bus.send(msg(1, tick=5), faults)
-        inboxes = bus.deliver(5, faults, [1, 2, 3],
-                              positions={1: 0.0, 2: 30.0, 3: 100.0})
-        assert len(inboxes[2]) == 1
-        assert inboxes[3] == []
 
 
 def states_for_radar():
@@ -237,13 +236,13 @@ class TestPeerFailureDetection:
 
     def test_heartbeat_liveness_age_bound(self):
         # a peer heard via a delay-1 bus is never older than delay + 1 ticks
-        bus = MessageBus(BusConfig(delivery_delay_ticks=1))
+        bus = bus_with_receivers([1, 2], BusConfig(delivery_delay_ticks=1))
         faults = FaultBoard()
         store = PeerViewStore()
         state = VehicleState(s=0.0, lane=0, v=20.0)
         for tick in range(50):
             bus.send(heartbeat(2, tick, state, Role.FOLLOWER, None), faults)
-            inbox = bus.deliver(tick, faults, [1, 2])[1]
+            inbox = bus.deliver(tick, faults)[1]
             store.update(inbox)
             if tick >= 1:
                 assert store.age(2, tick) <= 2

@@ -13,7 +13,6 @@ import pytest
 from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
 
 from platoonsim import comms, engine, scenario
-from platoonsim.comms import BusConfig, HeartbeatTable
 from platoonsim.core import ControllerKind, FaultKind, ManeuverState, Role
 from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
 from platoonsim.management import StrategyKey, StrategyOutput
@@ -320,12 +319,11 @@ class TestSharedHeartbeatTable:
         # the fault is injected in the cloud stage, before that tick's delivery
         assert first == {fault.target: round(fault.t / spec.run.dt)}
 
-    def test_range_limited_views_match_private_stores(self):
-        # 18 m spacing, 50 m range: all but the middle vehicle miss
-        # someone's messages and detach; the middle one keeps the table
-        base = platoon_spec(duration=6.0)
-        spec = dataclasses.replace(base, params=dataclasses.replace(
-            base.params, bus=BusConfig(delivery_delay_ticks=1, range_m=50.0)))
+    def test_v2v_fault_views_match_private_stores(self):
+        # the faulty receiver's store detaches onto a frozen copy; every
+        # store must read as a private one fed its owner's full inboxes
+        spec = bundled_scenario("v2v_fault")
+        (fault,) = spec.fault_events()
 
         def record(sim, log):
             def observer(s, tick):
@@ -338,14 +336,23 @@ class TestSharedHeartbeatTable:
 
         shared_run = Simulator(spec)
         private_run = Simulator(spec)
-        for rt in private_run.runtimes.values():
-            rt.peer_store.table = HeartbeatTable()  # private from the start
+        private = {vid: comms.PeerViewStore(vid) for vid in private_run._managed}
+        for vid, store in private.items():
+            private_run.runtimes[vid].peer_store = store
+
+        def feeding(tick, faults):
+            inboxes = comms.MessageBus.deliver(private_run.bus, tick, faults)
+            for vid, inbox in inboxes.items():
+                private[vid].update(inbox)
+            return inboxes
+
+        private_run.bus.deliver = feeding
         shared_log, private_log = [], []
-        trace_a, _ = shared_run.run(record(shared_run, shared_log))
-        trace_b, _ = private_run.run(record(private_run, private_log))
+        trace_a, report_a = shared_run.run(record(shared_run, shared_log))
+        trace_b, report_b = private_run.run(record(private_run, private_log))
         assert shared_log == private_log
-        assert trace_a.rows == trace_b.rows
-        assert self.detached(shared_run) == {1, 2, 4, 5}
+        assert trace_a.rows == trace_b.rows and report_a.events == report_b.events
+        assert self.detached(shared_run) == {fault.target}
 
 
 class TestTickErrors:
@@ -360,6 +367,18 @@ class TestTickErrors:
         assert isinstance(err.__cause__, cause)
         assert str(err).startswith("tick 40 (t=2.000 s), v2 in Platooning: ")
         assert text in str(err) and "\n" not in str(err)
+
+    def test_cut_in_from_a_non_adjacent_lane_names_tick_and_intruder(self):
+        spec = bundled_scenario("cut_in")
+        (cut_in,) = spec.events
+        spec = dataclasses.replace(spec, events=(dataclasses.replace(cut_in, lane=1),))
+        with pytest.raises(TickError) as info:
+            Simulator(spec).run()
+        err = info.value
+        assert (err.tick, err.vehicle, err.maneuver) == (200, 6, "-")
+        assert isinstance(err.__cause__, ValueError)
+        assert str(err) == ("tick 200 (t=10.000 s), v6 in -: ValueError: cut-in lane 1 "
+                            "not adjacent to the target's lane 1 at spawn time")
 
 
 class TestBenchmarkDeliveryCount:

@@ -158,8 +158,9 @@ class World:
     def new_series(self):
         members = [vid for vid in self.ids if self.role[vid].is_member()]
         self.rng.shuffle(members)
-        series = tuple(members[:self.rng.randrange(1, len(members) + 1)])
-        return PlatoonInfo(len(series), series)
+        # once every vehicle has turned free, the series is empty
+        count = self.rng.randrange(1, len(members) + 1) if members else 0
+        return PlatoonInfo(count, tuple(members[:count]))
 
     def move(self):
         rng = self.rng
@@ -196,15 +197,6 @@ class World:
         for msg in outbox:
             self.bus.send(msg, self.faults)
 
-    def deliver(self, tick):
-        rng = self.rng
-        receivers = self.ids if rng.random() < 0.8 else rng.sample(
-            self.ids, rng.randrange(1, len(self.ids) + 1))
-        positions = {vid: self.state[vid].s for vid in self.ids}
-        if rng.random() < 0.1:
-            positions = None
-        return receivers, self.bus.deliver(tick, self.faults, receivers, positions)
-
     def probes(self, vid):
         """Egos to search ahead of: the vehicle itself, a spot just behind
         its own last heartbeat (so the owner's entry lies ahead), the far
@@ -239,18 +231,18 @@ def check_receiver(world, vid, tick, inbox):
 
 def run_world(seed, delay, ticks=10):
     rng = random.Random(seed)
-    config = BusConfig(delivery_delay_ticks=delay, range_m=rng.choice((None, 40.0)))
-    world = World(rng, config)
+    world = World(rng, BusConfig(delivery_delay_ticks=delay))
     detached = set()
     checks = {"shared": 0, "detached": 0}
     for tick in range(ticks):
         world.send(tick)
-        receivers, inboxes = world.deliver(tick)
-        for vid in receivers:
+        inboxes = world.bus.deliver(tick, world.faults)
+        assert list(inboxes) == world.ids  # every store owner receives
+        for vid in world.ids:
             world.refs[vid].update(inboxes[vid])
             world.ref_replicas[vid] = reference_replica(inboxes[vid], *world.ref_replicas[vid])
             world.replicas[vid] = store_replica(world.stores[vid], *world.replicas[vid])
-        for vid in receivers:
+        for vid in world.ids:
             check_receiver(world, vid, tick, inboxes[vid])
             checks["detached" if vid in world.detached() else "shared"] += 1
         now = world.detached()
@@ -286,36 +278,28 @@ class TestDetachRule:
         bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
         stores = {vid: bus.peer_store(vid) for vid in (1, 2, 3)}
         self.beats(bus, faults, 0, (1, 2, 3))
-        bus.deliver(0, faults, [1, 2, 3])
+        bus.deliver(0, faults)
         assert all(s.table is bus.heartbeats for s in stores.values())
         faults.inject(2, FaultKind.V2V_FAIL)
         self.beats(bus, faults, 1, (1, 2, 3))
-        bus.deliver(1, faults, [1, 2, 3])
+        bus.deliver(1, faults)
         assert stores[2].table is not bus.heartbeats
         assert stores[1].table is bus.heartbeats and stores[3].table is bus.heartbeats
         assert stores[2].raw(1).tick_sent == 0  # the copy is the table before tick 1
         assert stores[1].raw(3).tick_sent == 1
 
-    def test_absent_receiver_detaches(self):
+    def test_faulty_owner_detaches_on_the_first_tick_of_its_fault(self):
         bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
         stores = {vid: bus.peer_store(vid) for vid in (1, 2)}
-        self.beats(bus, faults, 0, (1,))
-        bus.deliver(0, faults, [1])  # only its own beat was due: nothing missed
-        assert stores[1].table is bus.heartbeats
-        self.beats(bus, faults, 1, (2,))
-        bus.deliver(1, faults, [2])
-        assert stores[1].table is not bus.heartbeats and stores[1].known_peers() == ()
-
-    def test_store_opened_after_a_delivery_starts_private_and_empty(self):
-        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
-        bus.peer_store(1)
-        self.beats(bus, faults, 0, (1, 2))
-        bus.deliver(0, faults, [1])
-        late = bus.peer_store(3)
-        assert late.table is not bus.heartbeats and late.known_peers() == ()
-        self.beats(bus, faults, 1, (1, 2))
-        bus.deliver(1, faults, [1, 3])
-        assert late.known_peers() == (1, 2)
+        faults.inject(1, FaultKind.V2V_FAIL)
+        assert bus.deliver(0, faults) == {1: [], 2: []}  # nothing was due
+        assert stores[1].table is not bus.heartbeats
+        assert stores[2].table is bus.heartbeats
+        for tick in (1, 2):
+            self.beats(bus, faults, tick, (1, 2))  # 1's beats are refused
+            assert bus.deliver(tick, faults) == {1: [], 2: []}
+        assert stores[1].known_peers() == () and stores[2].known_peers() == ()
+        assert bus.heartbeats.known() == (2,)
 
     def test_bare_store_is_private(self):
         store = PeerViewStore()

@@ -188,6 +188,8 @@ class TestLoading:
         # both would hang in LeaveMiddle / JoinMiddle until the maneuver timeout
         (event(kind="leave", target=1), "events[0]"),
         (event(kind="join", target=2, position="before:2"), "events[0]"),
+        # the bus has no radio range: a V2V fault is the one way to stop hearing it
+        ({"parameters": {"bus": {"range_m": 100}}}, "parameters.bus"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
         with pytest.raises(SpecError, match=re.escape(where)):
@@ -270,6 +272,35 @@ def locate(raw, path):
     for key in parents:
         node = node[int(key)] if isinstance(node, list) else node[key]
     return node, int(last) if isinstance(node, list) else last
+
+
+def readme_key_table():
+    """Section -> the keys that the README's scenario key table lists for it;
+    a row with an empty section cell belongs to the section above."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | type | default | bound |")
+    table, section = {}, None
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        section = cells[0].strip("`") or section
+        table.setdefault(section, set()).update(re.findall(r"`([^`]+)`", cells[1]))
+    return table
+
+
+def test_readme_key_table_lists_exactly_the_json_keys():
+    table = readme_key_table()
+    assert table["run"] == json_keys(RunSpec)
+    assert table["modes"] == json_keys(ScenarioSpec, "modes")
+    defaults = Parameters()
+    groups = {key for key in json_keys(Parameters)
+              if dataclasses.is_dataclass(getattr(defaults, key))}
+    assert table["parameters"] == json_keys(Parameters) - groups
+    assert {section for section in table if section.startswith("parameters.")} \
+        == {f"parameters.{group}" for group in groups}
+    for group in groups:
+        assert table[f"parameters.{group}"] == json_keys(type(getattr(defaults, group))), group
 
 
 class TestSchemaCoverage:

@@ -75,7 +75,7 @@ def detect_collisions_reference(states, geom, vehicle_width):
     return hits
 
 
-def deliver_reference(bus, tick, faults, receivers, positions=None):
+def deliver_reference(bus, tick, faults, receivers):
     due = sorted((m for t, m in bus._in_flight if t <= tick),
                  key=V2VMessage.sort_key)
     bus._in_flight = [(t, m) for t, m in bus._in_flight if t > tick]
@@ -85,10 +85,6 @@ def deliver_reference(bus, tick, faults, receivers, positions=None):
             if rid == msg.sender:
                 continue  # never self-deliver
             if faults.has(rid, FaultKind.V2V_FAIL):
-                continue
-            if (bus.config.range_m is not None and positions is not None
-                    and msg.sender in positions
-                    and abs(positions[rid] - positions[msg.sender]) > bus.config.range_m):
                 continue
             inboxes[rid].append(msg)
     return inboxes
@@ -224,9 +220,11 @@ class TestDeliveryAgainstNestedLoops:
     def test_random_traffic(self, seed, delay):
         rng = random.Random(seed)
         ids = list(range(1, rng.randrange(2, 25)))
-        range_m = rng.choice((None, 40.0))
-        config = BusConfig(delivery_delay_ticks=delay, range_m=range_m)
+        config = BusConfig(delivery_delay_ticks=delay)
         bus, reference = MessageBus(config), MessageBus(config)
+        receivers = rng.sample(ids, rng.randrange(1, len(ids) + 1))
+        for rid in receivers:
+            bus.peer_store(rid)
         faults = FaultBoard()
         kinds = list(MessageKind)
         for tick in range(8):
@@ -236,13 +234,8 @@ class TestDeliveryAgainstNestedLoops:
             for _ in range(rng.randrange(3 * len(ids))):
                 msg = V2VMessage(rng.choice(ids), rng.choice(kinds), tick)
                 assert bus.send(msg, faults) == reference.send(msg, faults)
-            receivers = rng.sample(ids, rng.randrange(1, len(ids) + 1))
-            positions = {vid: rng.randrange(200) / 2.0 for vid in ids
-                         if rng.random() < 0.9 or vid in receivers}
-            if rng.random() < 0.2:
-                positions = None
-            got = bus.deliver(tick, faults, receivers, positions)
-            expected = deliver_reference(reference, tick, faults, receivers, positions)
+            got = bus.deliver(tick, faults)
+            expected = deliver_reference(reference, tick, faults, receivers)
             assert list(got) == list(expected)
             assert got == expected
             assert bus._in_flight == reference._in_flight
