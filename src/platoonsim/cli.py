@@ -2,8 +2,8 @@
 execute the built-in acceptance suite.
 
 Exit codes are the only machine contract: 0 for a clean completion, 2 when a
-run ends with a collision, 1 for scenario/spec errors, 3 when a run stops on
-a protocol error inside a tick.
+run ends with a collision, 1 for scenario/spec errors or an unusable --out, 3
+when a run stops on a protocol error inside a tick.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
 
 
 def _write_outputs(out_dir: Path, trace: Trace, report: RunReport) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace.write_csv(out_dir / "trace.csv")
     (out_dir / "report.txt").write_text(report.to_text())
     report.write_events(out_dir / "events.log")
@@ -47,8 +46,9 @@ def _error(exc: Exception) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = _apply_overrides(load_scenario(args.scenario), args)
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
         trace, report = Simulator(spec).run()
-    except (SpecError, TickError) as exc:
+    except (SpecError, TickError, OSError) as exc:
         return _error(exc)
     _write_outputs(Path(args.out), trace, report)
     for t, a, b in report.collisions:
@@ -72,13 +72,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
                   "injection", file=sys.stderr)
             return EXIT_SPEC_ERROR
         out_dir = Path(args.out)
+        for label in ("on", "off"):  # a bad --out fails before the runs
+            (out_dir / label).mkdir(parents=True, exist_ok=True)
         results = {}
         for label, enabled in (("on", True), ("off", False)):
             leg = dataclasses.replace(spec, degradation_enabled=enabled)
             trace, report = Simulator(leg).run()
             _write_outputs(out_dir / label, trace, report)
             results[label] = report
-    except (SpecError, TickError) as exc:
+    except (SpecError, TickError, OSError) as exc:
         return _error(exc)
 
     lines = [f"scenario: {spec.name}", ""]

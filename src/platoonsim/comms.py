@@ -3,15 +3,15 @@ single-target radar model, permanent fault injection and peer-failure
 detection from heartbeat ages.
 
 No path here scans every pair of vehicles in a tick. Radar bisects the
-snapshot's ``(rear, id)`` order, and delivery slices one sorted list of due
-messages per receiver. The bus keeps one heartbeat table, the freshest
-heartbeat per sender, updated once per tick; each receiver's peer store is
-that table minus the receiver's own entry, so no receiver stores or scans
-its own copy of the N - 1 heartbeats. The one way a vehicle stops hearing
-the bus is its own V2V fault: its store then keeps a frozen copy of the
-table as it stood before. The predecessor search bisects per-lane member
-orders, silent peers are a set difference against the fresh senders, and
-peer views are built only when looked up.
+snapshot's ``(rear, id)`` order, and delivery slices a receiver's inbox from
+one sorted list of due messages when it is read. The bus keeps one heartbeat
+table, the freshest heartbeat per sender, updated once per tick; each
+receiver's peer store is that table minus the receiver's own entry, so no
+receiver stores or scans its own copy of the N - 1 heartbeats. The one way
+a vehicle stops hearing the bus is its own V2V fault: its store then keeps a
+frozen copy of the table as it stood before. The predecessor search bisects
+per-lane member orders, the quiet peers of one series are found once per
+table and tick, and peer views are built only when looked up.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class MessageBus:
         self.heartbeats = HeartbeatTable()
         self._stores: dict[VehicleId, PeerViewStore] = {}
         # the non-heartbeat part of the last delivery's inboxes
-        self.flag_inboxes: dict[VehicleId, list[V2VMessage]] = {}
+        self.flag_inboxes: Mapping[VehicleId, list[V2VMessage]] = {}
 
     def send(self, msg: V2VMessage, faults: FaultBoard) -> bool:
         """Queue a broadcast; returns False when the sender's V2V is dead."""
@@ -102,14 +102,11 @@ class MessageBus:
         store = self._stores[owner] = PeerViewStore(owner, self.heartbeats)
         return store
 
-    def deliver(self, tick: int, faults: FaultBoard) -> dict[VehicleId, list[V2VMessage]]:
+    def deliver(self, tick: int, faults: FaultBoard) -> Inboxes:
         """Pop all messages due at ``tick`` into the inboxes of the owners of
-        the opened peer stores.
-
-        The due messages are sorted once. Sorted by sender, a receiver's own
-        messages form one block, so its inbox is everything before and after
-        that block (never self-deliver); its non-heartbeat part, kept in
-        :attr:`flag_inboxes`, is cut the same way from the due flags.
+        the opened peer stores; returns the inboxes, and keeps their
+        non-heartbeat part in :attr:`flag_inboxes`. Both are lazy
+        :class:`Inboxes`: a receiver's list is cut only when it is read.
 
         The due heartbeats then update the bus's heartbeat table once. A
         store shares the table while its owner hears the bus, that is, until
@@ -120,24 +117,38 @@ class MessageBus:
         due = sorted((m for t, m in self._in_flight if t <= tick),
                      key=V2VMessage.sort_key)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
-        senders = [m.sender for m in due]
-        flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
-        flag_senders = [m.sender for m in flags]
-        table = self.heartbeats
-        inboxes: dict[VehicleId, list[V2VMessage]] = {}
-        self.flag_inboxes = flag_inboxes = {}
+        hears = {rid: not faults.has(rid, FaultKind.V2V_FAIL) for rid in self._stores}
+        self.flag_inboxes = Inboxes(
+            [m for m in due if m.kind is not MessageKind.HEARTBEAT], hears)
         for rid, store in self._stores.items():
-            if faults.has(rid, FaultKind.V2V_FAIL):
-                inboxes[rid], flag_inboxes[rid] = [], []
-                if store.table is table:
-                    store.table = table.copy()
-            else:
-                inboxes[rid] = (due[:bisect_left(senders, rid)]
-                                + due[bisect_right(senders, rid):])
-                flag_inboxes[rid] = (flags[:bisect_left(flag_senders, rid)]
-                                     + flags[bisect_right(flag_senders, rid):])
-        table.update(due)
-        return inboxes
+            if not hears[rid] and store.table is self.heartbeats:
+                store.table = self.heartbeats.copy()
+        self.heartbeats.update(due)
+        return Inboxes(due, hears)
+
+
+class Inboxes(Mapping[VehicleId, list[V2VMessage]]):
+    """Read-only mapping from receiver id to its part of one delivery's
+    messages, sorted by sender: all but the receiver's own block (never
+    self-deliver), cut when looked up; empty for a receiver with a V2V fault."""
+
+    def __init__(self, msgs: list[V2VMessage], hears: dict[VehicleId, bool]) -> None:
+        self._msgs = msgs
+        self._hears = hears
+
+    def __getitem__(self, rid: VehicleId) -> list[V2VMessage]:
+        msgs = self._msgs
+        if not (self._hears[rid] and msgs):
+            return []
+        own = bisect_left(msgs, (rid,), key=V2VMessage.sort_key)
+        others = bisect_left(msgs, (rid + 1,), own, key=V2VMessage.sort_key)
+        return msgs[:own] + msgs[others:]
+
+    def __iter__(self) -> Iterator[VehicleId]:
+        return iter(self._hears)
+
+    def __len__(self) -> int:
+        return len(self._hears)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +248,8 @@ class HeartbeatTable:
         self.leader_beats: list[V2VMessage] = []
         self._known: Optional[tuple[VehicleId, ...]] = None
         self._lanes: Optional[dict[int, _LaneOrder]] = None
-        self._fresh: Optional[tuple[int, int, frozenset[VehicleId]]] = None
+        # (tick, timeout, fresh senders, the last peers asked about, quiet ones)
+        self._fresh: Optional[tuple] = None
 
     def copy(self) -> "HeartbeatTable":
         return HeartbeatTable(self._latest)
@@ -285,13 +297,19 @@ class HeartbeatTable:
                 self._lanes[lane] = ([s for s, _ in order], order)
         return self._lanes
 
-    def fresh(self, tick: int, timeout_ticks: int) -> frozenset[VehicleId]:
-        """The senders whose heartbeat is at most ``timeout_ticks`` old."""
-        if self._fresh is None or self._fresh[:2] != (tick, timeout_ticks):
+    def quiet(self, peers: Iterable[VehicleId], tick: int,
+              timeout_ticks: int) -> frozenset[VehicleId]:
+        """Those ``peers`` whose heartbeat is older than ``timeout_ticks`` or
+        never came. Kept beside the fresh senders and keyed on the identity
+        of a tuple, so the readers of one replica series share one scan."""
+        memo = self._fresh
+        if memo is None or memo[0] != tick or memo[1] != timeout_ticks:
             horizon = tick - timeout_ticks
-            self._fresh = (tick, timeout_ticks, frozenset(
-                vid for vid, msg in self._latest.items() if msg.tick_sent >= horizon))
-        return self._fresh[2]
+            memo = (tick, timeout_ticks, frozenset(
+                vid for vid, msg in self._latest.items() if msg.tick_sent >= horizon), None, None)
+        if memo[3] is not peers or type(peers) is not tuple:
+            memo = self._fresh = memo[:3] + (peers, frozenset(peers).difference(memo[2]))
+        return memo[4]
 
 
 class PeerViewStore:
@@ -336,10 +354,9 @@ class PeerViewStore:
                     timeout_ticks: int) -> dict[VehicleId, int]:
         """The ages of those ``peers``, other than the owner, whose
         heartbeat is older than ``timeout_ticks`` or never came (the
-        candidates for :func:`detect_peer_failure`)."""
-        fresh = self.table.fresh(tick, timeout_ticks)
-        quiet = () if fresh.issuperset(peers) else set(peers).difference(fresh)
-        return {p: self.age(p, tick) for p in quiet if p != self.owner}
+        candidates for :func:`detect_peer_failure`); see :meth:`HeartbeatTable.quiet`."""
+        quiet = self.table.quiet(peers, tick, timeout_ticks)
+        return {p: self.age(p, tick) for p in quiet if p != self.owner} if quiet else {}
 
     def leader_heartbeat(self) -> Optional[V2VMessage]:
         """Of the last update's leader heartbeats carrying a platoon, other

@@ -214,6 +214,7 @@ class _Runtime:
         self.reported_own: set[FaultKind] = set()
         self.reported_silent: set[VehicleId] = set()
         self.last_payload: Mapping[VehicleId, PeerView] = {}
+        self.ctx: Optional[StrategyContext] = None  # refilled every tick
 
     def set_controller(self, kind: ControllerKind) -> bool:
         if kind is self.controller:
@@ -346,7 +347,7 @@ class Simulator:
             readings[vid] = reading
         return readings
 
-    def _stage_bus(self, tick: int) -> dict[VehicleId, list[V2VMessage]]:
+    def _stage_bus(self, tick: int) -> Mapping[VehicleId, list[V2VMessage]]:
         """Deliver the due messages, which also brings every peer store up
         to date; returns each managed vehicle's non-heartbeat messages."""
         self.bus.deliver(tick, self.faults)
@@ -354,7 +355,7 @@ class Simulator:
 
     def _stage_manage(self, tick: int, snapshot: Snapshot, managed: list[VehicleId],
                       readings: dict[VehicleId, RadarReading],
-                      flag_inboxes: dict[VehicleId, list[V2VMessage]]) -> None:
+                      flag_inboxes: Mapping[VehicleId, list[V2VMessage]]) -> None:
         sent: list[V2VMessage] = []
         hb_timeout = self._hb_timeout
         degradation = self.spec.degradation_enabled
@@ -389,12 +390,16 @@ class Simulator:
                         rt.reported_silent.update(newly_silent)
 
             rt.last_payload = v2v_payload(store, tick, hb_timeout, degradation)
-            ctx = StrategyContext(
-                tick=tick, dt=self.dt, ego_id=vid, ego=snapshot[vid],
-                role=rt.manager.role, maneuver=rt.manager.maneuver,
-                reading=reading, peers=rt.last_payload, inbox=flag_inboxes[vid],
-                platoon=rt.replica, instruction=None, params=self.params,
-                degradation_enabled=degradation, own_faults=own, driver=rt.driver)
+            ctx = rt.ctx
+            if ctx is None:  # built on the first tick; the per-tick fields are refilled below
+                ctx = rt.ctx = StrategyContext(
+                    tick, self.dt, vid, snapshot[vid], rt.manager.role, rt.manager.maneuver,
+                    reading, rt.last_payload, (), rt.replica, None, self.params,
+                    degradation_enabled=degradation, driver=rt.driver)
+            ctx.tick, ctx.ego, ctx.reading, ctx.peers, ctx.inbox = (
+                tick, snapshot[vid], reading, rt.last_payload, flag_inboxes[vid])
+            ctx.role, ctx.maneuver, ctx.instruction = rt.manager.role, rt.manager.maneuver, None
+            ctx.platoon, ctx.own_faults = rt.replica, own
             signals = (TickSignals(new_own, newly_silent, ttc_result)
                        if new_own or newly_silent or ttc_result is not TriggerKind.NONE
                        else _NO_SIGNALS)

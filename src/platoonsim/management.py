@@ -78,7 +78,8 @@ class DriverState:
 
 @dataclass
 class StrategyContext:
-    """Read-only snapshot of everything one vehicle can see this tick.
+    """Read-only snapshot of everything one vehicle can see this tick, valid
+    for one ``step`` call: the engine refills one context per vehicle.
 
     ``inbox`` holds the non-heartbeat messages delivered to the vehicle this
     tick, in delivery order (read them with :meth:`flags`); heartbeats are
@@ -185,6 +186,10 @@ class ManagerEvent:
     detail: str
 
 
+def _same(maneuver: ManeuverState, core: ManeuverState) -> bool:
+    return maneuver is core or maneuver == core  # identity first: == builds two tuples
+
+
 def _role_cause(maneuver: ManeuverState, new_role: Role) -> RoleCause:
     if maneuver in (ManeuverState.JOIN_TAIL, ManeuverState.JOIN_MIDDLE):
         return RoleCause.JOIN_COMPLETED
@@ -259,7 +264,7 @@ class VehicleManager:
     def _fault_trigger(self) -> Optional[tuple[HardwareFaultTrigger, dict]]:
         while self._pending_faults:
             kind, faulty, own = self._pending_faults.popleft()
-            if self.maneuver == ManeuverState.HARDWARE_FAILURES:
+            if _same(self.maneuver, ManeuverState.HARDWARE_FAILURES):
                 continue  # already handling a failure; drop the duplicate
             data = {"faulty": faulty}
             if own:
@@ -269,7 +274,7 @@ class VehicleManager:
 
     def _select_trigger(self, ctx: StrategyContext, signals: TickSignals,
                         ) -> Optional[tuple[ManeuverTrigger, dict]]:
-        in_platooning = self.maneuver == ManeuverState.PLATOONING
+        in_platooning = _same(self.maneuver, ManeuverState.PLATOONING)
         if in_platooning and self._pending_instructions:
             instr = self._pending_instructions.popleft()
             return CloudInstructionTrigger(instr.maneuver), {"instruction": instr}
@@ -343,7 +348,7 @@ class VehicleManager:
                 "role change is only allowed with maneuver completion or takeover")
 
         # liveness bound: abort any maneuver stuck past the timeout
-        if (self.maneuver != ManeuverState.PLATOONING and not output.maneuver_done
+        if (not _same(self.maneuver, ManeuverState.PLATOONING) and not output.maneuver_done
                 and self.progress.age(ctx.tick) > self._timeout_ticks):
             output.maneuver_done = True
             output.role_change = None
@@ -357,7 +362,7 @@ class VehicleManager:
             self.role = new_role
             self.member = new_role.is_member()
             events.append(ManagerEvent("role_change", self.role.value))
-        if output.maneuver_done and self.maneuver != ManeuverState.PLATOONING:
+        if output.maneuver_done and not _same(self.maneuver, ManeuverState.PLATOONING):
             events.append(ManagerEvent("maneuver_complete", self.maneuver.name))
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)

@@ -57,13 +57,13 @@ def ACC() -> ControllerKind:
 
 
 def CC(v_set: float) -> ControllerKind:
-    # one shared selection per set speed; 0.0 == -0.0, but their labels differ
-    return _cc(v_set, math.copysign(1.0, v_set))
+    return _set_speed(LongitudinalMode.CC, v_set, math.copysign(1.0, v_set))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _cc(v_set: float, _sign: float) -> ControllerKind:
-    return _ctrl(LongitudinalMode.CC, v_set)
+def _set_speed(mode: LongitudinalMode, v_set: float, _sign: float) -> ControllerKind:
+    # one shared selection per mode and set speed; 0.0 == -0.0, but their labels differ
+    return _ctrl(mode, v_set)
 
 
 def AEB() -> ControllerKind:
@@ -71,7 +71,7 @@ def AEB() -> ControllerKind:
 
 
 def DRIVER(v_set: float) -> ControllerKind:
-    return _ctrl(LongitudinalMode.DRIVER, v_set)
+    return _set_speed(LongitudinalMode.DRIVER, v_set, math.copysign(1.0, v_set))
 
 
 def _entry_series(ctx: StrategyContext, progress: StrategyProgress,

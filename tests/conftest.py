@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from platoonsim.comms import PeerView, RadarReading
+from platoonsim.comms import HeartbeatTable, PeerView, RadarReading
 from platoonsim.core import (
     ControllerKind,
     IllegalTransition,
@@ -112,3 +112,20 @@ BROKEN_STRATEGIES = [
     (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
     (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
 ]
+
+
+def count_quiet_scans(monkeypatch):
+    """Record the peers of every HeartbeatTable.quiet call that scans them,
+    seen as a change of the memo it keeps beside the fresh senders."""
+    scans = []
+    original = HeartbeatTable.quiet
+
+    def counting(table, peers, tick, timeout_ticks):
+        before = table._fresh
+        answer = original(table, peers, tick, timeout_ticks)
+        if table._fresh is not before:
+            scans.append(peers)
+        return answer
+
+    monkeypatch.setattr(HeartbeatTable, "quiet", counting)
+    return scans

@@ -135,6 +135,31 @@ def test_cut_in_from_a_non_adjacent_lane_is_a_one_line_error_with_exit_three(
     assert "not adjacent" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, out, named, error", [
+    ("run", "steady", "afile", "afile", "File exists"),
+    ("run", "steady", "afile/sub", "afile/sub", "Not a directory"),
+    ("compare", "v2v_fault", "afile", "afile/on", "Not a directory"),
+    ("compare", "v2v_fault", "adir", "adir/on", "File exists"),
+])
+def test_an_output_path_that_is_a_file_fails_before_simulating(
+        tmp_path, capsys, monkeypatch, command, name, out, named, error):
+    (tmp_path / "afile").write_text("keep")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "adir" / "on").write_text("keep")
+
+    def no_run(*args):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(engine.Simulator, "run", no_run)
+    code = main([command, scenario(name), "--out", str(tmp_path / out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert error in err and repr(str(tmp_path / named)) in err
+    assert (tmp_path / "afile").read_text() == "keep"
+    assert (tmp_path / "adir" / "on").read_text() == "keep"
+
+
 class TestAccept:
     def test_accept_exit_code_follows_results(self, monkeypatch, capsys):
         from platoonsim import acceptance

@@ -10,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
+from conftest import (
+    BROKEN_STRATEGIES,
+    FOLLOWER_PLATOONING,
+    count_quiet_scans,
+    registry_replacing,
+)
 
 from platoonsim import comms, engine, scenario
 from platoonsim.core import ControllerKind, FaultKind, ManeuverState, Role
@@ -23,7 +28,7 @@ from platoonsim.scenario import (
     VehicleSpec,
     bundled_scenario,
 )
-from platoonsim.strategies import CC
+from platoonsim.strategies import CC, DRIVER
 
 
 GOLDEN = json.loads(
@@ -461,6 +466,64 @@ class TestTickCaches:
         trace, _ = Simulator(platoon_spec(duration=0.5), registry).run()
         column = trace.columns.index("v1_controller")
         assert {row[column] for row in trace.rows} == {"CC@-0.00"}
+
+    def test_driver_shares_one_selection_per_set_speed_and_sign(self):
+        assert DRIVER(12.5) is DRIVER(12.5)
+        assert DRIVER(-0.0) is not DRIVER(0.0)
+        assert math.copysign(1.0, DRIVER(-0.0).longitudinal.v_set) == -1.0
+        assert DRIVER(12.5) is not CC(12.5)
+
+    @pytest.mark.parametrize("v_set, label", [(0.0, "Driver@0.00"), (-0.0, "Driver@-0.00"),
+                                              (12.345, "Driver@12.35")])
+    def test_driver_labels_are_unchanged(self, v_set, label):
+        class LeaderDriver:
+            def step(self, ctx, progress):
+                return StrategyOutput(controller=DRIVER(v_set))
+
+        DRIVER(0.0), DRIVER(-0.0)  # a cached selection must not stand in for the other zero
+        registry = registry_replacing(
+            StrategyKey(ManeuverState.PLATOONING, Role.LEADER), LeaderDriver())
+        trace, report = Simulator(platoon_spec(duration=0.5), registry).run()
+        column = trace.columns.index("v1_controller")
+        assert {row[column] for row in trace.rows} == {label}
+        assert [e.detail for e in report.events
+                if e.kind == "controller" and e.vehicle == 1] == [label]
+
+    def quiet_scans_per_tick(self, monkeypatch, count):
+        scans = count_quiet_scans(monkeypatch)
+        per_tick = []
+        Simulator(platoon_spec(count=count, duration=3.0)).run(
+            lambda sim, tick: per_tick.append(len(scans) - sum(per_tick)))
+        return per_tick
+
+    def test_quiet_peer_scans_per_tick_do_not_grow_with_the_platoon(self, monkeypatch):
+        ten = self.quiet_scans_per_tick(monkeypatch, 10)
+        forty = self.quiet_scans_per_tick(monkeypatch, 40)
+        assert len(ten) == len(forty) == 60
+        # every member holds the leader's replica: one series, one scan a tick
+        assert ten == forty == [1] * 60
+
+    @pytest.mark.parametrize("name", ["v2v_fault", "integrated"])
+    def test_an_untraced_run_builds_no_full_inbox(self, monkeypatch, name):
+        returned, cuts = {}, []  # the full inboxes, kept alive, by id
+        deliver, cut = comms.MessageBus.deliver, comms.Inboxes.__getitem__
+
+        def delivering(bus, tick, faults):
+            inboxes = deliver(bus, tick, faults)
+            returned[id(inboxes)] = inboxes
+            return inboxes
+
+        def cutting(inboxes, rid):
+            if id(inboxes) in returned:  # not the flag inboxes the engine reads
+                cuts.append(rid)
+            return cut(inboxes, rid)
+
+        monkeypatch.setattr(comms.MessageBus, "deliver", delivering)
+        monkeypatch.setattr(comms.Inboxes, "__getitem__", cutting)
+        _, report = Simulator(bundled_scenario(name)).run()
+        assert len(returned) == report.ticks
+        assert any(e.kind == "flag" for e in report.events)  # flags were delivered
+        assert cuts == []
 
     def test_membership_is_not_retested_every_vehicle_tick(self, monkeypatch):
         calls = []

@@ -1,9 +1,13 @@
 """Extendability: a new maneuver registers and activates against the public
 registry without touching any management-module source."""
 
+import dataclasses
+
 import pytest
 
 from conftest import DT, PARAMS, make_ctx
+
+from platoonsim.engine import Simulator
 
 from platoonsim.core import LongitudinalMode, ManeuverState, Role
 from platoonsim.management import (
@@ -11,9 +15,11 @@ from platoonsim.management import (
     DuplicateKey,
     StrategyKey,
     StrategyOutput,
+    StrategyRegistry,
     TickSignals,
     VehicleManager,
 )
+from platoonsim.scenario import bundled_scenario
 from platoonsim.strategies import CC, default_registry
 
 SPLIT = ManeuverState.extension("Split-stub")
@@ -65,3 +71,46 @@ def test_unregistered_extension_role_holds_controller():
     # no (Split-stub, Leader) strategy: documented hold-and-log outcome
     assert out.controller is None
     assert any(e.kind == "no_strategy" for e in events)
+
+
+class Recording:
+    """Wraps a registered strategy and records every context it is given."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+
+    def step(self, ctx, progress):
+        fields = {f.name: getattr(ctx, f.name) for f in dataclasses.fields(ctx)}
+        fields.update(peers=dict(ctx.peers.items()), inbox=list(ctx.inbox),
+                      driver=dataclasses.replace(ctx.driver))
+        self.log.append((ctx, fields))
+        return self.inner.step(ctx, progress)
+
+
+def recorded_run(spec, fresh_contexts):
+    log = []
+    default, registry = default_registry(), StrategyRegistry()
+    for key in default.keys():
+        registry.register(key, Recording(default.lookup(key), log))
+
+    def drop_contexts(sim, tick):
+        for rt in sim.runtimes.values():
+            rt.ctx = None
+
+    trace, report = Simulator(spec, registry).run(drop_contexts if fresh_contexts else None)
+    return log, trace, report
+
+
+@pytest.mark.parametrize("name", ["v2v_fault", "integrated"])
+def test_the_reused_context_equals_a_fresh_one_on_every_tick(name):
+    spec = bundled_scenario(name)
+    reused, trace, report = recorded_run(spec, fresh_contexts=False)
+    fresh, fresh_trace, fresh_report = recorded_run(spec, fresh_contexts=True)
+    assert [fields for _, fields in reused] == [fields for _, fields in fresh]
+    assert trace.rows == fresh_trace.rows and report.events == fresh_report.events
+    # one context per vehicle, and every strategy step still runs every tick
+    contexts = {}
+    for ctx, fields in reused:
+        assert contexts.setdefault(fields["ego_id"], ctx) is ctx
+    holds = sum(e.kind == "no_strategy" for e in report.events)
+    assert len(reused) + holds == report.ticks * len(contexts)

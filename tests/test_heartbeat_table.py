@@ -12,9 +12,13 @@ import random
 
 import pytest
 
+from conftest import count_quiet_scans
+
 from platoonsim.comms import (
     BusConfig,
     FaultBoard,
+    HeartbeatTable,
+    Inboxes,
     MessageBus,
     PeerView,
     PeerViewStore,
@@ -306,3 +310,92 @@ class TestDetachRule:
         store.update([heartbeat(4, 2, VehicleState(s=5.0, lane=0, v=1.0), Role.LEADER,
                                 PlatoonInfo.solo(4))])
         assert store.known_peers() == (4,) and store.leader_heartbeat().sender == 4
+
+
+def beat(vid, tick):
+    return heartbeat(vid, tick, VehicleState(s=10.0 * vid, lane=1, v=20.0),
+                     Role.FOLLOWER, None)
+
+
+class TestQuietPeers:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        return count_quiet_scans(monkeypatch)
+
+    def table(self):
+        table = HeartbeatTable()
+        table.update([beat(1, 10), beat(2, 4), beat(3, 9)])
+        return table
+
+    def test_one_scan_per_tuple_tick_and_timeout(self, scans):
+        table, series = self.table(), (1, 2, 3, 4)
+        first = table.quiet(series, 10, 3)
+        assert first == {2, 4}
+        assert table.quiet(series, 10, 3) is first
+        assert len(scans) == 1
+        assert table.quiet(series, 13, 3) == {2, 3, 4}  # a new tick
+        assert table.quiet(series, 13, 4) == {2, 4}  # a new timeout
+        assert len(scans) == 3
+
+    def test_a_list_or_another_equal_tuple_is_scanned_afresh(self, scans):
+        table, series = self.table(), (1, 2, 3, 4)
+        table.quiet(series, 10, 3)
+        assert table.quiet(tuple(list(series)), 10, 3) == {2, 4}
+        peers = [1, 2]
+        assert table.quiet(peers, 10, 3) == {2}
+        peers.append(4)  # the same list, now with other peers
+        assert table.quiet(peers, 10, 3) == {2, 4}
+        assert len(scans) == 4
+
+    def test_an_update_drops_the_answer(self, scans):
+        table, series = self.table(), (1, 2, 3, 4)
+        assert table.quiet(series, 10, 3) == {2, 4}
+        table.update([beat(2, 10)])
+        assert table.quiet(series, 10, 3) == {4}
+        assert len(scans) == 2
+
+    def test_stores_sharing_a_table_share_the_scan_and_drop_their_owner(self, scans):
+        table, series = self.table(), (1, 2, 3, 4)
+        stores = {vid: PeerViewStore(vid, table) for vid in series}
+        ages = {vid: store.silent_ages(series, 10, 3) for vid, store in stores.items()}
+        assert ages == {1: {2: 6, 4: 10}, 2: {4: 10}, 3: {2: 6, 4: 10}, 4: {2: 6}}
+        assert len(scans) == 1
+
+
+class TestLazyInboxes:
+    def deliver(self, faulty=()):
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        for vid in (3, 1, 2):
+            bus.peer_store(vid)
+        for vid in faulty:
+            faults.inject(vid, FaultKind.V2V_FAIL)
+        for vid in (1, 2, 3):
+            bus.send(beat(vid, 0), faults)
+        bus.send(V2VMessage(2, MessageKind.SAFE_FLAG, 0), faults)
+        return bus.deliver(0, faults)
+
+    def test_equal_to_the_dict_of_lists_in_store_order(self):
+        inboxes = self.deliver()
+        assert list(inboxes) == [3, 1, 2] and len(inboxes) == 3
+        assert [(m.sender, m.kind) for m in inboxes[1]] == [
+            (2, MessageKind.HEARTBEAT), (2, MessageKind.SAFE_FLAG), (3, MessageKind.HEARTBEAT)]
+        assert inboxes == {vid: inboxes[vid] for vid in (3, 1, 2)}
+        assert [m.sender for m in inboxes[2]] == [1, 3]
+        assert {vid: inboxes[vid] for vid in (3, 1, 2)} == inboxes
+        with pytest.raises(KeyError):
+            inboxes[4]
+        assert inboxes.get(4) is None
+
+    def test_a_deaf_receiver_gets_an_empty_list(self):
+        inboxes = self.deliver(faulty=(3,))
+        assert inboxes[3] == [] and [m.sender for m in inboxes[1]] == [2, 2]
+
+    def test_a_list_is_cut_only_when_looked_up(self, monkeypatch):
+        cuts = []
+        original = Inboxes.__getitem__
+        monkeypatch.setattr(Inboxes, "__getitem__",
+                            lambda self, rid: cuts.append(rid) or original(self, rid))
+        inboxes = self.deliver()
+        assert cuts == [] and len(inboxes) == 3
+        inboxes[2]
+        assert cuts == [2]

@@ -642,3 +642,32 @@ class TestDriverRestart:
             fresh_progress())
         assert kinds(out) == []
         assert out.controller.longitudinal.v_set == 0.0
+
+
+class TestEqualButDistinctManeuver:
+    """The manager tests maneuvers by identity first; an equal but distinct
+    ManeuverState must still behave exactly like the shared one."""
+
+    def drive(self, distinct):
+        mgr = manager_for()
+        seen = []
+        for tick in range(1300):
+            if distinct:
+                mgr.maneuver = ManeuverState(mgr.maneuver.name)
+            if tick == 1:
+                mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
+            signals = (TickSignals(new_own_faults=(FaultKind.V2V_FAIL,)) if tick == 1250
+                       else TickSignals(newly_silent_peers=(3,)) if tick == 1251
+                       else TickSignals())
+            out, events = mgr.tick(make_ctx(tick=tick, maneuver=mgr.maneuver), signals)
+            seen.append((mgr.maneuver.name, mgr.role, [(e.kind, e.detail) for e in events],
+                         out.controller, kinds(out), out.maneuver_done, out.notes))
+        return seen
+
+    def test_a_distinct_platooning_behaves_as_before(self):
+        shared = self.drive(distinct=False)
+        assert self.drive(distinct=True) == shared
+        events = [e for step in shared for e in step[2]]
+        assert ("maneuver_start", "JoinTail") in events
+        assert ("maneuver_timeout", "JoinTail") in events
+        assert events.count(("maneuver_start", "HardwareFailures")) == 1
