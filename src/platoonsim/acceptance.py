@@ -16,7 +16,9 @@ from .core import (
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
+    LongitudinalMode,
     ManeuverState,
+    MessageKind,
     ObstacleCutInTrigger,
     ObstacleTtcTrigger,
     PeerAnnounceTrigger,
@@ -37,7 +39,7 @@ from .management import (
 )
 from .params import Parameters
 from .scenario import ScenarioSpec, bundled_scenario
-from .strategies import default_registry
+from .strategies import ACC, CC, default_registry
 
 
 @dataclass
@@ -101,7 +103,7 @@ def check_steady(params: Optional[Parameters] = None) -> CheckResult:
 def check_join_tail() -> CheckResult:
     spec = bundled_scenario("join_tail")
     trace, report = run(spec)
-    join_flags = [e for e in report.events if e.kind == "flag" and e.detail == "JoinFlag"]
+    join_flags = [e for e in report.events if e.subject is MessageKind.JOIN_FLAG]
     if not join_flags:
         return CheckResult(2, "join tail", False, "no JoinFlag emitted")
     gap_at_flag = _col(trace, trace.rows[join_flags[0].tick], "v2_gap")
@@ -123,10 +125,9 @@ def check_join_middle() -> CheckResult:
     spec = bundled_scenario("join_middle")
     trace, report = run(spec)
     evader_ctrl = [e for e in report.events if e.kind == "controller" and e.vehicle == 3]
-    drops = [e for e in evader_ctrl if e.detail == "CC@15.00"]
-    resumes = [e for e in evader_ctrl if e.detail == "CC@20.00"]
-    evade_flags = [e for e in report.events
-                   if e.kind == "flag" and e.detail == "EvadeFlag"]
+    drops = [e for e in evader_ctrl if e.subject == CC(15.0)]
+    resumes = [e for e in evader_ctrl if e.subject == CC(20.0)]
+    evade_flags = [e for e in report.events if e.subject is MessageKind.EVADE_FLAG]
     if not (drops and resumes and evade_flags):
         return CheckResult(3, "join middle", False,
                            "missing evade speed drop / resume / EvadeFlag")
@@ -171,7 +172,7 @@ def check_cut_in() -> CheckResult:
     spec = bundled_scenario("cut_in")
     trace, report = run(spec)
     starts = {e.vehicle: e.tick for e in report.events
-              if e.kind == "maneuver_start" and e.detail == "CutIn"}
+              if e.kind == "maneuver_start" and e.subject == ManeuverState.CUT_IN}
     if 2 not in starts:
         return CheckResult(5, "cut in", False, "vehicle 2 never detected the cut-in")
     t_det = starts[2]
@@ -179,8 +180,7 @@ def check_cut_in() -> CheckResult:
     acc_on_time = True
     for vid in range(2, 6):
         sw = _first_controller_switch(report, vid, after=t_det * spec.run.dt - 1e-9)
-        acc_on_time &= sw is not None and sw.detail == "ACC" \
-            and sw.tick <= budget
+        acc_on_time &= sw is not None and sw.subject == ACC() and sw.tick <= budget
     done = [t for t, v, m in report.completions if m == "CutIn" and v == 2]
     if not done:
         return CheckResult(5, "cut in", False, "cut-in never completed")
@@ -212,12 +212,12 @@ def check_v2v_fault_with_degradation(pair=None) -> CheckResult:
     switch_ok = True
     for vid in (3, 4, 5):
         sw = _first_controller_switch(report_on, vid, after=20.0)
-        switch_ok &= sw is not None and sw.detail == "ACC" and sw.time <= deadline
+        switch_ok &= sw is not None and sw.subject == ACC() and sw.time <= deadline
     rows_after = _rows_from(trace, 20.0)
     v2_cacc = all(_col(trace, r, "v2_controller") == "CACC" for r in rows_after)
     v2_band = all(abs(_col(trace, r, "v2_gap") - 13.0) <= 1.0 for r in rows_after)
     final_series = _col(trace, trace.rows[-1], "v1_psize") == 2
-    pruned = any(e.kind == "platoon_update" and e.detail == "series=[1, 2]"
+    pruned = any(e.kind == "platoon_update" and e.subject.id_series == (1, 2)
                  for e in report_on.events)
     passed = (switch_ok and v2_cacc and v2_band and final_series and pruned
               and not report_on.collisions)
@@ -249,13 +249,12 @@ def check_radar_fault_with_degradation() -> CheckResult:
     spec = bundled_scenario("radar_fault")
     trace, report = run(spec)
     sw3 = _first_controller_switch(report, 3, after=20.0)
-    cc_ok = sw3 is not None and sw3.detail.startswith("CC@")
-    if cc_ok:
-        v_set = float(sw3.detail.split("@")[1])
-        cc_ok = abs(v_set - (20.0 - spec.params.cc_fault_speed_drop)) <= 0.2
+    cc_ok = (sw3 is not None and sw3.subject.longitudinal.mode is LongitudinalMode.CC
+             and abs(sw3.subject.longitudinal.v_set
+                     - (20.0 - spec.params.cc_fault_speed_drop)) <= 0.2)
     acc_ok = all(
         (sw := _first_controller_switch(report, vid, after=20.0)) is not None
-        and sw.detail == "ACC" for vid in (4, 5))
+        and sw.subject == ACC() for vid in (4, 5))
     window = [r for r in trace.rows if 20.0 <= r[1] <= 30.0]
     slack = 0.01  # one detection-latency tick of closing, in metres
 

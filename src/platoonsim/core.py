@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Optional, Union
 
 VehicleId = int
 
@@ -295,7 +296,7 @@ class ControllerKind:
 
 
 # ---------------------------------------------------------------------------
-# Platoon metadata and V2V messages
+# Platoon metadata, V2V messages and run events
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -378,3 +379,45 @@ def heartbeat(sender: VehicleId, tick: int, state: VehicleState, role: Role,
               platoon: Optional[PlatoonInfo]) -> V2VMessage:
     return V2VMessage(sender, MessageKind.HEARTBEAT, tick, state=state,
                       role=role, platoon=platoon)
+
+
+def controller_label(kind: ControllerKind) -> str:
+    """A selection as trace.csv and events.log show it: mode[@set speed]."""
+    lon = kind.longitudinal
+    return lon.mode.value if lon.v_set is None else f"{lon.mode.value}@{lon.v_set:.2f}"
+
+
+@dataclass(frozen=True)
+class EngineEvent:
+    """One line of events.log: ``kind`` happened to ``vehicle`` (or None) at ``tick``,
+    about the immutable ``subject``, whose type ``_DETAILS`` gives and renders."""
+
+    tick: int
+    time: float
+    vehicle: Optional[VehicleId]
+    kind: str
+    subject: Any
+
+    @property
+    def detail(self) -> str:
+        return _DETAILS[self.kind](self.subject)
+
+    def line(self) -> str:
+        who = f"v{self.vehicle}" if self.vehicle is not None else "-"
+        return f"t={self.time:.3f} {who} {self.kind} {self.detail}".rstrip()
+
+
+_DETAILS: dict[str, Callable[[Any], str]] = {
+    **dict.fromkeys(("maneuver_start", "maneuver_complete", "maneuver_timeout"),
+                    attrgetter("name")),  # ManeuverState
+    # Role: the new role; MessageKind: a sent flag; FaultKind
+    **dict.fromkeys(("role_change", "flag", "fault_injected"), attrgetter("value")),
+    "controller": controller_label,  # ControllerKind: the new selection
+    "platoon_update": lambda platoon: f"series={list(platoon.id_series)}",  # PlatoonInfo
+    "instruction": lambda i: f"{i.maneuver.name} target=v{i.target}"  # ActiveInstruction
+                             + ("" if i.before is None else f" before=v{i.before}"),
+    "cut_in_spawn": lambda e: f"ahead_of=v{e.target} gap={e.s_offset:.1f}",  # CutInEvent
+    "no_strategy": lambda key: f"{key.maneuver.name}/{key.role.value}",  # StrategyKey
+    "collision": lambda other: f"with=v{other}",  # VehicleId of the other vehicle
+    "note": str,  # a strategy's note text
+}

@@ -43,6 +43,7 @@ from .comms import (
 from .controllers import PidState, TriggerKind, TtcMonitor, longitudinal_command
 from .core import (
     ControllerKind,
+    EngineEvent,
     FaultKind,
     IllegalTransition,
     LongitudinalCommand,
@@ -53,6 +54,7 @@ from .core import (
     V2VMessage,
     VehicleId,
     VehicleState,
+    controller_label,
     heartbeat,
 )
 from .dynamics import (
@@ -96,19 +98,6 @@ class TickError(Exception):
 _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
 _NO_SIGNALS = TickSignals()  # for a tick with nothing to signal
-
-
-@dataclass(frozen=True)
-class EngineEvent:
-    tick: int
-    time: float
-    vehicle: Optional[VehicleId]
-    kind: str
-    detail: str
-
-    def line(self) -> str:
-        who = f"v{self.vehicle}" if self.vehicle is not None else "-"
-        return f"t={self.time:.3f} {who} {self.kind} {self.detail}".rstrip()
 
 
 @dataclass
@@ -156,9 +145,14 @@ class RunReport:
     sim_duration: float
     collisions: list[tuple[float, VehicleId, VehicleId]] = field(default_factory=list)
     min_gaps: dict[tuple[VehicleId, VehicleId], float] = field(default_factory=dict)
-    completions: list[tuple[float, VehicleId, str]] = field(default_factory=list)
     takeovers: list[tuple[float, VehicleId]] = field(default_factory=list)
     events: list[EngineEvent] = field(default_factory=list)
+
+    @property
+    def completions(self) -> list[tuple[float, VehicleId, str]]:
+        """(time, vehicle, maneuver name) of each ``maneuver_complete`` event."""
+        return [(e.time, e.vehicle, e.subject.name) for e in self.events
+                if e.kind == "maneuver_complete"]
 
     def to_text(self) -> str:
         lines = [
@@ -187,7 +181,6 @@ class RunReport:
 
 # a vehicle's controller until its first selection; scripted vehicles keep it
 _UNSELECTED = ControllerKind(LongitudinalCommand(LongitudinalMode.DRIVER))
-_UNSELECTED_LABEL = _UNSELECTED.longitudinal.mode.value
 
 
 class _Runtime:
@@ -203,7 +196,7 @@ class _Runtime:
         self.active = script is None
         self.controller = _UNSELECTED
         # the trace's controller cell; a scripted vehicle shows whether it drives
-        self.label = "Off" if script is not None else _UNSELECTED_LABEL
+        self.label = "Off" if script is not None else controller_label(_UNSELECTED)
         self.driver = DriverState(v_set=state.v)
         self.peer_store = peer_store
         self.replica: Optional[PlatoonInfo] = None
@@ -225,9 +218,7 @@ class _Runtime:
             self.pid_cacc.reset()
         self.controller = kind
         if changed:
-            lon = kind.longitudinal
-            self.label = (lon.mode.value if lon.v_set is None
-                          else f"{lon.mode.value}@{lon.v_set:.2f}")
+            self.label = controller_label(kind)
         return changed
 
 
@@ -289,9 +280,8 @@ class Simulator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _log(self, tick: int, vehicle: Optional[VehicleId], kind: str,
-             detail: str = "") -> None:
-        self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, detail))
+    def _log(self, tick: int, vehicle: Optional[VehicleId], kind: str, subject: object) -> None:
+        self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, subject))
 
     def _tick_error(self, tick: int, vid: VehicleId, error: Exception) -> TickError:
         rt = self.runtimes[vid]
@@ -312,7 +302,7 @@ class Simulator:
         self._uplink = []
         for fault in out.faults:
             self.faults.inject(fault.target, fault.kind)
-            self._log(tick, fault.target, "fault_injected", fault.kind.value)
+            self._log(tick, fault.target, "fault_injected", fault.kind)
         for spawn in out.spawns:
             vid = self._intruders[id(spawn)]
             rt = self.runtimes[vid]
@@ -325,13 +315,9 @@ class Simulator:
             rt.active = True
             rt.label = "Script"
             self._snapshot = None
-            self._log(tick, vid, "cut_in_spawn",
-                      f"ahead_of=v{spawn.target} gap={spawn.s_offset:.1f}")
+            self._log(tick, vid, "cut_in_spawn", spawn)
         for instr in out.instructions:
-            detail = f"{instr.maneuver.name} target=v{instr.target}"
-            if instr.before is not None:
-                detail += f" before=v{instr.before}"
-            self._log(tick, instr.target, "instruction", detail)
+            self._log(tick, instr.target, "instruction", instr)
             for vid in self._managed:
                 self.runtimes[vid].manager.offer_instruction(instr)
 
@@ -404,32 +390,28 @@ class Simulator:
                        if new_own or newly_silent or ttc_result is not TriggerKind.NONE
                        else _NO_SIGNALS)
             try:
-                output, mevents = rt.manager.tick(ctx, signals)
+                output, events = rt.manager.tick(ctx, signals)
             except _PROTOCOL_ERRORS as exc:
                 raise self._tick_error(tick, vid, exc) from exc
             if rt.manager.monitor_reset_requested:
                 rt.monitor.reset()
 
-            for ev in mevents:
-                self._log(tick, vid, ev.kind, ev.detail)
-                if ev.kind == "maneuver_complete":
-                    self.report.completions.append((tick * self.dt, vid, ev.detail))
+            self.report.events.extend(events)
             for note in output.notes:
                 self._log(tick, vid, "note", note)
             if output.platoon_update is not None:
                 rt.replica = output.platoon_update
                 rt.replica_tick = tick
-                self._log(tick, vid, "platoon_update",
-                          f"series={list(output.platoon_update.id_series)}")
+                self._log(tick, vid, "platoon_update", output.platoon_update)
             if output.takeover_requested:
                 self.report.takeovers.append((tick * self.dt, vid))
             for msg in output.messages:
                 self.bus.send(msg, self.faults)
                 sent.append(msg)
                 if msg.kind is not MessageKind.HEARTBEAT:
-                    self._log(tick, vid, "flag", msg.kind.value)
+                    self._log(tick, vid, "flag", msg.kind)
             if output.controller is not None and rt.set_controller(output.controller):
-                self._log(tick, vid, "controller", rt.label)
+                self._log(tick, vid, "controller", output.controller)
 
             hb = heartbeat(vid, tick, snapshot[vid], rt.manager.role,
                            rt.replica if rt.manager.member else None)
@@ -476,7 +458,7 @@ class Simulator:
             if pair not in self._collided:
                 self._collided.add(pair)
                 self.report.collisions.append((time_end, pair[0], pair[1]))
-                self._log(tick, pair[0], "collision", f"with=v{pair[1]}")
+                self._log(tick, pair[0], "collision", pair[1])
             if self.spec.halt_on_collision:
                 halt = True
 

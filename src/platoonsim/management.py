@@ -21,6 +21,7 @@ from .core import (
     CloudInstructionTrigger,
     CompletedTrigger,
     ControllerKind,
+    EngineEvent,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
@@ -180,12 +181,6 @@ class TickSignals:
     ttc_result: TriggerKind = TriggerKind.NONE
 
 
-@dataclass
-class ManagerEvent:
-    kind: str
-    detail: str
-
-
 def _same(maneuver: ManeuverState, core: ManeuverState) -> bool:
     return maneuver is core or maneuver == core  # identity first: == builds two tuples
 
@@ -294,9 +289,12 @@ class VehicleManager:
 
     # -- tick ---------------------------------------------------------------
 
+    def _event(self, tick: int, kind: str, subject: object) -> EngineEvent:
+        return EngineEvent(tick, tick * self.dt, self.vid, kind, subject)
+
     def tick(self, ctx: StrategyContext, signals: TickSignals,
-             ) -> tuple[StrategyOutput, list[ManagerEvent]]:
-        events: list[ManagerEvent] = []
+             ) -> tuple[StrategyOutput, list[EngineEvent]]:
+        events: list[EngineEvent] = []
         self.monitor_reset_requested = False
         self._queue_announces(ctx)
         self._queue_faults(ctx, signals)
@@ -309,7 +307,7 @@ class VehicleManager:
             self.progress = StrategyProgress(entered_tick=ctx.tick, data=dict(data))
             self.active_instruction = data.get("instruction")
             self.monitor_reset_requested = True
-            events.append(ManagerEvent("maneuver_start", self.maneuver.name))
+            events.append(self._event(ctx.tick, "maneuver_start", self.maneuver))
             if isinstance(trigger, HardwareFaultTrigger):
                 if data.get("own_entry"):
                     entry_messages.append(V2VMessage(
@@ -335,8 +333,7 @@ class VehicleManager:
         if strategy is None:
             output = StrategyOutput(notes=[
                 f"no strategy for ({self.maneuver.name}, {self.role.value}); holding"])
-            events.append(ManagerEvent("no_strategy",
-                                       f"{self.maneuver.name}/{self.role.value}"))
+            events.append(self._event(ctx.tick, "no_strategy", StrategyKey(*key)))
         else:
             output = strategy.step(ctx, self.progress)
 
@@ -353,7 +350,7 @@ class VehicleManager:
             output.maneuver_done = True
             output.role_change = None
             output.notes.append(f"{self.maneuver.name} timed out; aborting")
-            events.append(ManagerEvent("maneuver_timeout", self.maneuver.name))
+            events.append(self._event(ctx.tick, "maneuver_timeout", self.maneuver))
 
         if output.role_change is not None and output.role_change != self.role:
             cause = _role_cause(self.maneuver, output.role_change)
@@ -361,9 +358,9 @@ class VehicleManager:
             assert new_role == output.role_change
             self.role = new_role
             self.member = new_role.is_member()
-            events.append(ManagerEvent("role_change", self.role.value))
+            events.append(self._event(ctx.tick, "role_change", self.role))
         if output.maneuver_done and not _same(self.maneuver, ManeuverState.PLATOONING):
-            events.append(ManagerEvent("maneuver_complete", self.maneuver.name))
+            events.append(self._event(ctx.tick, "maneuver_complete", self.maneuver))
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)
             self.active_instruction = None

@@ -343,16 +343,20 @@ def validate(spec: ScenarioSpec) -> None:
         for vid in referenced:
             if vid is not None and vid not in ids:
                 raise SpecError(f"{where}: vehicle {vid} not declared")
-        # both would wait in LeaveMiddle / JoinMiddle until maneuver_timeout_s
-        if isinstance(e, LeaveEvent) and leaders and e.target == leaders[0].vid:
-            raise SpecError(f"{where}: the declared leader cannot be told to leave")
+        kind = next(k for k, cls in _EVENT_KINDS.items() if isinstance(e, cls))
+        # the leader has no role edge into a join or a leave, and a join before
+        # its own target has no slot: each would hang until maneuver_timeout_s
+        if kind in ("join", "leave") and leaders and e.target == leaders[0].vid:
+            raise SpecError(f"{where}: the declared leader cannot be told to {kind}")
         if isinstance(e, JoinEvent) and e.before == e.target:
             raise SpecError(f"{where}: a vehicle cannot join before itself")
-        if isinstance(e, CutInEvent):
-            # adjacency to the target is checked at spawn time: the target
-            # may have changed lanes by then
-            if not (0 <= e.lane < geom.lane_count):
-                raise SpecError(f"{where}.lane {e.lane} out of range")
+        # a leaver needs a lane to exit to, an intruder one to cut in from
+        if kind in ("leave", "cut_in") and geom.lane_count < 2:
+            raise SpecError(f"{where}: a {kind} needs a second lane")
+        # adjacency to the target is checked at spawn time: the target may
+        # have changed lanes by then
+        if kind == "cut_in" and not (0 <= e.lane < geom.lane_count):
+            raise SpecError(f"{where}.lane {e.lane} out of range")
 
 
 def initial_platoon(spec: ScenarioSpec) -> Optional[tuple[VehicleId, ...]]:

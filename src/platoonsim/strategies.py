@@ -256,10 +256,7 @@ class JoinMiddleFollower:
         instr = ctx.instruction
         assert instr is not None
         if instr.before != ctx.ego_id:
-            out = StrategyOutput()
-            if ctx.has_flag(MessageKind.UPDATE_FLAG):
-                out.maneuver_done = True
-            return out
+            return HoldUntilUpdate.step(ctx, progress)
 
         if progress.phase in ("init", "opening"):
             progress.advance("opening")
@@ -316,9 +313,8 @@ class AebFollower:
             group = tuple(series[start:]) if series else (ctx.ego_id,)
 
         if ctx.ego_id not in group:
-            out = StrategyOutput(controller=CC(ctx.params.aeb_middle_wait_speed))
-            if ctx.has_flag(MessageKind.UPDATE_FLAG):
-                out.maneuver_done = True
+            out = HoldUntilUpdate.step(ctx, progress)
+            out.controller = CC(ctx.params.aeb_middle_wait_speed)
             return out
 
         out = StrategyOutput(controller=AEB())
@@ -404,10 +400,7 @@ class LeaveFollower:
                          and series.index(ctx.ego_id) == series.index(instr.target) + 1)
         if behind_leaver:
             return self._opener(ctx, progress)
-        out = StrategyOutput()
-        if ctx.has_flag(MessageKind.UPDATE_FLAG):
-            out.maneuver_done = True
-        return out
+        return HoldUntilUpdate.step(ctx, progress)
 
     def _leaver(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         needs_evade = ctx.maneuver == ManeuverState.LEAVE_MIDDLE
@@ -552,7 +545,8 @@ class HoldUntilUpdate:
     """Uninvolved member: keep the current controller until the leader's
     UpdateFlag closes the maneuver."""
 
-    def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
+    @staticmethod
+    def step(ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         out = StrategyOutput()
         if ctx.has_flag(MessageKind.UPDATE_FLAG):
             out.maneuver_done = True

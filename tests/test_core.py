@@ -5,6 +5,7 @@ import pytest
 from platoonsim.core import (
     CloudInstructionTrigger,
     CompletedTrigger,
+    EngineEvent,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
@@ -21,6 +22,9 @@ from platoonsim.core import (
     maneuver_transition,
     role_transition,
 )
+from platoonsim.management import ActiveInstruction, StrategyKey
+from platoonsim.scenario import CutInEvent
+from platoonsim.strategies import ACC, CC, DRIVER
 
 
 class TestRoleTransition:
@@ -180,3 +184,47 @@ class TestMessages:
     def test_vehicle_state_rejects_reverse(self):
         with pytest.raises(ValueError):
             VehicleState(s=0.0, lane=0, v=-1.0)
+
+
+# events.log must not change: these lines are from bundled runs, except the
+# timeout (steady plus a join aimed at the leader, which the loader now
+# rejects) and no_strategy (integrated without a (JoinTail, Follower) strategy).
+@pytest.mark.parametrize("event, line", [
+    (EngineEvent(100, 5.0, 2, "instruction", ActiveInstruction(ManeuverState.JOIN_TAIL, 2)),
+     "t=5.000 v2 instruction JoinTail target=v2"),
+    (EngineEvent(1000, 50.0, 5, "instruction",
+                 ActiveInstruction(ManeuverState.JOIN_MIDDLE, 5, before=3)),
+     "t=50.000 v5 instruction JoinMiddle target=v5 before=v3"),
+    (EngineEvent(100, 5.0, 1, "maneuver_start", ManeuverState.JOIN_TAIL),
+     "t=5.000 v1 maneuver_start JoinTail"),
+    (EngineEvent(157, 157 * 0.05, 1, "maneuver_complete", ManeuverState.JOIN_TAIL),
+     "t=7.850 v1 maneuver_complete JoinTail"),
+    (EngineEvent(1301, 1301 * 0.05, 1, "maneuver_timeout", ManeuverState.JOIN_TAIL),
+     "t=65.050 v1 maneuver_timeout JoinTail"),
+    (EngineEvent(158, 158 * 0.05, 2, "role_change", Role.FOLLOWER),
+     "t=7.900 v2 role_change Follower"),
+    (EngineEvent(156, 156 * 0.05, 2, "flag", MessageKind.JOIN_FLAG),
+     "t=7.800 v2 flag JoinFlag"),
+    (EngineEvent(400, 20.0, 3, "fault_injected", FaultKind.RADAR_FAIL),
+     "t=20.000 v3 fault_injected RadarFail"),
+    (EngineEvent(100, 5.0, 2, "controller", ACC()), "t=5.000 v2 controller ACC"),
+    (EngineEvent(1000, 50.0, 3, "controller", CC(15.0)), "t=50.000 v3 controller CC@15.00"),
+    (EngineEvent(472, 472 * 0.05, 2, "controller", DRIVER(0.0)),
+     "t=23.600 v2 controller Driver@0.00"),
+    (EngineEvent(157, 157 * 0.05, 1, "platoon_update", PlatoonInfo(2, (1, 2))),
+     "t=7.850 v1 platoon_update series=[1, 2]"),
+    (EngineEvent(1400, 70.0, 6, "cut_in_spawn",
+                 CutInEvent(t=70.0, target=1, lane=0, s_offset=18.0, duration=5.0,
+                            ttc_satisfying=True)),
+     "t=70.000 v6 cut_in_spawn ahead_of=v1 gap=18.0"),
+    (EngineEvent(440, 22.0, 2, "no_strategy",
+                 StrategyKey(ManeuverState.JOIN_TAIL, Role.FOLLOWER)),
+     "t=22.000 v2 no_strategy JoinTail/Follower"),
+    (EngineEvent(464, 464 * 0.05, 2, "collision", 3), "t=23.200 v2 collision with=v3"),
+    (EngineEvent(156, 156 * 0.05, 2, "note", "JoinFlag at gap 29.71"),
+     "t=7.800 v2 note JoinFlag at gap 29.71"),
+    (EngineEvent(440, 22.0, 2, "note", "no strategy for (JoinTail, Follower); holding"),
+     "t=22.000 v2 note no strategy for (JoinTail, Follower); holding"),
+])
+def test_each_event_kind_renders_its_subject(event, line):
+    assert event.line() == line

@@ -18,10 +18,19 @@ from conftest import (
 )
 
 from platoonsim import comms, engine, scenario
-from platoonsim.core import ControllerKind, FaultKind, ManeuverState, Role
+from platoonsim.core import (
+    ControllerKind,
+    FaultKind,
+    LongitudinalMode,
+    ManeuverState,
+    MessageKind,
+    PlatoonInfo,
+    Role,
+)
 from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
-from platoonsim.management import StrategyKey, StrategyOutput
+from platoonsim.management import ActiveInstruction, StrategyKey, StrategyOutput
 from platoonsim.scenario import (
+    CutInEvent,
     FaultEvent,
     RunSpec,
     ScenarioSpec,
@@ -173,6 +182,11 @@ class TestDegradation:
                 switches.setdefault(e.vehicle, e)
         assert switches[3].detail.startswith("CC@")
         assert switches[3].time == pytest.approx(10.0)
+        # CC at v3's speed when the fault hit, less the drop
+        selected = switches[3].subject.longitudinal
+        v_at_fault = trace.rows[switches[3].tick - 1][trace.columns.index("v3_v")]
+        assert selected.mode is LongitudinalMode.CC
+        assert selected.v_set == v_at_fault - spec.params.cc_fault_speed_drop
         delay = spec.params.bus.delivery_delay_ticks * spec.run.dt
         for vid in (4, 5):
             assert switches[vid].detail == "ACC"
@@ -249,6 +263,36 @@ class TestHaltAndReporting:
         _, report_b = run(spec)
         assert report_a.to_text() == report_b.to_text()
         assert "collisions: 0" in report_a.to_text()
+
+    @pytest.mark.parametrize("name, completions", [
+        ("join_middle", [(13.15, 1, "JoinMiddle"), (13.200000000000001, 2, "JoinMiddle"),
+                         (13.200000000000001, 3, "JoinMiddle"),
+                         (13.200000000000001, 4, "JoinMiddle"),
+                         (13.200000000000001, 5, "JoinMiddle")]),
+        ("v2v_fault", [(23.0, 3, "HardwareFailures"), (23.5, 4, "HardwareFailures"),
+                       (23.5, 5, "HardwareFailures"), (23.55, 1, "HardwareFailures"),
+                       (23.6, 2, "HardwareFailures")]),
+    ])
+    def test_completions_list_each_maneuver_complete(self, name, completions):
+        _, report = run(bundled_scenario(name))
+        assert report.completions == completions
+
+    def test_event_subjects_are_typed_values(self):
+        subject_types = {
+            "maneuver_start": ManeuverState, "maneuver_complete": ManeuverState,
+            "role_change": Role, "flag": MessageKind, "fault_injected": FaultKind,
+            "controller": ControllerKind, "platoon_update": PlatoonInfo,
+            "instruction": ActiveInstruction, "cut_in_spawn": CutInEvent,
+            "collision": int, "note": str}
+        seen = set()
+        for name, degradation in [("join_middle", True), ("cut_in", True),
+                                  ("radar_fault", True), ("radar_fault", False)]:
+            spec = dataclasses.replace(bundled_scenario(name),
+                                       degradation_enabled=degradation)
+            for e in run(spec)[1].events:
+                assert isinstance(e.subject, subject_types[e.kind]), e
+                seen.add(e.kind)
+        assert seen == set(subject_types)
 
     def test_events_log_round_trip(self, tmp_path):
         spec = bundled_scenario("join_tail")

@@ -1,0 +1,77 @@
+"""Run-level checks over seeded, generated scenarios.
+
+Each seed builds a scenario document: 2-8 vehicles on 1-3 lanes, a platoon
+with a leader and some free vehicles, and joins, leaves, cut-ins and radar
+or V2V faults aimed at any vehicle, with degradation on or off. Such a
+document may break a load rule; then it must be a ``SpecError``. A loaded
+scenario must run to its end or stop with a ``TickError``, and two runs of
+it must write the same bytes.
+"""
+
+import random
+
+import pytest
+
+from platoonsim.engine import Simulator, TickError
+from platoonsim.scenario import SpecError, scenario_from_dict
+
+SEEDS = range(12)
+DURATION = 20.0
+
+
+def generate(seed: int) -> dict:
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    lanes = rng.randint(1, 3)
+    platoon_lane = rng.randrange(lanes)
+    members = rng.randint(1, n)
+    vehicles = []
+    for vid in range(1, n + 1):
+        if vid <= members:
+            role = "leader" if vid == 1 else "follower"
+            s, lane, v = 400.0 - 18.0 * (vid - 1), platoon_lane, 20.0
+        else:
+            role = "free"
+            s = round(rng.uniform(150.0, 450.0), 1)
+            lane, v = rng.randrange(lanes), round(rng.uniform(15.0, 25.0), 1)
+        vehicles.append({"id": vid, "s": s, "lane": lane, "v": v, "role": role})
+    events = []
+    for t in sorted(round(rng.uniform(0.5, DURATION - 2.0), 2)
+                    for _ in range(rng.randint(1, 4))):
+        kind = rng.choice(["join", "leave", "cut_in", "fault"])
+        event = {"t": t, "kind": kind, "target": rng.randint(1, n)}
+        if kind == "join":
+            event["position"] = rng.choice(["tail", f"before:{rng.randint(1, n)}"])
+        elif kind == "cut_in":
+            event.update(lane=rng.randrange(lanes), s_offset=round(rng.uniform(5.0, 25.0), 1),
+                         duration=round(rng.uniform(1.0, 6.0), 1),
+                         ttc_satisfying=rng.random() < 0.5)
+        elif kind == "fault":
+            event["fault"] = rng.choice(["radar", "v2v"])
+        events.append(event)
+    return {"name": f"generated_{seed}", "run": {"dt": 0.05, "duration": DURATION},
+            "vehicles": vehicles, "events": events,
+            "parameters": {"geometry": {"lane_count": lanes}},
+            "modes": {"degradation_enabled": rng.random() < 0.5}}
+
+
+def outputs(spec, out):
+    """The bytes of trace.csv and events.log, or the TickError's text."""
+    try:
+        trace, report = Simulator(spec).run()
+    except TickError as exc:
+        return str(exc)
+    out.mkdir()
+    trace.write_csv(out / "trace.csv")
+    report.write_events(out / "events.log")
+    return (out / "trace.csv").read_bytes(), (out / "events.log").read_bytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
+    try:
+        spec = scenario_from_dict(generate(seed))
+    except SpecError:
+        return
+    # any exception but a TickError fails the test
+    assert outputs(spec, tmp_path / "a") == outputs(spec, tmp_path / "b")

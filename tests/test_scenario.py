@@ -67,6 +67,8 @@ def event(**fields):
 
 NAN = float("nan")
 INF = float("inf")
+ONE_LANE = {"parameters": {"geometry": {"lane_count": 1}},
+            "vehicles": [{**v, "lane": 0} for v in BASE["vehicles"]]}
 CUT_IN = {"kind": "cut_in", "target": 1, "lane": 0, "s_offset": 8.0, "duration": 5.0,
           "ttc_satisfying": False}
 
@@ -190,6 +192,11 @@ class TestLoading:
         (event(kind="join", target=2, position="before:2"), "events[0]"),
         # the bus has no radio range: a V2V fault is the one way to stop hearing it
         ({"parameters": {"bus": {"range_m": 100}}}, "parameters.bus"),
+        # the leader has no role edge into a join: it would hang until the timeout
+        (event(kind="join", target=1, position="tail"), "events[0]"),
+        # on one lane a leaver has no lane to exit to, an intruder none to cut in from
+        ({**ONE_LANE, **event(kind="leave", target=2)}, "events[0]"),
+        ({**ONE_LANE, **event(**CUT_IN)}, "events[0]"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
         with pytest.raises(SpecError, match=re.escape(where)):
