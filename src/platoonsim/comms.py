@@ -10,8 +10,11 @@ receiver's peer store is that table minus the receiver's own entry, so no
 receiver stores or scans its own copy of the N - 1 heartbeats. The one way
 a vehicle stops hearing the bus is its own V2V fault: its store then keeps a
 frozen copy of the table as it stood before. The predecessor search bisects
-per-lane member orders, the quiet peers of one series are found once per
-table and tick, and peer views are built only when looked up.
+per-lane member orders, and peer views are built only when looked up.
+
+A peer is silent once its heartbeat is older than the timeout. Only
+:meth:`HeartbeatTable.quiet` decides which peers are, once per series, table
+and tick; :func:`detect_peer_failure` reads it for one store, in no order.
 """
 
 from __future__ import annotations
@@ -299,16 +302,18 @@ class HeartbeatTable:
 
     def quiet(self, peers: Iterable[VehicleId], tick: int,
               timeout_ticks: int) -> frozenset[VehicleId]:
-        """Those ``peers`` whose heartbeat is older than ``timeout_ticks`` or
-        never came. Kept beside the fresh senders and keyed on the identity
-        of a tuple, so the readers of one replica series share one scan."""
+        """Those ``peers`` whose heartbeat is older than ``timeout_ticks``
+        ticks at ``tick``; a peer never heard from counts as heard at tick 0.
+        Kept beside the fresh senders and keyed on the identity of a tuple,
+        so the readers of one replica series share one scan."""
         memo = self._fresh
         if memo is None or memo[0] != tick or memo[1] != timeout_ticks:
             horizon = tick - timeout_ticks
             memo = (tick, timeout_ticks, frozenset(
                 vid for vid, msg in self._latest.items() if msg.tick_sent >= horizon), None, None)
         if memo[3] is not peers or type(peers) is not tuple:
-            memo = self._fresh = memo[:3] + (peers, frozenset(peers).difference(memo[2]))
+            quiet = frozenset(peers).difference(memo[2]) if tick > timeout_ticks else frozenset()
+            memo = self._fresh = memo[:3] + (peers, quiet)
         return memo[4]
 
 
@@ -318,20 +323,15 @@ class PeerViewStore:
 
     A store opened by :meth:`MessageBus.peer_store` reads the bus's table
     until its owner's V2V fault, and then a frozen copy of it as it stood
-    before the fault. A store built directly has no owner and a private
-    table fed by :meth:`update`. Every reader runs the same code on either
-    table.
+    before the fault. The store only reads the table; the bus feeds it.
+    Its silent peers are read with :func:`detect_peer_failure`, as a set.
     """
 
-    def __init__(self, owner: Optional[VehicleId] = None,
-                 table: Optional[HeartbeatTable] = None) -> None:
+    def __init__(self, owner: VehicleId, table: HeartbeatTable) -> None:
         self.owner = owner
-        self.table = table if table is not None else HeartbeatTable()
+        self.table = table
         self._known_from: Optional[tuple[VehicleId, ...]] = None
         self._known: tuple[VehicleId, ...] = ()
-
-    def update(self, inbox: Iterable[V2VMessage]) -> None:
-        self.table.update(inbox)
 
     def known_peers(self) -> tuple[VehicleId, ...]:
         """Every peer heard from, ascending; rebuilt only after the table's
@@ -344,19 +344,6 @@ class PeerViewStore:
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return None if peer == self.owner else self.table.get(peer)
-
-    def age(self, peer: VehicleId, tick: int) -> int:
-        """Heartbeat age in ticks; a never-heard peer ages from tick 0."""
-        msg = self.raw(peer)
-        return tick if msg is None else tick - msg.tick_sent
-
-    def silent_ages(self, peers: Iterable[VehicleId], tick: int,
-                    timeout_ticks: int) -> dict[VehicleId, int]:
-        """The ages of those ``peers``, other than the owner, whose
-        heartbeat is older than ``timeout_ticks`` or never came (the
-        candidates for :func:`detect_peer_failure`); see :meth:`HeartbeatTable.quiet`."""
-        quiet = self.table.quiet(peers, tick, timeout_ticks)
-        return {p: self.age(p, tick) for p in quiet if p != self.owner} if quiet else {}
 
     def leader_heartbeat(self) -> Optional[V2VMessage]:
         """Of the last update's leader heartbeats carrying a platoon, other
@@ -464,9 +451,10 @@ def v2v_payload(store: PeerViewStore, tick: int, timeout_ticks: int,
     return PeerViews(store, tick, timeout_ticks, degradation_enabled)
 
 
-def detect_peer_failure(heartbeat_ages: Mapping[VehicleId, int],
-                        timeout_ticks: int) -> list[VehicleId]:
-    """Platoon peers whose heartbeat age exceeds the timeout, sorted."""
+def detect_peer_failure(store: PeerViewStore, peers: Iterable[VehicleId], tick: int,
+                        timeout_ticks: int) -> frozenset[VehicleId]:
+    """Those ``peers``, other than the store's owner, that are silent at
+    ``tick`` (see :meth:`HeartbeatTable.quiet`), in no order."""
     if timeout_ticks < 1:
         raise ValueError("timeout must be at least one tick")
-    return sorted(p for p, age in heartbeat_ages.items() if age > timeout_ticks)
+    return store.table.quiet(peers, tick, timeout_ticks).difference((store.owner,))

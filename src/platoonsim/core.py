@@ -196,8 +196,6 @@ def _mandated_maneuver(trigger: ManeuverTrigger) -> ManeuverState:
         return ManeuverState.AEB_HEAD if trigger.at_head else ManeuverState.AEB_MIDDLE
     if isinstance(trigger, ObstacleCutInTrigger):
         return ManeuverState.CUT_IN
-    if isinstance(trigger, HardwareFaultTrigger):
-        return ManeuverState.HARDWARE_FAILURES
     raise TypeError(f"not a maneuver-starting trigger: {trigger!r}")
 
 

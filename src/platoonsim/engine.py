@@ -17,6 +17,7 @@ keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
 so the bus stage is one ``deliver`` call; management reads the leader
 replica, the silent peers and the predecessor from the store without
 walking an inbox, and strategies get only the non-heartbeat messages.
+Fault signals reach the manager in no order, and it orders them.
 
 A protocol error a strategy causes inside a tick is raised as a
 :class:`TickError` naming the tick, the vehicle and its maneuver.
@@ -98,6 +99,7 @@ class TickError(Exception):
 _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
 _NO_SIGNALS = TickSignals()  # for a tick with nothing to signal
+_NONE: frozenset = frozenset()  # no fault, no silent peer
 
 
 @dataclass
@@ -355,36 +357,27 @@ class Simulator:
             assert rt.monitor is not None and rt.manager is not None
             ttc_result = rt.monitor.update(reading)
 
-            own: frozenset[FaultKind] = frozenset()
-            new_own: tuple[FaultKind, ...] = ()
-            newly_silent: tuple[VehicleId, ...] = ()
+            own = new_own = newly_silent = _NONE
             if degradation:
                 own = self.faults.active(vid)
-                fresh = own - rt.reported_own
-                if fresh:
-                    rt.reported_own |= fresh
-                    new_own = tuple(sorted(fresh, key=lambda k: k.value))
+                new_own = own - rt.reported_own
+                rt.reported_own |= new_own
                 # a vehicle that cannot hear does not blame its peers for the silence
                 if (rt.manager.member and rt.replica is not None
                         and (not own or FaultKind.V2V_FAIL not in own)):
-                    candidates = store.silent_ages(rt.replica.id_series, tick, hb_timeout)
-                    if candidates:
-                        # sorted, so the new ones are too
-                        silent = detect_peer_failure(candidates, hb_timeout)
-                        newly_silent = tuple(p for p in silent
-                                             if p not in rt.reported_silent)
-                        rt.reported_silent.update(newly_silent)
+                    newly_silent = detect_peer_failure(
+                        store, rt.replica.id_series, tick, hb_timeout) - rt.reported_silent
+                    rt.reported_silent |= newly_silent
 
             rt.last_payload = v2v_payload(store, tick, hb_timeout, degradation)
             ctx = rt.ctx
-            if ctx is None:  # built on the first tick; the per-tick fields are refilled below
+            if ctx is None:  # built once; refilled below, and by the manager's tick
                 ctx = rt.ctx = StrategyContext(
                     tick, self.dt, vid, snapshot[vid], rt.manager.role, rt.manager.maneuver,
                     reading, rt.last_payload, (), rt.replica, None, self.params,
                     degradation_enabled=degradation, driver=rt.driver)
             ctx.tick, ctx.ego, ctx.reading, ctx.peers, ctx.inbox = (
                 tick, snapshot[vid], reading, rt.last_payload, flag_inboxes[vid])
-            ctx.role, ctx.maneuver, ctx.instruction = rt.manager.role, rt.manager.maneuver, None
             ctx.platoon, ctx.own_faults = rt.replica, own
             signals = (TickSignals(new_own, newly_silent, ttc_result)
                        if new_own or newly_silent or ttc_result is not TriggerKind.NONE

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Collection, Mapping, Optional, Protocol, Sequence
 
 from .comms import PeerView, RadarReading
 from .controllers import TriggerKind
@@ -174,10 +174,12 @@ class StrategyRegistry:
 
 @dataclass(frozen=True)
 class TickSignals:
-    """Per-tick detector outputs the engine feeds into the manager."""
+    """Per-tick detector outputs the engine feeds into the manager. The
+    faults and silent peers come in no order; :class:`VehicleManager`
+    queues them in a fixed one."""
 
-    new_own_faults: Sequence[FaultKind] = ()
-    newly_silent_peers: Sequence[VehicleId] = ()
+    new_own_faults: Collection[FaultKind] = ()
+    newly_silent_peers: Collection[VehicleId] = ()
     ttc_result: TriggerKind = TriggerKind.NONE
 
 
@@ -225,10 +227,13 @@ class VehicleManager:
 
     # -- trigger handling ---------------------------------------------------
 
+    def _takes_part(self, instr: ActiveInstruction) -> bool:
+        """Members always take part; a free vehicle only as the target."""
+        return self.role is not Role.FREE_VEHICLE or instr.target == self.vid
+
     def offer_instruction(self, instr: ActiveInstruction) -> bool:
-        """Queue a cloud instruction. Free vehicles only react when they are
-        the instructed target; members always take part."""
-        if self.role is Role.FREE_VEHICLE and instr.target != self.vid:
+        """Queue a cloud instruction the vehicle takes part in."""
+        if not self._takes_part(instr):
             return False
         self._pending_instructions.append(instr)
         return True
@@ -270,9 +275,10 @@ class VehicleManager:
     def _select_trigger(self, ctx: StrategyContext, signals: TickSignals,
                         ) -> Optional[tuple[ManeuverTrigger, dict]]:
         in_platooning = _same(self.maneuver, ManeuverState.PLATOONING)
-        if in_platooning and self._pending_instructions:
+        while in_platooning and self._pending_instructions:
             instr = self._pending_instructions.popleft()
-            return CloudInstructionTrigger(instr.maneuver), {"instruction": instr}
+            if self._takes_part(instr):  # else the vehicle turned free since it was queued
+                return CloudInstructionTrigger(instr.maneuver), {"instruction": instr}
         fault = self._fault_trigger()
         if fault is not None:
             return fault

@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from platoonsim.comms import HeartbeatTable, PeerView, RadarReading
+from platoonsim.comms import HeartbeatTable, PeerView, PeerViewStore, RadarReading
 from platoonsim.core import (
     ControllerKind,
     IllegalTransition,
@@ -112,6 +112,12 @@ BROKEN_STRATEGIES = [
     (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
     (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
 ]
+
+
+def open_store(owner=0):
+    """A peer store on a heartbeat table of its own, which the test feeds
+    through ``store.table``; the default owner, 0, sends no heartbeat."""
+    return PeerViewStore(owner, HeartbeatTable())
 
 
 def count_quiet_scans(monkeypatch):

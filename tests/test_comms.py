@@ -5,11 +5,12 @@ import itertools
 
 import pytest
 
+from conftest import open_store
+
 from platoonsim.comms import (
     BusConfig,
     FaultBoard,
     MessageBus,
-    PeerViewStore,
     detect_peer_failure,
     radar_sense,
     v2v_payload,
@@ -30,11 +31,6 @@ GEOM = LaneGeometry()
 
 def msg(sender, kind=MessageKind.JOIN_FLAG, tick=100):
     return V2VMessage(sender, kind, tick)
-
-
-def ages(store, peers, tick):
-    """Heartbeat age of each of ``peers`` in ``store``."""
-    return {p: store.age(p, tick) for p in peers}
 
 
 def bus_with_receivers(receivers, config=BusConfig()):
@@ -160,20 +156,20 @@ class TestRadar:
 
 
 def store_with(tick_sent, sender=3, v=20.0, a=0.0):
-    store = PeerViewStore()
+    store = open_store()
     state = VehicleState(s=50.0, lane=1, v=v, a=a)
-    store.update([heartbeat(sender, tick_sent, state, Role.FOLLOWER,
-                            PlatoonInfo(1, (sender,)))])
+    store.table.update([heartbeat(sender, tick_sent, state, Role.FOLLOWER,
+                                  PlatoonInfo(1, (sender,)))])
     return store
 
 
 class TestPeerViews:
     def test_freshest_heartbeat_wins(self):
-        store = PeerViewStore()
+        store = open_store()
         old = VehicleState(s=10.0, lane=1, v=10.0)
         new = VehicleState(s=11.0, lane=1, v=12.0)
-        store.update([heartbeat(3, 5, old, Role.FOLLOWER, None)])
-        store.update([heartbeat(3, 6, new, Role.FOLLOWER, None)])
+        store.table.update([heartbeat(3, 5, old, Role.FOLLOWER, None)])
+        store.table.update([heartbeat(3, 6, new, Role.FOLLOWER, None)])
         views = v2v_payload(store, tick=7, timeout_ticks=10, degradation_enabled=True)
         assert views[3].v == 12.0
         assert views[3].age_ticks == 1
@@ -213,9 +209,9 @@ class TestPeerViewsGet:
             views[4]
 
     def test_owner_is_the_default(self):
-        store = PeerViewStore(owner=3)
-        store.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
-                                Role.FOLLOWER, None)])
+        store = open_store(owner=3)
+        store.table.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
+                                      Role.FOLLOWER, None)])
         views = v2v_payload(store, tick=101, timeout_ticks=10, degradation_enabled=False)
         assert views.get(3) is None
         assert views.get(3, "default") == "default"
@@ -223,26 +219,40 @@ class TestPeerViewsGet:
 
 
 class TestPeerFailureDetection:
+    def store_heard_from_2_at(self, tick_sent):
+        store = open_store(owner=1)
+        store.table.update([heartbeat(2, tick_sent, VehicleState(s=0.0, lane=0, v=20.0),
+                                      Role.FOLLOWER, None)])
+        return store
+
     def test_fresh_peer_not_failed(self):
-        assert detect_peer_failure({2: 3}, timeout_ticks=10) == []
+        store = self.store_heard_from_2_at(7)  # 3 ticks old at tick 10
+        assert detect_peer_failure(store, (2,), tick=10, timeout_ticks=10) == set()
 
     def test_aged_peer_failed(self):
-        assert detect_peer_failure({2: 11}, timeout_ticks=10) == [2]
+        store = self.store_heard_from_2_at(0)
+        assert detect_peer_failure(store, (2,), tick=10, timeout_ticks=10) == set()
+        assert detect_peer_failure(store, (2,), tick=11, timeout_ticks=10) == {2}
 
     def test_never_heard_peer_fails_once_tick_exceeds_timeout(self):
-        store = PeerViewStore()
-        assert detect_peer_failure(ages(store, [4], tick=10), timeout_ticks=10) == []
-        assert detect_peer_failure(ages(store, [4], tick=11), timeout_ticks=10) == [4]
+        store = open_store()
+        assert detect_peer_failure(store, (4,), tick=10, timeout_ticks=10) == set()
+        assert detect_peer_failure(store, (4,), tick=11, timeout_ticks=10) == {4}
+
+    def test_the_owner_is_never_silent(self):
+        store = self.store_heard_from_2_at(0)
+        assert detect_peer_failure(store, (1, 2, 3), tick=20, timeout_ticks=10) == {2, 3}
 
     def test_heartbeat_liveness_age_bound(self):
         # a peer heard via a delay-1 bus is never older than delay + 1 ticks
-        bus = bus_with_receivers([1, 2], BusConfig(delivery_delay_ticks=1))
+        bus = MessageBus(BusConfig(delivery_delay_ticks=1))
+        store = bus.peer_store(1)
+        bus.peer_store(2)
         faults = FaultBoard()
-        store = PeerViewStore()
         state = VehicleState(s=0.0, lane=0, v=20.0)
         for tick in range(50):
             bus.send(heartbeat(2, tick, state, Role.FOLLOWER, None), faults)
-            inbox = bus.deliver(tick, faults)[1]
-            store.update(inbox)
+            bus.deliver(tick, faults)
             if tick >= 1:
-                assert store.age(2, tick) <= 2
+                assert tick - store.raw(2).tick_sent <= 2
+                assert detect_peer_failure(store, (2,), tick, timeout_ticks=2) == set()

@@ -3,6 +3,8 @@ and the cross-layer invariants that only show up in full runs."""
 
 import csv
 import dataclasses
+import hashlib
+import importlib.util
 import inspect
 import json
 import math
@@ -40,8 +42,16 @@ from platoonsim.scenario import (
 from platoonsim.strategies import CC, DRIVER
 
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent.parent / "platoonbench" / "golden.json").read_text())
+BENCH_DIR = Path(__file__).resolve().parent.parent / "platoonbench"
+GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text())
+
+
+def load_bench_tracer():
+    """The benchmark's tracer module, loaded from its file as it stands."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_DIR / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def platoon_spec(name="five", duration=30.0, events=(), spacing=18.0, count=5, **modes):
@@ -322,7 +332,6 @@ class TestBenchmarkHookPoints:
     def test_wrapped_methods_exist(self):
         assert callable(comms.MessageBus.deliver)
         assert callable(comms.MessageBus.send)
-        assert callable(comms.PeerViewStore.update)
         assert callable(scenario.load_scenario)
         assert callable(scenario.scenario_from_dict)
 
@@ -337,6 +346,19 @@ class TestBenchmarkHookPoints:
         monkeypatch.setattr(scenario, "scenario_from_dict", counting)
         spec = scenario.load_scenario(scenario.bundled_scenario_path("steady"))
         assert len(calls) == 1 and spec.name == "steady"
+
+    def test_traced_v2v_fault_matches_golden_and_counts_peer_checks(self, tmp_path):
+        # the benchmark runs bundled legs under its tracer and checks the
+        # trace digest and the bus copies against platoonbench/golden.json
+        with load_bench_tracer().Tracer() as tracer:
+            trace, _ = Simulator(bundled_scenario("v2v_fault")).run(tracer.observe)
+        trace.write_csv(tmp_path / "trace.csv")
+        golden = GOLDEN["v2v_fault"]
+        assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() \
+            == golden["trace_sha256"]
+        summary = tracer.summary()
+        assert summary["comms.MessageBus.deliver.copies"] == golden["bus_copies"]
+        assert summary["comms.detect_peer_failure.calls"] > 0
 
 
 class TestSharedHeartbeatTable:
@@ -385,14 +407,16 @@ class TestSharedHeartbeatTable:
 
         shared_run = Simulator(spec)
         private_run = Simulator(spec)
-        private = {vid: comms.PeerViewStore(vid) for vid in private_run._managed}
+        # one private table per vehicle, fed that vehicle's full inbox
+        private = {vid: comms.PeerViewStore(vid, comms.HeartbeatTable())
+                   for vid in private_run._managed}
         for vid, store in private.items():
             private_run.runtimes[vid].peer_store = store
 
         def feeding(tick, faults):
             inboxes = comms.MessageBus.deliver(private_run.bus, tick, faults)
             for vid, inbox in inboxes.items():
-                private[vid].update(inbox)
+                private[vid].table.update(inbox)
             return inboxes
 
         private_run.bus.deliver = feeding

@@ -75,3 +75,12 @@ def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
         return
     # any exception but a TickError fails the test
     assert outputs(spec, tmp_path / "a") == outputs(spec, tmp_path / "b")
+
+
+@pytest.mark.parametrize("seed", [327, 329])
+def test_a_vehicle_freed_by_a_takeover_drops_another_vehicles_instruction(seed):
+    # a follower took over while another vehicle's JoinTail instruction was
+    # queued, started it as a free vehicle, and the leader stopped the run
+    # with UnknownJoiner on its JoinFlag
+    _, report = Simulator(scenario_from_dict(generate(seed))).run()
+    assert report.ticks == round(DURATION / 0.05)

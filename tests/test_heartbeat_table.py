@@ -76,9 +76,6 @@ class ReferenceStore:
         msg = self._latest.get(peer)
         return tick if msg is None else tick - msg.tick_sent
 
-    def ages(self, peers, tick):
-        return {p: self.age(p, tick) for p in peers}
-
 
 def reference_views(store, tick, timeout_ticks, degradation_enabled):
     views = {}
@@ -96,8 +93,10 @@ def reference_views(store, tick, timeout_ticks, degradation_enabled):
 
 
 def reference_silent(store, vid, series, tick):
+    """The old two-step rule: a never-heard peer's age is the tick, a peer is
+    silent once its age exceeds the timeout, and the owner is dropped."""
     monitored = [p for p in series if p != vid]
-    return detect_peer_failure(store.ages(monitored, tick), TIMEOUT)
+    return {p for p in monitored if store.age(p, tick) > TIMEOUT}
 
 
 def reference_replica(inbox, replica, replica_tick):
@@ -226,7 +225,7 @@ def check_receiver(world, vid, tick, inbox):
     for ego in world.probes(vid):
         assert store.preceding_member(ego) == ref.preceding_member(ego)
     for series in (world.series.id_series, tuple(world.ids)):
-        silent = detect_peer_failure(store.silent_ages(series, tick, TIMEOUT), TIMEOUT)
+        silent = detect_peer_failure(store, series, tick, TIMEOUT)
         assert silent == reference_silent(ref, vid, series, tick)
     assert world.replicas[vid] == world.ref_replicas[vid]
     assert world.bus.flag_inboxes[vid] == [
@@ -305,12 +304,6 @@ class TestDetachRule:
         assert stores[1].known_peers() == () and stores[2].known_peers() == ()
         assert bus.heartbeats.known() == (2,)
 
-    def test_bare_store_is_private(self):
-        store = PeerViewStore()
-        store.update([heartbeat(4, 2, VehicleState(s=5.0, lane=0, v=1.0), Role.LEADER,
-                                PlatoonInfo.solo(4))])
-        assert store.known_peers() == (4,) and store.leader_heartbeat().sender == 4
-
 
 def beat(vid, tick):
     return heartbeat(vid, tick, VehicleState(s=10.0 * vid, lane=1, v=20.0),
@@ -357,9 +350,38 @@ class TestQuietPeers:
     def test_stores_sharing_a_table_share_the_scan_and_drop_their_owner(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
         stores = {vid: PeerViewStore(vid, table) for vid in series}
-        ages = {vid: store.silent_ages(series, 10, 3) for vid, store in stores.items()}
-        assert ages == {1: {2: 6, 4: 10}, 2: {4: 10}, 3: {2: 6, 4: 10}, 4: {2: 6}}
+        silent = {vid: detect_peer_failure(store, series, 10, 3)
+                  for vid, store in stores.items()}
+        assert silent == {1: {2, 4}, 2: {4}, 3: {2, 4}, 4: {2}}
         assert len(scans) == 1
+
+    def test_never_heard_counts_as_heard_at_tick_zero(self, scans):
+        table, series = self.table(), (1, 2, 3, 4)
+        assert table.quiet(series, 3, 3) == set()  # 4 is 3 ticks "old"
+        assert table.quiet(series, 4, 3) == {4}
+        assert len(scans) == 2  # a tick within the timeout still fills the memo
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_detect_peer_failure_is_the_old_two_step_rule(self, seed):
+        rng = random.Random(seed)
+        cases = {"within": 0, "past": 0, "silent": 0}
+        for _ in range(50):
+            timeout = rng.randrange(1, 6)
+            tick = rng.randrange(0, 3 * timeout)
+            table = HeartbeatTable()
+            senders = rng.sample(range(1, 30), rng.randrange(0, 12))
+            table.update(beat(vid, rng.randrange(0, tick + 1)) for vid in senders)
+            owner = rng.choice(senders or [7])
+            # never-heard peers, and the owner itself, among the peers asked about
+            peers = tuple(rng.sample(range(1, 30), rng.randrange(0, 15))) + (owner,)
+            heard = {p: table.get(p) for p in peers if p != owner}
+            ages = {p: tick if msg is None else tick - msg.tick_sent for p, msg in heard.items()}
+            old = sorted(p for p, age in ages.items() if age > timeout)
+            new = detect_peer_failure(PeerViewStore(owner, table), peers, tick, timeout)
+            assert sorted(new) == old
+            cases["within" if tick <= timeout else "past"] += 1
+            cases["silent"] += bool(old)
+        assert all(cases.values()), cases
 
 
 class TestLazyInboxes:

@@ -2,6 +2,8 @@
 strategies against their handshake contracts, and manager trigger handling
 (priority, queueing, preemption)."""
 
+import itertools
+
 import pytest
 
 from conftest import DT, PARAMS, flag, fresh_progress, make_ctx, make_peer, make_reading
@@ -619,6 +621,49 @@ class TestManagerTriggers:
         assert mgr.maneuver == ManeuverState.PLATOONING
         assert mgr.role is Role.FREE_VEHICLE
         assert any(e.kind == "maneuver_timeout" for e in events)
+
+    def taken_over(self, *queued):
+        """Follower 2 after a radar fault and its takeover, with ``queued``
+        offered while it was still a member in HardwareFailures."""
+        mgr, radar = manager_for(), {FaultKind.RADAR_FAIL}
+        mgr.tick(make_ctx(tick=0, own_faults=radar),
+                 TickSignals(new_own_faults=(FaultKind.RADAR_FAIL,)))
+        assert mgr.maneuver == ManeuverState.HARDWARE_FAILURES
+        for instr in queued:
+            assert mgr.offer_instruction(instr)  # a member takes part in any
+        takeover = PARAMS.ticks(PARAMS.takeover_delay_s, DT)
+        mgr.tick(make_ctx(tick=takeover, own_faults=radar,
+                          maneuver=ManeuverState.HARDWARE_FAILURES), TickSignals())
+        assert mgr.role is Role.FREE_VEHICLE and mgr.maneuver == ManeuverState.PLATOONING
+        _, events = mgr.tick(make_ctx(tick=takeover + 1, role=Role.FREE_VEHICLE, series=(),
+                                      own_faults=radar), TickSignals())
+        return mgr, events
+
+    def test_free_vehicle_drops_another_vehicles_queued_instruction(self):
+        mgr, events = self.taken_over(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
+        assert mgr.maneuver == ManeuverState.PLATOONING
+        assert not [e for e in events if e.kind == "maneuver_start"]
+        assert mgr.active_instruction is None
+
+    def test_free_vehicle_starts_its_own_instruction_queued_behind_a_dropped_one(self):
+        own = ActiveInstruction(ManeuverState.JOIN_TAIL, target=2)
+        mgr, _ = self.taken_over(ActiveInstruction(ManeuverState.LEAVE_TAIL, target=9), own)
+        assert mgr.maneuver == ManeuverState.JOIN_TAIL and mgr.active_instruction is own
+
+
+class TestFaultSignalOrder:
+    """The engine hands fault signals over as sets; the manager queues own
+    faults by FaultKind value, then silent peers in ascending id."""
+
+    @pytest.mark.parametrize("own", [*itertools.permutations(FaultKind), frozenset(FaultKind)])
+    @pytest.mark.parametrize("silent", [*itertools.permutations((5, 3, 4)), frozenset((5, 3, 4))])
+    def test_queued_in_a_fixed_order_whatever_the_signal_order(self, own, silent):
+        mgr = manager_for()
+        mgr._queue_faults(make_ctx(own_faults=own), TickSignals(own, silent))
+        by_value = sorted(FaultKind, key=lambda k: k.value)
+        assert list(mgr._pending_faults) == (
+            [(kind, 2, True) for kind in by_value]
+            + [(FaultKind.V2V_FAIL, peer, False) for peer in (3, 4, 5)])
 
 
 class TestDriverRestart:

@@ -7,12 +7,13 @@ import random
 
 import pytest
 
+from conftest import open_store
+
 from platoonsim.comms import (
     BusConfig,
     FaultBoard,
     MessageBus,
     PeerView,
-    PeerViewStore,
     RadarReading,
     radar_sense,
     v2v_payload,
@@ -242,7 +243,7 @@ class TestDeliveryAgainstNestedLoops:
 
 
 def random_store(rng, ids, tick):
-    store = PeerViewStore()
+    store = open_store()
     for _ in range(3):
         inbox = []
         for vid in rng.sample(ids, rng.randrange(len(ids) + 1)):
@@ -251,7 +252,7 @@ def random_store(rng, ids, tick):
             role = rng.choice(list(Role))
             platoon = PlatoonInfo(1, (vid,)) if role.is_member() else None
             inbox.append(heartbeat(vid, tick - rng.randrange(30), state, role, platoon))
-        store.update(inbox)
+        store.table.update(inbox)
     return store
 
 
@@ -273,27 +274,27 @@ class TestPeerViewsAgainstEagerBuild:
             assert store.preceding_member(ego) == preceding_member_reference(store, ego)
 
     def test_iteration_order_follows_new_senders(self):
-        store = PeerViewStore()
+        store = open_store()
         state = VehicleState(s=50.0, lane=1, v=20.0)
-        store.update([heartbeat(vid, 5, state, Role.FOLLOWER, None) for vid in (5, 2, 9)])
+        store.table.update([heartbeat(vid, 5, state, Role.FOLLOWER, None) for vid in (5, 2, 9)])
         views = v2v_payload(store, 6, 10, True)
         assert list(views) == [2, 5, 9] and len(views) == 3
-        store.update([heartbeat(1, 6, state, Role.FOLLOWER, None)])
+        store.table.update([heartbeat(1, 6, state, Role.FOLLOWER, None)])
         assert list(v2v_payload(store, 7, 10, True)) == [1, 2, 5, 9]
 
     def test_unknown_peer(self):
-        store = PeerViewStore()
-        store.update([heartbeat(3, 5, VehicleState(s=50.0, lane=1, v=20.0),
-                                Role.FOLLOWER, None)])
+        store = open_store()
+        store.table.update([heartbeat(3, 5, VehicleState(s=50.0, lane=1, v=20.0),
+                                      Role.FOLLOWER, None)])
         views = v2v_payload(store, 6, 10, True)
         assert views.get(4) is None and 4 not in views and 3 in views
         with pytest.raises(KeyError):
             views[4]
 
     def test_zeroed_only_without_degradation_past_the_timeout(self):
-        store = PeerViewStore()
-        store.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
-                                Role.FOLLOWER, None)])
+        store = open_store()
+        store.table.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
+                                      Role.FOLLOWER, None)])
         assert not v2v_payload(store, 110, 10, False)[3].zeroed
         assert v2v_payload(store, 111, 10, False)[3].zeroed
         assert not v2v_payload(store, 111, 10, True)[3].zeroed
@@ -302,9 +303,9 @@ class TestPeerViewsAgainstEagerBuild:
         ego = VehicleState(s=100.0, lane=1, v=20.0)
 
         def store_of(*beats):
-            store = PeerViewStore()
-            store.update([heartbeat(vid, 5, VehicleState(s=s, lane=lane, v=20.0),
-                                    role, None) for vid, s, lane, role in beats])
+            store = open_store()
+            store.table.update([heartbeat(vid, 5, VehicleState(s=s, lane=lane, v=20.0),
+                                          role, None) for vid, s, lane, role in beats])
             return store
 
         equal = store_of((8, 120.0, 1, Role.FOLLOWER), (4, 120.0, 1, Role.LEADER),
