@@ -396,13 +396,13 @@ class Simulator:
                 rt.replica = output.platoon_update
                 rt.replica_tick = tick
                 self._log(tick, vid, "platoon_update", output.platoon_update)
-            if output.takeover_requested:
-                self.report.takeovers.append((tick * self.dt, vid))
             for msg in output.messages:
                 self.bus.send(msg, self.faults)
                 sent.append(msg)
                 if msg.kind is not MessageKind.HEARTBEAT:
                     self._log(tick, vid, "flag", msg.kind)
+                if msg.kind is MessageKind.TAKEOVER_REQUEST:
+                    self.report.takeovers.append((tick * self.dt, vid))
             if output.controller is not None and rt.set_controller(output.controller):
                 self._log(tick, vid, "controller", output.controller)
 

@@ -122,14 +122,14 @@ class StrategyContext:
 class StrategyOutput:
     """What one strategy step decided: a controller selection, outgoing
     messages, an optional platoon update (leader only), an optional role
-    change (only together with completion or a takeover) and flags."""
+    change (only together with completion, and only along an edge of the
+    role FSM) and notes. A takeover request is a TakeoverRequest message."""
 
     controller: Optional[ControllerKind] = None  # None holds the previous one
     messages: list[V2VMessage] = field(default_factory=list)
     platoon_update: Optional[PlatoonInfo] = None
     role_change: Optional[Role] = None
     maneuver_done: bool = False
-    takeover_requested: bool = False
     notes: list[str] = field(default_factory=list)
 
 
@@ -345,10 +345,8 @@ class VehicleManager:
 
         output.messages = entry_messages + output.messages
 
-        if output.role_change is not None and not (
-                output.maneuver_done or output.takeover_requested):
-            raise IllegalTransition(
-                "role change is only allowed with maneuver completion or takeover")
+        if output.role_change is not None and not output.maneuver_done:
+            raise IllegalTransition("role change is only allowed with maneuver completion")
 
         # liveness bound: abort any maneuver stuck past the timeout
         if (not _same(self.maneuver, ManeuverState.PLATOONING) and not output.maneuver_done
@@ -361,7 +359,9 @@ class VehicleManager:
         if output.role_change is not None and output.role_change != self.role:
             cause = _role_cause(self.maneuver, output.role_change)
             new_role = role_transition(self.role, cause)
-            assert new_role == output.role_change
+            if new_role != output.role_change:
+                raise IllegalTransition(f"no role edge from {self.role.value} "
+                                        f"to {output.role_change.value}")
             self.role = new_role
             self.member = new_role.is_member()
             events.append(self._event(ctx.tick, "role_change", self.role))

@@ -5,6 +5,13 @@ Each strategy materializes its handshake wait-loops as resumable phases in
 the per-vehicle StrategyProgress, so one call per tick advances the protocol
 deterministically. Strategy objects themselves are stateless and may be
 shared between vehicles and keys.
+
+The protocol steps several strategies take are written once, below the
+controller selections: holding until the leader's UpdateFlag
+(``_until_update``), the leader's confirmation with UpdateFlag
+(``_confirm``), the joiner's switch to follower on UpdateFlag
+(``_joined``), opening the gap to ``join_gap`` before the EvadeFlag
+(``_open_gap``) and the platoon-order test (``_behind``).
 """
 
 from __future__ import annotations
@@ -83,13 +90,47 @@ def _entry_series(ctx: StrategyContext, progress: StrategyProgress,
     return progress.data["series"]
 
 
-def _leader_platoon(ctx: StrategyContext) -> Optional[PlatoonInfo]:
-    """Platoon info as replicated from the leader's heartbeat (what a free
-    vehicle can know about the platoon it is joining)."""
-    for view in ctx.peers.values():
-        if view.role is Role.LEADER and view.platoon is not None:
-            return view.platoon
-    return None
+def _behind(series: tuple[VehicleId, ...], a: VehicleId, b: Optional[VehicleId]) -> bool:
+    """Whether ``a`` drives somewhere behind ``b`` in the platoon order."""
+    return a in series and b in series and series.index(a) > series.index(b)
+
+
+def _until_update(ctx: StrategyContext,
+                  controller: Optional[ControllerKind] = None) -> StrategyOutput:
+    """Hold ``controller`` (None keeps the current one) until the leader's
+    UpdateFlag closes the maneuver."""
+    return StrategyOutput(controller=controller,
+                          maneuver_done=ctx.has_flag(MessageKind.UPDATE_FLAG))
+
+
+def _confirm(ctx: StrategyContext, out: StrategyOutput,
+             platoon: Optional[PlatoonInfo]) -> StrategyOutput:
+    """The leader closes the maneuver: adopt ``platoon`` (None keeps the
+    current one) and confirm with UpdateFlag."""
+    out.platoon_update = platoon
+    out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
+    out.maneuver_done = True
+    return out
+
+
+def _joined(ctx: StrategyContext) -> StrategyOutput:
+    """The joiner's last phase: ACC until the leader's UpdateFlag confirms
+    membership, then CACC as a follower."""
+    if not ctx.has_flag(MessageKind.UPDATE_FLAG):
+        return StrategyOutput(controller=ACC())
+    return StrategyOutput(controller=CACC(), role_change=Role.FOLLOWER, maneuver_done=True)
+
+
+def _open_gap(ctx: StrategyContext, progress: StrategyProgress, then: str) -> StrategyOutput:
+    """Slow to the evade speed until the radar gap reaches ``join_gap``,
+    then raise EvadeFlag and advance to phase ``then``."""
+    progress.advance("opening")
+    out = StrategyOutput(controller=CC(ctx.params.evade_speed))
+    if ctx.reading.valid and ctx.reading.gap >= ctx.params.join_gap:
+        out.messages.append(ctx.make(MessageKind.EVADE_FLAG))
+        out.notes.append(f"EvadeFlag at gap {ctx.reading.gap:.2f}")
+        progress.advance(then)
+    return out
 
 
 def _exit_lane(ctx: StrategyContext) -> int:
@@ -145,18 +186,14 @@ class JoinTailFree:
     UpdateFlag confirms membership."""
 
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
+        if progress.phase == "waiting_update":
+            return _joined(ctx)
+        progress.advance("approach")
         out = StrategyOutput(controller=ACC())
-        if progress.phase in ("init", "approach"):
-            progress.advance("approach")
-            if ctx.reading.valid and ctx.reading.gap <= ctx.params.join_gap:
-                out.messages.append(ctx.make(MessageKind.JOIN_FLAG))
-                out.notes.append(f"JoinFlag at gap {ctx.reading.gap:.2f}")
-                progress.advance("waiting_update")
-        elif progress.phase == "waiting_update":
-            if ctx.has_flag(MessageKind.UPDATE_FLAG):
-                out.controller = CACC()
-                out.role_change = Role.FOLLOWER
-                out.maneuver_done = True
+        if ctx.reading.valid and ctx.reading.gap <= ctx.params.join_gap:
+            out.messages.append(ctx.make(MessageKind.JOIN_FLAG))
+            out.notes.append(f"JoinFlag at gap {ctx.reading.gap:.2f}")
+            progress.advance("waiting_update")
         return out
 
 
@@ -175,13 +212,8 @@ class JoinLeader:
         if joiner != instr.target:
             raise UnknownJoiner(f"JoinFlag from {joiner}, instructed {instr.target}")
         if instr.before is None:
-            updated = ctx.platoon.append_tail(joiner)
-        else:
-            updated = ctx.platoon.insert_before(joiner, instr.before)
-        out.platoon_update = updated
-        out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
-        out.maneuver_done = True
-        return out
+            return _confirm(ctx, out, ctx.platoon.append_tail(joiner))
+        return _confirm(ctx, out, ctx.platoon.insert_before(joiner, instr.before))
 
 
 class JoinMiddleFree:
@@ -211,19 +243,13 @@ class JoinMiddleFree:
             return StrategyOutput(controller=_ctrl(
                 LongitudinalMode.DRIVER, progress.data["slot_speed"],
                 LateralCommand(LateralMode.LANE_CHANGE, platoon_lane)))
-        # waiting_update
-        out = StrategyOutput(controller=ACC())
-        if ctx.has_flag(MessageKind.UPDATE_FLAG):
-            out.controller = CACC()
-            out.role_change = Role.FOLLOWER
-            out.maneuver_done = True
-        return out
+        return _joined(ctx)  # waiting_update
 
     def _align(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         instr = ctx.instruction
         assert instr is not None and instr.before is not None
         evader = ctx.peers.get(instr.before)
-        platoon = _leader_platoon(ctx)
+        platoon = ctx.platoon
         if evader is None or platoon is None or instr.before not in platoon.id_series:
             return StrategyOutput(controller=DRIVER(ctx.ego.v))
         idx = platoon.id_series.index(instr.before)
@@ -256,16 +282,12 @@ class JoinMiddleFollower:
         instr = ctx.instruction
         assert instr is not None
         if instr.before != ctx.ego_id:
-            return HoldUntilUpdate.step(ctx, progress)
+            return _until_update(ctx)
 
         if progress.phase in ("init", "opening"):
-            progress.advance("opening")
-            out = StrategyOutput(controller=CC(ctx.params.evade_speed))
-            if ctx.reading.valid and ctx.reading.gap >= ctx.params.join_gap:
-                out.messages.append(ctx.make(MessageKind.EVADE_FLAG))
-                out.notes.append(f"EvadeFlag at gap {ctx.reading.gap:.2f}")
+            out = _open_gap(ctx, progress, "waiting_join")
+            if progress.phase == "waiting_join":  # speed back up once the gap is open
                 out.controller = CC(ctx.params.platoon_speed)
-                progress.advance("waiting_join")
             return out
         if progress.phase == "waiting_join":
             out = StrategyOutput(controller=CC(ctx.params.platoon_speed))
@@ -273,10 +295,7 @@ class JoinMiddleFollower:
                 out.controller = CACC()
                 progress.advance("waiting_update")
             return out
-        out = StrategyOutput(controller=CACC())
-        if ctx.has_flag(MessageKind.UPDATE_FLAG):
-            out.maneuver_done = True
-        return out
+        return _until_update(ctx, CACC())
 
 
 class AebHeadLeader:
@@ -287,10 +306,8 @@ class AebHeadLeader:
         out = StrategyOutput(controller=AEB())
         if _obstacle_cleared(ctx):
             out.messages.append(ctx.make(MessageKind.SAFE_FLAG))
-            out.platoon_update = PlatoonInfo.solo(ctx.ego_id)
-            out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
-            out.maneuver_done = True
             out.notes.append("obstacle gone; platoon reset")
+            return _confirm(ctx, out, PlatoonInfo.solo(ctx.ego_id))
         return out
 
 
@@ -313,9 +330,7 @@ class AebFollower:
             group = tuple(series[start:]) if series else (ctx.ego_id,)
 
         if ctx.ego_id not in group:
-            out = HoldUntilUpdate.step(ctx, progress)
-            out.controller = CC(ctx.params.aeb_middle_wait_speed)
-            return out
+            return _until_update(ctx, CC(ctx.params.aeb_middle_wait_speed))
 
         out = StrategyOutput(controller=AEB())
         if progress.phase in ("init", "braking"):
@@ -351,10 +366,8 @@ class AebMiddleLeader:
         assert ctx.platoon is not None
         detector = progress.data.get("detector")
         if ctx.has_flag(MessageKind.SAFE_FLAG):
-            if detector in ctx.platoon.id_series:
-                out.platoon_update = ctx.platoon.truncate_from(detector)
-            out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
-            out.maneuver_done = True
+            return _confirm(ctx, out, ctx.platoon.truncate_from(detector)
+                            if detector in ctx.platoon.id_series else None)
         return out
 
 
@@ -366,9 +379,7 @@ class CutInMember:
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         series = _entry_series(ctx, progress)
         detector = progress.data.get("detector", ctx.ego_id)
-        affected = (detector == ctx.ego_id
-                    or (detector in series and ctx.ego_id in series
-                        and series.index(ctx.ego_id) > series.index(detector)))
+        affected = detector == ctx.ego_id or _behind(series, ctx.ego_id, detector)
         out = StrategyOutput(controller=ACC() if affected else None)
         if detector == ctx.ego_id:
             if "cut_target" not in progress.data and ctx.reading.target is not None:
@@ -398,9 +409,11 @@ class LeaveFollower:
         behind_leaver = (ctx.maneuver == ManeuverState.LEAVE_MIDDLE
                          and instr.target in series and ctx.ego_id in series
                          and series.index(ctx.ego_id) == series.index(instr.target) + 1)
-        if behind_leaver:
-            return self._opener(ctx, progress)
-        return HoldUntilUpdate.step(ctx, progress)
+        if not behind_leaver:
+            return _until_update(ctx)
+        if progress.phase in ("init", "opening"):
+            return _open_gap(ctx, progress, "waiting_update")
+        return _until_update(ctx, CC(ctx.params.evade_speed))
 
     def _leaver(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         needs_evade = ctx.maneuver == ManeuverState.LEAVE_MIDDLE
@@ -426,18 +439,6 @@ class LeaveFollower:
             LongitudinalMode.CC, ctx.params.platoon_speed,
             LateralCommand(LateralMode.LANE_CHANGE, exit_lane)))
 
-    def _opener(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        out = StrategyOutput(controller=CC(ctx.params.evade_speed))
-        if progress.phase in ("init", "opening"):
-            progress.advance("opening")
-            if ctx.reading.valid and ctx.reading.gap >= ctx.params.join_gap:
-                out.messages.append(ctx.make(MessageKind.EVADE_FLAG))
-                out.notes.append(f"EvadeFlag at gap {ctx.reading.gap:.2f}")
-                progress.advance("waiting_update")
-        elif ctx.has_flag(MessageKind.UPDATE_FLAG):
-            out.maneuver_done = True
-        return out
-
 
 class LeaveLeader:
     """Leader side of both leave maneuvers: prune the leaver once it signals
@@ -448,10 +449,8 @@ class LeaveLeader:
         instr = ctx.instruction
         assert instr is not None and ctx.platoon is not None
         if ctx.has_flag(MessageKind.SAFE_FLAG, sender=instr.target):
-            if instr.target in ctx.platoon.id_series:
-                out.platoon_update = ctx.platoon.remove(instr.target)
-            out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
-            out.maneuver_done = True
+            return _confirm(ctx, out, ctx.platoon.remove(instr.target)
+                            if instr.target in ctx.platoon.id_series else None)
         return out
 
 
@@ -466,7 +465,6 @@ class HardwareFailuresFollower:
     """
 
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        out = StrategyOutput()
         series = _entry_series(ctx, progress)
         degrade: Optional[ControllerKind] = None
         if FaultKind.RADAR_FAIL in ctx.own_faults:
@@ -474,25 +472,17 @@ class HardwareFailuresFollower:
                 progress.data["cc_vset"] = max(
                     0.0, ctx.ego.v - ctx.params.cc_fault_speed_drop)
             degrade = CC(progress.data["cc_vset"])
-        elif FaultKind.V2V_FAIL in ctx.own_faults:
+        elif (FaultKind.V2V_FAIL in ctx.own_faults
+              or _behind(series, ctx.ego_id, progress.data.get("faulty"))):
             degrade = ACC()
-        else:
-            faulty = progress.data.get("faulty")
-            if (faulty in series and ctx.ego_id in series
-                    and series.index(ctx.ego_id) > series.index(faulty)):
-                degrade = ACC()
 
         if degrade is None:
             # ahead of the fault: steady platooning is unaffected
-            out.controller = CACC()
-            if ctx.has_flag(MessageKind.UPDATE_FLAG):
-                out.maneuver_done = True
-            return out
+            return _until_update(ctx, CACC())
 
-        out.controller = degrade
+        out = StrategyOutput(controller=degrade)
         if "takeover_at" not in progress.data:
             progress.data["takeover_at"] = ctx.tick + ctx.ticks(ctx.params.takeover_delay_s)
-            out.takeover_requested = True
             out.messages.append(ctx.make(MessageKind.TAKEOVER_REQUEST))
             out.notes.append("takeover requested")
         if ctx.tick >= progress.data["takeover_at"]:
@@ -527,11 +517,8 @@ class HardwareFailuresLeader:
             taken_over = view.role is Role.FREE_VEHICLE or view.age_ticks > timeout
             if not taken_over:
                 return out
-        out.platoon_update = ctx.platoon.truncate_from(faulty)
-        out.messages.append(ctx.make(MessageKind.UPDATE_FLAG))
-        out.maneuver_done = True
         out.notes.append(f"pruned {list(prune)} after takeover")
-        return out
+        return _confirm(ctx, out, ctx.platoon.truncate_from(faulty))
 
 
 class FreeNoAction:
@@ -545,12 +532,8 @@ class HoldUntilUpdate:
     """Uninvolved member: keep the current controller until the leader's
     UpdateFlag closes the maneuver."""
 
-    @staticmethod
-    def step(ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        out = StrategyOutput()
-        if ctx.has_flag(MessageKind.UPDATE_FLAG):
-            out.maneuver_done = True
-        return out
+    def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
+        return _until_update(ctx)
 
 
 def default_registry() -> StrategyRegistry:

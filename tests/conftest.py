@@ -99,6 +99,15 @@ class RoleChangeWithoutCompletion:
         return out
 
 
+class RoleChangeToLeader:
+    def step(self, ctx, progress):
+        out = StrategyOutput(controller=ControllerKind(
+            LongitudinalCommand(LongitudinalMode.CACC)))
+        if ctx.tick == 40:
+            out.role_change, out.maneuver_done = Role.LEADER, True
+        return out
+
+
 class LaneChangeToLaneFive:
     def step(self, ctx, progress):
         lateral = (LateralCommand(LateralMode.LANE_CHANGE, 5) if ctx.tick == 40
@@ -110,6 +119,7 @@ class LaneChangeToLaneFive:
 FOLLOWER_PLATOONING = StrategyKey(ManeuverState.PLATOONING, Role.FOLLOWER)
 BROKEN_STRATEGIES = [
     (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
+    (RoleChangeToLeader(), IllegalTransition, "no role edge from Follower to Leader"),
     (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
 ]
 

@@ -39,7 +39,7 @@ from platoonsim.scenario import (
     VehicleSpec,
     bundled_scenario,
 )
-from platoonsim.strategies import CC, DRIVER
+from platoonsim.strategies import CACC, CC, DRIVER
 
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "platoonbench"
@@ -426,6 +426,23 @@ class TestSharedHeartbeatTable:
         assert shared_log == private_log
         assert trace_a.rows == trace_b.rows and report_a.events == report_b.events
         assert self.detached(shared_run) == {fault.target}
+
+
+class TakeoverRequestAtTickForty:
+    """Follower v2 sends a TakeoverRequest at tick 40 and does nothing else."""
+
+    def step(self, ctx, progress):
+        out = StrategyOutput(controller=CACC())
+        if ctx.tick == 40 and ctx.ego_id == 2:
+            out.messages.append(ctx.make(MessageKind.TAKEOVER_REQUEST))
+        return out
+
+
+class TestTakeovers:
+    def test_report_lists_each_sent_takeover_request(self):
+        registry = registry_replacing(FOLLOWER_PLATOONING, TakeoverRequestAtTickForty())
+        _, report = Simulator(platoon_spec(duration=5.0), registry).run()
+        assert report.takeovers == [(pytest.approx(2.0), 2)]
 
 
 class TestTickErrors:

@@ -10,6 +10,9 @@ from conftest import DT, PARAMS, flag, fresh_progress, make_ctx, make_peer, make
 
 from platoonsim.core import (
     FaultKind,
+    LateralCommand,
+    LateralMode,
+    LongitudinalCommand,
     LongitudinalMode,
     ManeuverState,
     MessageKind,
@@ -37,6 +40,7 @@ from platoonsim.strategies import (
     HardwareFailuresLeader,
     JoinLeader,
     JoinMiddleFollower,
+    JoinMiddleFree,
     JoinTailFree,
     LeaveFollower,
     LeaveLeader,
@@ -223,6 +227,20 @@ class TestJoinLeader:
         out = JoinLeader().step(ctx, fresh_progress())
         assert not out.maneuver_done
         assert out.platoon_update is None
+
+
+class TestJoinMiddleFree:
+    def test_aligned_joiner_changes_lane_on_evade_flag_by_its_platoon_replica(self):
+        # the peers hold the evader (v3) and its predecessor (v2) but no leader view:
+        # the slot is found in the vehicle's own platoon replica
+        peers = {2: make_peer(s=430.0, v=20.0), 3: make_peer(s=400.0, v=15.0)}
+        instr = ActiveInstruction(ManeuverState.JOIN_MIDDLE, target=6, before=3)
+        ctx = make_ctx(ego_id=6, role=Role.FREE_VEHICLE, maneuver=ManeuverState.JOIN_MIDDLE,
+                       ego_s=415.0, ego_lane=2, peers=peers, series=(1, 2, 3, 4),
+                       instruction=instr, inbox=[flag(MessageKind.EVADE_FLAG, sender=3)])
+        out = JoinMiddleFree().step(ctx, fresh_progress())
+        assert out.controller.longitudinal == LongitudinalCommand(LongitudinalMode.DRIVER, 20.0)
+        assert out.controller.lateral == LateralCommand(LateralMode.LANE_CHANGE, 1)
 
 
 class TestJoinMiddleEvader:
@@ -443,26 +461,25 @@ class TestHardwareFailuresFollower:
         lon = out.controller.longitudinal
         assert lon.mode is LongitudinalMode.CC
         assert lon.v_set == pytest.approx(18.0)
-        assert out.takeover_requested
         assert MessageKind.TAKEOVER_REQUEST in kinds(out)
 
     def test_own_v2v_fault_with_radar_degrades_to_acc(self):
         out = HardwareFailuresFollower().step(
             self.ctx(own_faults={FaultKind.V2V_FAIL}), fresh_progress(faulty=3))
         assert out.controller.longitudinal.mode is LongitudinalMode.ACC
-        assert out.takeover_requested
+        assert MessageKind.TAKEOVER_REQUEST in kinds(out)
 
     def test_behind_faulty_vehicle_degrades_to_acc(self):
         out = HardwareFailuresFollower().step(
             self.ctx(ego_id=4), fresh_progress(faulty=3))
         assert out.controller.longitudinal.mode is LongitudinalMode.ACC
-        assert out.takeover_requested
+        assert MessageKind.TAKEOVER_REQUEST in kinds(out)
 
     def test_ahead_of_faulty_vehicle_keeps_cacc(self):
         out = HardwareFailuresFollower().step(
             self.ctx(ego_id=2), fresh_progress(faulty=3))
         assert out.controller.longitudinal.mode is LongitudinalMode.CACC
-        assert not out.takeover_requested
+        assert MessageKind.TAKEOVER_REQUEST not in kinds(out)
 
     def test_takeover_completes_after_driver_delay(self):
         strategy = HardwareFailuresFollower()
