@@ -119,8 +119,8 @@ class LaneChangeToLaneFive:
 FOLLOWER_PLATOONING = StrategyKey(ManeuverState.PLATOONING, Role.FOLLOWER)
 BROKEN_STRATEGIES = [
     (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
-    (RoleChangeToLeader(), IllegalTransition, "no role edge from Follower to Leader"),
     (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
+    (RoleChangeToLeader(), IllegalTransition, "no role edge from Follower to Leader"),
 ]
 
 
