@@ -1,10 +1,13 @@
 """Cloud-based decision layer, reduced to a deterministic scripted driver.
 
-The cloud issues the scenario's join/leave instructions at their scripted
-times, answers JoinRequests with a tail-join instruction after a fixed
-service delay, and serializes joins so at most one is outstanding per
-platoon. Instructions are omniscient and lossless: they bypass the V2V
-fault model entirely.
+The cloud issues the scenario's leave instructions at their scripted times.
+Scripted joins and answered JoinRequests share one first-in, first-out
+queue: a scripted join is filed due at its event time, a JoinRequest as a
+tail join due a fixed service delay after it was sent, unless its sender is
+already filed or in the platoon. The queue's head is issued once it is due
+and no join is outstanding, and a join stays outstanding until its target
+shows up in the leader's platoon. Instructions are omniscient and lossless:
+they bypass the V2V fault model entirely.
 """
 
 from __future__ import annotations
@@ -36,13 +39,6 @@ from .scenario import (
 
 
 @dataclass
-class CloudState:
-    pending_requests: deque = field(default_factory=deque)  # (due_tick, vid)
-    outstanding_join: Optional[VehicleId] = None
-    queued_targets: set = field(default_factory=set)
-
-
-@dataclass
 class CloudOutput:
     instructions: list[ActiveInstruction] = field(default_factory=list)
     spawns: list[CutInEvent] = field(default_factory=list)
@@ -53,47 +49,39 @@ class Cloud:
     """Scripted instruction issuer plus JoinRequest service."""
 
     def __init__(self, spec: ScenarioSpec, params: Parameters, dt: float) -> None:
-        self.spec = spec
         self.params = params
         self.dt = dt
-        self.state = CloudState()
         self._events = list(spec.events)
         self._next_event = 0
+        # filed joins in filing order, each as (due tick, instruction)
+        self._joins: deque[tuple[int, ActiveInstruction]] = deque()
+        self._filed: set[VehicleId] = set()  # targets queued or outstanding
+        self._outstanding: Optional[VehicleId] = None
 
-    def _join_instruction(self, target: VehicleId,
-                          before: Optional[VehicleId]) -> ActiveInstruction:
+    def _file_join(self, due: int, target: VehicleId,
+                   before: Optional[VehicleId]) -> None:
         maneuver = ManeuverState.JOIN_TAIL if before is None else ManeuverState.JOIN_MIDDLE
-        return ActiveInstruction(maneuver=maneuver, target=target, before=before)
-
-    def _leave_instruction(self, target: VehicleId,
-                           platoon: Optional[PlatoonInfo]) -> ActiveInstruction:
-        at_tail = platoon is not None and platoon.id_series \
-            and platoon.id_series[-1] == target
-        maneuver = ManeuverState.LEAVE_TAIL if at_tail else ManeuverState.LEAVE_MIDDLE
-        return ActiveInstruction(maneuver=maneuver, target=target)
+        self._joins.append((due, ActiveInstruction(maneuver=maneuver, target=target,
+                                                   before=before)))
+        self._filed.add(target)
 
     def tick(self, tick: int, uplink: Sequence[V2VMessage],
              leader_platoon: Optional[PlatoonInfo]) -> CloudOutput:
         out = CloudOutput()
         now = tick * self.dt + 1e-9
+        members = leader_platoon.id_series if leader_platoon is not None else ()
 
-        # a completed join clears the outstanding slot
-        if (self.state.outstanding_join is not None and leader_platoon is not None
-                and self.state.outstanding_join in leader_platoon.id_series):
-            self.state.queued_targets.discard(self.state.outstanding_join)
-            self.state.outstanding_join = None
+        # a join closes once its target shows up in the leader's platoon
+        if self._outstanding is not None and self._outstanding in members:
+            self._filed.discard(self._outstanding)
+            self._outstanding = None
 
         # file join requests (each answered at most once)
         delay = self.params.ticks(self.params.join_service_delay_s, self.dt)
         for msg in uplink:
-            if msg.kind is not MessageKind.JOIN_REQUEST:
-                continue
-            already_member = (leader_platoon is not None
-                              and msg.sender in leader_platoon.id_series)
-            if msg.sender in self.state.queued_targets or already_member:
-                continue
-            self.state.queued_targets.add(msg.sender)
-            self.state.pending_requests.append((msg.tick_sent + delay, msg.sender))
+            if (msg.kind is MessageKind.JOIN_REQUEST and msg.sender not in self._filed
+                    and msg.sender not in members):
+                self._file_join(msg.tick_sent + delay, msg.sender, None)
 
         # scripted events whose time has come
         while self._next_event < len(self._events) and \
@@ -101,26 +89,22 @@ class Cloud:
             event = self._events[self._next_event]
             self._next_event += 1
             if isinstance(event, JoinEvent):
-                instr = self._join_instruction(event.target, event.before)
-                out.instructions.append(instr)
-                self.state.outstanding_join = event.target
-                self.state.queued_targets.add(event.target)
+                self._file_join(tick, event.target, event.before)
             elif isinstance(event, LeaveEvent):
-                out.instructions.append(self._leave_instruction(event.target,
-                                                                leader_platoon))
+                at_tail = members and members[-1] == event.target
+                out.instructions.append(ActiveInstruction(
+                    maneuver=ManeuverState.LEAVE_TAIL if at_tail else ManeuverState.LEAVE_MIDDLE,
+                    target=event.target))
             elif isinstance(event, CutInEvent):
                 out.spawns.append(event)
             elif isinstance(event, FaultEvent):
                 out.faults.append(event)
 
-        # answer the next queued join request once nothing is outstanding
-        if self.state.outstanding_join is None and self.state.pending_requests:
-            due, vid = self.state.pending_requests[0]
-            if tick >= due:
-                self.state.pending_requests.popleft()
-                instr = self._join_instruction(vid, None)
-                out.instructions.append(instr)
-                self.state.outstanding_join = vid
+        # issue the first filed join once it is due and none is outstanding
+        if self._outstanding is None and self._joins and tick >= self._joins[0][0]:
+            _, instr = self._joins.popleft()
+            out.instructions.append(instr)
+            self._outstanding = instr.target
         return out
 
 

@@ -249,7 +249,6 @@ class HeartbeatTable:
         self._latest: dict[VehicleId, V2VMessage] = dict(latest or {})
         # the leader heartbeats carrying a platoon in the last update, in order
         self.leader_beats: list[V2VMessage] = []
-        self._known: Optional[tuple[VehicleId, ...]] = None
         self._lanes: Optional[dict[int, _LaneOrder]] = None
         # (tick, timeout, fresh senders, the last peers asked about, quiet ones)
         self._fresh: Optional[tuple] = None
@@ -264,8 +263,6 @@ class HeartbeatTable:
             if msg.kind is not MessageKind.HEARTBEAT:
                 continue
             cur = latest.get(msg.sender)
-            if cur is None:
-                self._known = None
             if cur is None or msg.tick_sent >= cur.tick_sent:
                 latest[msg.sender] = msg
             if msg.role is Role.LEADER and msg.platoon is not None:
@@ -279,9 +276,7 @@ class HeartbeatTable:
 
     def known(self) -> tuple[VehicleId, ...]:
         """Every sender heard from, ascending."""
-        if self._known is None:
-            self._known = tuple(sorted(self._latest))
-        return self._known
+        return tuple(sorted(self._latest))
 
     def member_lanes(self) -> dict[int, _LaneOrder]:
         """Per lane, the platoon members' ``(s, id)`` in ascending order and,
@@ -330,17 +325,10 @@ class PeerViewStore:
     def __init__(self, owner: VehicleId, table: HeartbeatTable) -> None:
         self.owner = owner
         self.table = table
-        self._known_from: Optional[tuple[VehicleId, ...]] = None
-        self._known: tuple[VehicleId, ...] = ()
 
     def known_peers(self) -> tuple[VehicleId, ...]:
-        """Every peer heard from, ascending; rebuilt only after the table's
-        list of senders changed."""
-        known = self.table.known()
-        if known is not self._known_from:
-            self._known_from = known
-            self._known = tuple(p for p in known if p != self.owner)
-        return self._known
+        """Every peer heard from, ascending."""
+        return tuple(p for p in self.table.known() if p != self.owner)
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return None if peer == self.owner else self.table.get(peer)

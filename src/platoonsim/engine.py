@@ -41,7 +41,7 @@ from .comms import (
     radar_sense,
     v2v_payload,
 )
-from .controllers import PidState, TriggerKind, TtcMonitor, longitudinal_command
+from .controllers import PidState, TriggerKind, longitudinal_command
 from .core import (
     ControllerKind,
     EngineEvent,
@@ -203,7 +203,6 @@ class _Runtime:
         self.peer_store = peer_store
         self.replica: Optional[PlatoonInfo] = None
         self.replica_tick = -1
-        self.monitor: Optional[TtcMonitor] = None
         self.pid_acc = PidState()
         self.pid_cacc = PidState()
         self.reported_own: set[FaultKind] = set()
@@ -254,7 +253,6 @@ class Simulator:
             state = VehicleState(s=v.s, lane=v.lane, v=v.v, length=v.length)
             manager = VehicleManager(v.vid, v.role, self.registry, self.params, self.dt)
             rt = _Runtime(v.vid, state, manager, self.bus.peer_store(v.vid))
-            rt.monitor = TtcMonitor(self.params.ttc)
             if v.role.is_member():
                 rt.replica = platoon
             rt.set_controller(CC(self.params.platoon_speed) if v.role is Role.LEADER
@@ -354,8 +352,8 @@ class Simulator:
             if beat is not None and beat.tick_sent > rt.replica_tick:
                 rt.replica, rt.replica_tick = beat.platoon, beat.tick_sent
             reading = readings[vid]
-            assert rt.monitor is not None and rt.manager is not None
-            ttc_result = rt.monitor.update(reading)
+            assert rt.manager is not None
+            ttc_result = rt.manager.monitor.update(reading)
 
             own = new_own = newly_silent = _NONE
             if degradation:
@@ -386,8 +384,6 @@ class Simulator:
                 output, events = rt.manager.tick(ctx, signals)
             except _PROTOCOL_ERRORS as exc:
                 raise self._tick_error(tick, vid, exc) from exc
-            if rt.manager.monitor_reset_requested:
-                rt.monitor.reset()
 
             self.report.events.extend(events)
             for note in output.notes:

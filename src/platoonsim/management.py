@@ -6,7 +6,8 @@ Trigger priority is cloud > hardware fault > sensor > peer announce. Only a
 hardware fault may preempt a running maneuver; cloud instructions and peer
 announces queue until the vehicle is back in Platooning, while sensor events
 are re-evaluated fresh each tick and never queued (a stale obstacle event
-would misfire after conditions changed).
+would misfire after conditions changed). The manager owns the vehicle's TTC
+baseline and resets it whenever a maneuver starts or completes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Optional, Protocol, Sequence
 
 from .comms import PeerView, RadarReading
-from .controllers import TriggerKind
+from .controllers import TriggerKind, TtcMonitor
 from .core import (
     CloudInstructionTrigger,
     CompletedTrigger,
@@ -219,7 +220,7 @@ class VehicleManager:
         self._pending_instructions: deque[ActiveInstruction] = deque()
         self._pending_announces: deque[tuple[VehicleId, ManeuverState]] = deque()
         self._pending_faults: deque[tuple[FaultKind, VehicleId, bool]] = deque()
-        self.monitor_reset_requested = False
+        self.monitor = TtcMonitor(params.ttc)
         self._timeout_ticks = params.ticks(params.maneuver_timeout_s, dt)
         # the last hit by (maneuver, role): the registry never replaces an entry
         self._strategy_key: Optional[tuple[ManeuverState, Role]] = None
@@ -301,7 +302,6 @@ class VehicleManager:
     def tick(self, ctx: StrategyContext, signals: TickSignals,
              ) -> tuple[StrategyOutput, list[EngineEvent]]:
         events: list[EngineEvent] = []
-        self.monitor_reset_requested = False
         self._queue_announces(ctx)
         self._queue_faults(ctx, signals)
 
@@ -312,7 +312,7 @@ class VehicleManager:
             self.maneuver = maneuver_transition(self.maneuver, trigger)
             self.progress = StrategyProgress(entered_tick=ctx.tick, data=dict(data))
             self.active_instruction = data.get("instruction")
-            self.monitor_reset_requested = True
+            self.monitor.reset()
             events.append(self._event(ctx.tick, "maneuver_start", self.maneuver))
             if isinstance(trigger, HardwareFaultTrigger):
                 if data.get("own_entry"):
@@ -370,6 +370,6 @@ class VehicleManager:
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)
             self.active_instruction = None
-            self.monitor_reset_requested = True
+            self.monitor.reset()
 
         return output, events

@@ -345,11 +345,14 @@ def validate(spec: ScenarioSpec) -> None:
                 raise SpecError(f"{where}: vehicle {vid} not declared")
         kind = next(k for k, cls in _EVENT_KINDS.items() if isinstance(e, cls))
         # the leader has no role edge into a join or a leave, and a join before
-        # its own target has no slot: each would hang until maneuver_timeout_s
+        # its own target or before the leader has no slot: each would hang
+        # until maneuver_timeout_s
         if kind in ("join", "leave") and leaders and e.target == leaders[0].vid:
             raise SpecError(f"{where}: the declared leader cannot be told to {kind}")
         if isinstance(e, JoinEvent) and e.before == e.target:
             raise SpecError(f"{where}: a vehicle cannot join before itself")
+        if isinstance(e, JoinEvent) and leaders and e.before == leaders[0].vid:
+            raise SpecError(f"{where}: a vehicle cannot join before the declared leader")
         # a leaver needs a lane to exit to, an intruder one to cut in from
         if kind in ("leave", "cut_in") and geom.lane_count < 2:
             raise SpecError(f"{where}: a {kind} needs a second lane")

@@ -84,3 +84,12 @@ def test_a_vehicle_freed_by_a_takeover_drops_another_vehicles_instruction(seed):
     # with UnknownJoiner on its JoinFlag
     _, report = Simulator(scenario_from_dict(generate(seed))).run()
     assert report.ticks == round(DURATION / 0.05)
+
+
+@pytest.mark.parametrize("seed", [53, 93, 311])
+def test_a_join_waits_until_the_last_joiner_is_in_the_platoon(seed):
+    # the cloud issued a join while another was outstanding, the second
+    # joiner flagged to a vehicle that was not the platoon's tail, and the
+    # leader stopped the run with UnknownJoiner on its JoinFlag
+    _, report = Simulator(scenario_from_dict(generate(seed))).run()
+    assert report.ticks == round(DURATION / 0.05)

@@ -543,6 +543,19 @@ class TestManagerTriggers:
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         assert mgr.active_instruction is instr
 
+    def test_maneuver_start_resets_the_ttc_baseline(self):
+        mgr, idle = manager_for(), manager_for()
+        for m in (mgr, idle):
+            m.monitor.update(make_reading(gap=30.0, target=1))
+        mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
+        mgr.tick(make_ctx(), TickSignals())
+        idle.tick(make_ctx(), TickSignals())
+        assert mgr.maneuver == ManeuverState.JOIN_TAIL
+        # a new, closer target is a baseline after the reset, a cut-in without it
+        closer = make_reading(gap=8.0, target=9)
+        assert mgr.monitor.update(closer) is TriggerKind.NONE
+        assert idle.monitor.update(closer) is TriggerKind.CUT_IN
+
     def test_free_vehicle_ignores_instructions_for_others(self):
         mgr = manager_for(9, Role.FREE_VEHICLE)
         assert not mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, 2))

@@ -101,9 +101,10 @@ class TestLoading:
         assert spec.params.gains.kv == 0.6  # untouched default
 
     def test_event_parsing(self):
-        spec = scenario_from_dict(doc(events=[
+        free = {"id": 3, "s": 60.0, "lane": 0, "v": 20.0, "role": "free"}
+        spec = scenario_from_dict(doc(vehicles=BASE["vehicles"] + [free], events=[
             {"t": 1.0, "kind": "join", "target": 2, "position": "tail"},
-            {"t": 2.0, "kind": "join", "target": 2, "position": "before:1"},
+            {"t": 2.0, "kind": "join", "target": 3, "position": "before:2"},
             {"t": 3.0, "kind": "fault", "target": 2, "fault": "radar"},
             {"t": 4.0, "kind": "leave", "target": 2},
             {"t": 5.0, "kind": "cut_in", "target": 1, "lane": 0, "s_offset": 8.0,
@@ -111,7 +112,7 @@ class TestLoading:
         ]))
         join_tail, join_mid, fault, leave, cut = spec.events
         assert isinstance(join_tail, JoinEvent) and join_tail.before is None
-        assert isinstance(join_mid, JoinEvent) and join_mid.before == 1
+        assert isinstance(join_mid, JoinEvent) and join_mid.before == 2
         assert isinstance(fault, FaultEvent) and fault.kind is FaultKind.RADAR_FAIL
         assert isinstance(leave, LeaveEvent)
         assert isinstance(cut, CutInEvent) and cut.speed_delta is None
@@ -197,6 +198,8 @@ class TestLoading:
         # on one lane a leaver has no lane to exit to, an intruder none to cut in from
         ({**ONE_LANE, **event(kind="leave", target=2)}, "events[0]"),
         ({**ONE_LANE, **event(**CUT_IN)}, "events[0]"),
+        # no member is ahead of the leader to open a slot: it would hang too
+        (event(kind="join", target=2, position="before:1"), "events[0]"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
         with pytest.raises(SpecError, match=re.escape(where)):
@@ -458,6 +461,26 @@ class TestCloud:
         out = cloud.tick(150, [], platoon)
         assert [i.target for i in out.instructions] == [2]
         assert cloud.tick(151, [], platoon).instructions == []
+
+    def test_scripted_join_waits_for_an_answered_request(self):
+        spec = self.spec([JoinEvent(t=7.0, target=3)])
+        cloud = Cloud(spec, spec.params, 0.05)
+        platoon = PlatoonInfo(1, (1,))
+        cloud.tick(100, [V2VMessage(2, MessageKind.JOIN_REQUEST, 100)], platoon)
+        assert [i.target for i in cloud.tick(120, [], platoon).instructions] == [2]
+        # the scripted join falls due while vehicle 2 has not joined yet
+        assert cloud.tick(140, [], platoon).instructions == []
+        out = cloud.tick(141, [], PlatoonInfo(2, (1, 2)))
+        assert [i.target for i in out.instructions] == [3]
+
+    def test_scripted_joins_issued_one_at_a_time(self):
+        spec = self.spec([JoinEvent(t=1.0, target=2), JoinEvent(t=2.0, target=3)])
+        cloud = Cloud(spec, spec.params, 0.05)
+        platoon = PlatoonInfo(1, (1,))
+        assert [i.target for i in cloud.tick(20, [], platoon).instructions] == [2]
+        assert cloud.tick(40, [], platoon).instructions == []
+        out = cloud.tick(41, [], PlatoonInfo(2, (1, 2)))
+        assert [i.target for i in out.instructions] == [3]
 
 
 class TestIntruderScript:
