@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Optional, Union
+from typing import Any, Callable, ClassVar, NamedTuple, Optional, Union
 
 VehicleId = int
 
@@ -228,15 +228,7 @@ def maneuver_transition(current: ManeuverState, trigger: ManeuverTrigger) -> Man
 # Kinematic state and controller selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Kinematic truth of one vehicle.
-
-    ``s`` is the front-bumper position on a monotone road coordinate (m);
-    ``lane`` is a 0-based index (0 = rightmost); ``lateral_offset`` is the
-    offset from the current lane center (m, positive toward higher lanes).
-    """
-
+class _VehicleFields(NamedTuple):
     s: float
     lane: int
     v: float
@@ -244,9 +236,25 @@ class VehicleState:
     lateral_offset: float = 0.0
     length: float = 5.0
 
-    def __post_init__(self) -> None:
-        if self.v < 0:
+
+class VehicleState(_VehicleFields):
+    """Kinematic truth of one vehicle.
+
+    ``s`` is the front-bumper position on a monotone road coordinate (m);
+    ``lane`` is a 0-based index (0 = rightmost); ``lateral_offset`` is the
+    offset from the current lane center (m, positive toward higher lanes).
+
+    The constructor rejects a negative speed. ``_replace`` and ``_make``
+    build the tuple without that check, so the simulator never calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s: float, lane: int, v: float, a: float = 0.0,
+                lateral_offset: float = 0.0, length: float = 5.0) -> "VehicleState":
+        if v < 0:
             raise ValueError("speed must be non-negative")
+        return tuple.__new__(cls, (s, lane, v, a, lateral_offset, length))
 
     @property
     def rear(self) -> float:

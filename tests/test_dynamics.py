@@ -1,7 +1,6 @@
 """Dynamics tests: integration arithmetic, clamping, the closed-form braking
 oracle, lane changes and collision detection."""
 
-import dataclasses
 import random
 
 import pytest
@@ -151,21 +150,21 @@ class TestCollisions:
 
 
 def replace_longitudinal(state, a_cmd, limits, dt):
-    """The ``dataclasses.replace`` formulation of :func:`step_longitudinal`."""
+    """The ``_replace`` formulation of :func:`step_longitudinal`."""
     a = limits.clamp(a_cmd)
     if state.v <= 0.0 and a <= 0.0:
-        return dataclasses.replace(state, v=0.0, a=a if state.v > 0 else 0.0)
+        return state._replace(v=0.0, a=a if state.v > 0 else 0.0)
     v_next = state.v + a * dt
     if v_next < 0.0:
         t_stop = state.v / -a
         s_next = state.s + state.v * t_stop + 0.5 * a * t_stop * t_stop
-        return dataclasses.replace(state, s=s_next, v=0.0, a=a)
+        return state._replace(s=s_next, v=0.0, a=a)
     s_next = state.s + state.v * dt + 0.5 * a * dt * dt
-    return dataclasses.replace(state, s=s_next, v=v_next, a=a)
+    return state._replace(s=s_next, v=v_next, a=a)
 
 
 def replace_lateral(state, cmd, geom, dt):
-    """The ``dataclasses.replace`` formulation of :func:`step_lateral`."""
+    """The ``_replace`` formulation of :func:`step_lateral`."""
     rate = geom.lane_width / geom.lane_change_duration
     if cmd.mode is LateralMode.LANE_CENTER or cmd.target_lane == state.lane:
         off = state.lateral_offset
@@ -173,23 +172,23 @@ def replace_lateral(state, cmd, geom, dt):
             return state
         step = rate * dt
         if abs(off) <= step:
-            return dataclasses.replace(state, lateral_offset=0.0)
-        return dataclasses.replace(
-            state, lateral_offset=off - step if off > 0 else off + step)
+            return state._replace(lateral_offset=0.0)
+        return state._replace(
+            lateral_offset=off - step if off > 0 else off + step)
     direction = 1.0 if cmd.target_lane > state.lane else -1.0
     off = state.lateral_offset + direction * rate * dt
     if abs(off) >= geom.lane_width:
-        return dataclasses.replace(state, lane=cmd.target_lane, lateral_offset=0.0)
-    return dataclasses.replace(state, lateral_offset=off)
+        return state._replace(lane=cmd.target_lane, lateral_offset=0.0)
+    return state._replace(lateral_offset=off)
 
 
 def fields_of(state):
-    return tuple(getattr(state, f.name) for f in dataclasses.fields(state))
+    return tuple(getattr(state, name) for name in state._fields)
 
 
 class TestConstructorMatchesReplace:
     """The steps build their states with the constructor; every field must
-    equal the ``dataclasses.replace`` formulation exactly."""
+    equal the ``_replace`` formulation exactly."""
 
     STATES = [
         VehicleState(s=12.5, lane=1, v=0.0, a=-3.0, lateral_offset=0.7, length=4.2),
