@@ -362,8 +362,7 @@ class MessageKind(enum.Enum):
 _KIND_ORDER = {kind: i for i, kind in enumerate(MessageKind)}
 
 
-@dataclass(frozen=True)
-class V2VMessage:
+class V2VMessage(NamedTuple):
     """One broadcast message. Every message carries its sender and send tick;
     payload fields are populated per kind (heartbeats carry kinematics, role
     and the sender's platoon replica; FaultFlag carries the fault kind)."""
