@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     FaultKind,
@@ -158,8 +158,7 @@ class Inboxes(Mapping[VehicleId, list[V2VMessage]]):
 # Radar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadarReading:
+class RadarReading(NamedTuple):
     """Single-target radar return: bumper-to-bumper gap and relative speed to
     the nearest same-lane vehicle ahead. A failed radar reports the fault
     model "very far": valid False with gap pinned at max range. ``target`` is

@@ -26,7 +26,7 @@ A protocol error a strategy causes inside a tick is raised as a
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -329,7 +329,7 @@ class Simulator:
                                   self.params.geometry, self.params.radar_max_range)
             if not reading.valid and not self.spec.degradation_enabled:
                 # without fault detection the corrupted range is consumed as-is
-                reading = replace(reading, valid=True)
+                reading = reading._replace(valid=True)
             readings[vid] = reading
         return readings
 
