@@ -215,8 +215,7 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
 # V2V peer views
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeerView:
+class PeerView(NamedTuple):
     """Latest heartbeat fields for one peer, plus their age in ticks.
     ``zeroed`` marks the no-degradation failure substitution."""
 

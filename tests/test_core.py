@@ -2,6 +2,7 @@
 
 import pytest
 
+from platoonsim.comms import PeerView, RadarReading
 from platoonsim.core import (
     CloudInstructionTrigger,
     CompletedTrigger,
@@ -184,6 +185,26 @@ class TestMessages:
     def test_vehicle_state_rejects_reverse(self):
         with pytest.raises(ValueError):
             VehicleState(s=0.0, lane=0, v=-1.0)
+
+
+class TestRecords:
+    """The four records built every vehicle-tick are NamedTuples, as
+    immutable as the frozen dataclasses they replace."""
+
+    @pytest.mark.parametrize("record, name", [
+        (VehicleState(s=0.0, lane=0, v=1.0), "v"),
+        (V2VMessage(1, MessageKind.HEARTBEAT, 0), "sender"),
+        (RadarReading(True, 10.0, 0.0, 2), "gap"),
+        (PeerView(0.0, 20.0, 0.0, 5.0, Role.FOLLOWER, None, 0), "age_ticks"),
+    ], ids=["VehicleState", "V2VMessage", "RadarReading", "PeerView"])
+    def test_a_field_cannot_be_assigned(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    def test_radar_replace_changes_only_valid(self):
+        reading = RadarReading(False, 200.0, -3.0, 4)._replace(valid=True)
+        assert type(reading) is RadarReading
+        assert reading == RadarReading(True, 200.0, -3.0, 4)
 
 
 # events.log must not change: these lines are from bundled runs, except the
