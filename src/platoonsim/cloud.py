@@ -6,7 +6,8 @@ queue: a scripted join is filed due at its event time, a JoinRequest as a
 tail join due a fixed service delay after it was sent, unless its sender is
 already filed or in the platoon. The queue's head is issued once it is due
 and no join is outstanding, and a join stays outstanding until its target
-shows up in the leader's platoon. Instructions are omniscient and lossless:
+shows up in the leader's platoon. A due head whose target is a member by
+then is dropped, as a member's JoinRequest is never filed. Instructions are omniscient and lossless:
 they bypass the V2V fault model entirely.
 """
 
@@ -100,9 +101,13 @@ class Cloud:
             elif isinstance(event, FaultEvent):
                 out.faults.append(event)
 
-        # issue the first filed join once it is due and none is outstanding
-        if self._outstanding is None and self._joins and tick >= self._joins[0][0]:
+        # issue the first filed join once it is due and none is outstanding,
+        # dropping those whose target is a member by now
+        while self._outstanding is None and self._joins and tick >= self._joins[0][0]:
             _, instr = self._joins.popleft()
+            if instr.target in members:
+                self._filed.discard(instr.target)
+                continue
             out.instructions.append(instr)
             self._outstanding = instr.target
         return out

@@ -93,3 +93,12 @@ def test_a_join_waits_until_the_last_joiner_is_in_the_platoon(seed):
     # leader stopped the run with UnknownJoiner on its JoinFlag
     _, report = Simulator(scenario_from_dict(generate(seed))).run()
     assert report.ticks == round(DURATION / 0.05)
+
+
+def test_a_queued_join_whose_target_is_a_member_is_dropped():
+    # seed 311 files two joins for v8; the cloud issued the second the tick
+    # after v8 joined, and v1, v2 and v8 sat in JoinTail until the timeout
+    spec = scenario_from_dict(dict(generate(311), run={"dt": 0.05, "duration": 90.0}))
+    _, report = Simulator(spec).run()
+    assert [e.subject.target for e in report.events if e.kind == "instruction"].count(8) == 1
+    assert not [e for e in report.events if e.kind == "maneuver_timeout"]
