@@ -163,7 +163,7 @@ class RadarReading(NamedTuple):
     the nearest same-lane vehicle ahead. A failed radar reports the fault
     model "very far": valid False with gap pinned at max range. ``target`` is
     the sim-level identity of the tracked return (None when nothing is in
-    range)."""
+    range). A NamedTuple: it compares as the tuple of its fields."""
 
     valid: bool
     gap: float
@@ -217,7 +217,8 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
 
 class PeerView(NamedTuple):
     """Latest heartbeat fields for one peer, plus their age in ticks.
-    ``zeroed`` marks the no-degradation failure substitution."""
+    ``zeroed`` marks the no-degradation failure substitution. A NamedTuple:
+    it compares as the tuple of its fields."""
 
     s: float
     v: float
