@@ -7,8 +7,8 @@ tail join due a fixed service delay after it was sent, unless its sender is
 already filed or in the platoon. The queue's head is issued once it is due
 and no join is outstanding, and a join stays outstanding until its target
 shows up in the leader's platoon. A due head whose target is a member by
-then is dropped, as a member's JoinRequest is never filed. Instructions are omniscient and lossless:
-they bypass the V2V fault model entirely.
+then is dropped, as a member's JoinRequest is never filed. Instructions are
+omniscient and lossless: they bypass the V2V fault model entirely.
 """
 
 from __future__ import annotations
