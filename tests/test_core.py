@@ -188,8 +188,8 @@ class TestMessages:
 
 
 class TestRecords:
-    """The four records built every vehicle-tick are NamedTuples, as
-    immutable as the frozen dataclasses they replace."""
+    """The four records built every vehicle-tick are NamedTuples, and no
+    field of one can be assigned."""
 
     @pytest.mark.parametrize("record, name", [
         (VehicleState(s=0.0, lane=0, v=1.0), "v"),
