@@ -34,7 +34,6 @@ from .management import (
     StrategyKey,
     StrategyOutput,
     StrategyProgress,
-    TickSignals,
     VehicleManager,
 )
 from .params import Parameters
@@ -352,9 +351,9 @@ def check_extendability() -> CheckResult:
             peers={}, inbox=[], platoon=None, instruction=None, params=params,
             driver=DriverState())
 
-    manager.tick(ctx(0), TickSignals())
+    manager.tick(ctx(0))
     activated = manager.maneuver == split
-    manager.tick(ctx(1), TickSignals())
+    manager.tick(ctx(1))
     completed = manager.maneuver == ManeuverState.PLATOONING
     passed = activated and completed
     return CheckResult(12, "extendability", passed,

@@ -17,7 +17,8 @@ keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
 so the bus stage is one ``deliver`` call; management reads the leader
 replica, the silent peers and the predecessor from the store without
 walking an inbox, and strategies get only the non-heartbeat messages.
-Fault signals reach the manager in no order, and it orders them.
+The engine hands each manager the vehicle's active faults and every peer it
+detects as silent; the manager decides which of them are new and orders them.
 
 A protocol error a strategy causes inside a tick is raised as a
 :class:`TickError` naming the tick, the vehicle and its maneuver.
@@ -41,7 +42,7 @@ from .comms import (
     radar_sense,
     v2v_payload,
 )
-from .controllers import PidState, TriggerKind, longitudinal_command
+from .controllers import PidState, longitudinal_command
 from .core import (
     ControllerKind,
     EngineEvent,
@@ -69,7 +70,6 @@ from .management import (
     DriverState,
     StrategyContext,
     StrategyRegistry,
-    TickSignals,
     UnknownJoiner,
     VehicleManager,
 )
@@ -98,7 +98,6 @@ class TickError(Exception):
 # what a strategy can get wrong; anything else is a fault of the engine
 _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
-_NO_SIGNALS = TickSignals()  # for a tick with nothing to signal
 _NONE: frozenset = frozenset()  # no fault, no silent peer
 
 
@@ -147,7 +146,6 @@ class RunReport:
     sim_duration: float
     collisions: list[tuple[float, VehicleId, VehicleId]] = field(default_factory=list)
     min_gaps: dict[tuple[VehicleId, VehicleId], float] = field(default_factory=dict)
-    takeovers: list[tuple[float, VehicleId]] = field(default_factory=list)
     events: list[EngineEvent] = field(default_factory=list)
 
     @property
@@ -155,6 +153,12 @@ class RunReport:
         """(time, vehicle, maneuver name) of each ``maneuver_complete`` event."""
         return [(e.time, e.vehicle, e.subject.name) for e in self.events
                 if e.kind == "maneuver_complete"]
+
+    @property
+    def takeovers(self) -> list[tuple[float, VehicleId]]:
+        """(time, sender) of each TakeoverRequest, read from its ``flag`` event."""
+        return [(e.time, e.vehicle) for e in self.events
+                if e.kind == "flag" and e.subject is MessageKind.TAKEOVER_REQUEST]
 
     def to_text(self) -> str:
         lines = [
@@ -205,8 +209,6 @@ class _Runtime:
         self.replica_tick = -1
         self.pid_acc = PidState()
         self.pid_cacc = PidState()
-        self.reported_own: set[FaultKind] = set()
-        self.reported_silent: set[VehicleId] = set()
         self.last_payload: Mapping[VehicleId, PeerView] = {}
         self.ctx: Optional[StrategyContext] = None  # refilled every tick
 
@@ -353,19 +355,13 @@ class Simulator:
                 rt.replica, rt.replica_tick = beat.platoon, beat.tick_sent
             reading = readings[vid]
             assert rt.manager is not None
-            ttc_result = rt.manager.monitor.update(reading)
-
-            own = new_own = newly_silent = _NONE
+            own = silent = _NONE
             if degradation:
                 own = self.faults.active(vid)
-                new_own = own - rt.reported_own
-                rt.reported_own |= new_own
                 # a vehicle that cannot hear does not blame its peers for the silence
                 if (rt.manager.member and rt.replica is not None
                         and (not own or FaultKind.V2V_FAIL not in own)):
-                    newly_silent = detect_peer_failure(
-                        store, rt.replica.id_series, tick, hb_timeout) - rt.reported_silent
-                    rt.reported_silent |= newly_silent
+                    silent = detect_peer_failure(store, rt.replica.id_series, tick, hb_timeout)
 
             rt.last_payload = v2v_payload(store, tick, hb_timeout, degradation)
             ctx = rt.ctx
@@ -377,11 +373,8 @@ class Simulator:
             ctx.tick, ctx.ego, ctx.reading, ctx.peers, ctx.inbox = (
                 tick, snapshot[vid], reading, rt.last_payload, flag_inboxes[vid])
             ctx.platoon, ctx.own_faults = rt.replica, own
-            signals = (TickSignals(new_own, newly_silent, ttc_result)
-                       if new_own or newly_silent or ttc_result is not TriggerKind.NONE
-                       else _NO_SIGNALS)
             try:
-                output, events = rt.manager.tick(ctx, signals)
+                output, events = rt.manager.tick(ctx, silent)
             except _PROTOCOL_ERRORS as exc:
                 raise self._tick_error(tick, vid, exc) from exc
 
@@ -397,8 +390,6 @@ class Simulator:
                 sent.append(msg)
                 if msg.kind is not MessageKind.HEARTBEAT:
                     self._log(tick, vid, "flag", msg.kind)
-                if msg.kind is MessageKind.TAKEOVER_REQUEST:
-                    self.report.takeovers.append((tick * self.dt, vid))
             if output.controller is not None and rt.set_controller(output.controller):
                 self._log(tick, vid, "controller", output.controller)
 

@@ -7,7 +7,9 @@ hardware fault may preempt a running maneuver; cloud instructions and peer
 announces queue until the vehicle is back in Platooning, while sensor events
 are re-evaluated fresh each tick and never queued (a stale obstacle event
 would misfire after conditions changed). The manager owns the vehicle's TTC
-baseline and resets it whenever a maneuver starts or completes.
+baseline, which it updates every tick and resets whenever a maneuver starts or
+completes. It also owns the own faults and silent peers it has reported, so
+each one is queued at most once.
 """
 
 from __future__ import annotations
@@ -173,15 +175,7 @@ class StrategyRegistry:
         return tuple(self._entries)
 
 
-@dataclass(frozen=True)
-class TickSignals:
-    """Per-tick detector outputs the engine feeds into the manager. The
-    faults and silent peers come in no order; :class:`VehicleManager`
-    queues them in a fixed one."""
-
-    new_own_faults: Collection[FaultKind] = ()
-    newly_silent_peers: Collection[VehicleId] = ()
-    ttc_result: TriggerKind = TriggerKind.NONE
+_NONE: frozenset = frozenset()  # no new fault, no newly silent peer
 
 
 def _same(maneuver: ManeuverState, core: ManeuverState) -> bool:
@@ -221,6 +215,8 @@ class VehicleManager:
         self._pending_announces: deque[tuple[VehicleId, ManeuverState]] = deque()
         self._pending_faults: deque[tuple[FaultKind, VehicleId, bool]] = deque()
         self.monitor = TtcMonitor(params.ttc)
+        self._latched_own: set[FaultKind] = set()
+        self._latched_silent: set[VehicleId] = set()
         self._timeout_ticks = params.ticks(params.maneuver_timeout_s, dt)
         # the last hit by (maneuver, role): the registry never replaces an entry
         self._strategy_key: Optional[tuple[ManeuverState, Role]] = None
@@ -246,20 +242,22 @@ class VehicleManager:
             if msg.maneuver is not None and msg.maneuver != self.maneuver:
                 self._pending_announces.append((msg.sender, msg.maneuver))
 
-    def _queue_faults(self, ctx: StrategyContext, signals: TickSignals) -> None:
-        """Latch one-tick fault signals; they stay queued until consumed so a
-        same-tick cloud instruction cannot swallow a failure."""
-        if not ((ctx.inbox or signals.new_own_faults or signals.newly_silent_peers)
+    def _queue_faults(self, ctx: StrategyContext, new_own: Collection[FaultKind],
+                      new_silent: Collection[VehicleId]) -> None:
+        """Queue new faults in a fixed order, whatever order they come in;
+        they stay queued until consumed so a same-tick cloud instruction
+        cannot swallow a failure."""
+        if not ((ctx.inbox or new_own or new_silent)
                 and ctx.degradation_enabled and self.member):
             return
         if self.role is Role.FOLLOWER:
             # the leader is driver-operated and never degrades itself
-            for kind in sorted(signals.new_own_faults, key=lambda k: k.value):
+            for kind in sorted(new_own, key=lambda k: k.value):
                 self._pending_faults.append((kind, self.vid, True))
         for msg in ctx.flags(MessageKind.FAULT_FLAG):
             if msg.fault is not None:
                 self._pending_faults.append((msg.fault, msg.sender, False))
-        for peer in sorted(signals.newly_silent_peers):
+        for peer in sorted(new_silent):
             self._pending_faults.append((FaultKind.V2V_FAIL, peer, False))
 
     def _fault_trigger(self) -> Optional[tuple[HardwareFaultTrigger, dict]]:
@@ -273,8 +271,7 @@ class VehicleManager:
             return HardwareFaultTrigger(kind), data
         return None
 
-    def _select_trigger(self, ctx: StrategyContext, signals: TickSignals,
-                        ) -> Optional[tuple[ManeuverTrigger, dict]]:
+    def _select_trigger(self, ttc_result: TriggerKind) -> Optional[tuple[ManeuverTrigger, dict]]:
         in_platooning = _same(self.maneuver, ManeuverState.PLATOONING)
         while in_platooning and self._pending_instructions:
             instr = self._pending_instructions.popleft()
@@ -284,10 +281,10 @@ class VehicleManager:
         if fault is not None:
             return fault
         if in_platooning and self.member:
-            if signals.ttc_result is TriggerKind.AEB:
+            if ttc_result is TriggerKind.AEB:
                 return (ObstacleTtcTrigger(at_head=self.role is Role.LEADER),
                         {"detector": self.vid, "own_entry": True})
-            if signals.ttc_result is TriggerKind.CUT_IN:
+            if ttc_result is TriggerKind.CUT_IN:
                 return ObstacleCutInTrigger(), {"detector": self.vid, "own_entry": True}
         if in_platooning and self._pending_announces:
             sender, maneuver = self._pending_announces.popleft()
@@ -299,14 +296,25 @@ class VehicleManager:
     def _event(self, tick: int, kind: str, subject: object) -> EngineEvent:
         return EngineEvent(tick, tick * self.dt, self.vid, kind, subject)
 
-    def tick(self, ctx: StrategyContext, signals: TickSignals,
+    def tick(self, ctx: StrategyContext, silent: frozenset[VehicleId] = _NONE,
              ) -> tuple[StrategyOutput, list[EngineEvent]]:
+        """One management step. ``silent`` holds every peer the engine's
+        detector finds silent this tick; the own faults are ``ctx.own_faults``."""
         events: list[EngineEvent] = []
+        ttc_result = self.monitor.update(ctx.reading)
+        new_own = new_silent = _NONE
+        if ctx.own_faults or silent:
+            # latched even when not queued: a fault seen while free never
+            # becomes a trigger after the vehicle joins
+            new_own = ctx.own_faults - self._latched_own
+            self._latched_own |= new_own
+            new_silent = silent - self._latched_silent
+            self._latched_silent |= new_silent
         self._queue_announces(ctx)
-        self._queue_faults(ctx, signals)
+        self._queue_faults(ctx, new_own, new_silent)
 
         entry_messages: list[V2VMessage] = []
-        selected = self._select_trigger(ctx, signals)
+        selected = self._select_trigger(ttc_result)
         if selected is not None:
             trigger, data = selected
             self.maneuver = maneuver_transition(self.maneuver, trigger)

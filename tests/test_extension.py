@@ -16,7 +16,6 @@ from platoonsim.management import (
     StrategyKey,
     StrategyOutput,
     StrategyRegistry,
-    TickSignals,
     VehicleManager,
 )
 from platoonsim.scenario import bundled_scenario
@@ -46,12 +45,12 @@ def test_extension_registers_and_activates_via_public_api():
     manager = VehicleManager(2, Role.FOLLOWER, registry, PARAMS, DT)
     manager.offer_instruction(ActiveInstruction(maneuver=SPLIT, target=2))
 
-    out, _ = manager.tick(make_ctx(), TickSignals())
+    out, _ = manager.tick(make_ctx())
     assert manager.maneuver == SPLIT
     assert out.controller.longitudinal.mode is LongitudinalMode.CC
     assert out.controller.longitudinal.v_set == PARAMS.platoon_speed - 3.0
 
-    manager.tick(make_ctx(maneuver=SPLIT), TickSignals())
+    manager.tick(make_ctx(maneuver=SPLIT))
     assert manager.maneuver == ManeuverState.PLATOONING
 
 
@@ -67,7 +66,7 @@ def test_unregistered_extension_role_holds_controller():
     registry.register(StrategyKey(SPLIT, Role.FOLLOWER), SplitStub())
     manager = VehicleManager(1, Role.LEADER, registry, PARAMS, DT)
     manager.offer_instruction(ActiveInstruction(maneuver=SPLIT, target=1))
-    out, events = manager.tick(make_ctx(ego_id=1, role=Role.LEADER), TickSignals())
+    out, events = manager.tick(make_ctx(ego_id=1, role=Role.LEADER))
     # no (Split-stub, Leader) strategy: documented hold-and-log outcome
     assert out.controller is None
     assert any(e.kind == "no_strategy" for e in events)

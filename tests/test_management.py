@@ -27,7 +27,6 @@ from platoonsim.management import (
     StrategyKey,
     StrategyOutput,
     StrategyRegistry,
-    TickSignals,
     UnknownJoiner,
     VehicleManager,
 )
@@ -96,27 +95,27 @@ class TestRegistry:
 
 class TestPlatooningDispatch:
     def test_follower_gets_cacc_and_no_messages(self):
-        out, _ = manager_for().tick(make_ctx(), TickSignals())
+        out, _ = manager_for().tick(make_ctx())
         assert out.controller.longitudinal.mode is LongitudinalMode.CACC
         assert out.messages == []
 
     def test_leader_gets_cc_at_platoon_speed(self):
         out, _ = manager_for(1, Role.LEADER).tick(
-            make_ctx(ego_id=1, role=Role.LEADER), TickSignals())
+            make_ctx(ego_id=1, role=Role.LEADER))
         lon = out.controller.longitudinal
         assert lon.mode is LongitudinalMode.CC
         assert lon.v_set == PARAMS.platoon_speed
 
     def test_free_vehicle_is_driver_controlled(self):
         out, _ = manager_for(9, Role.FREE_VEHICLE).tick(
-            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()), TickSignals())
+            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()))
         assert out.controller.longitudinal.mode is LongitudinalMode.DRIVER
 
     def test_missing_key_holds_and_logs(self):
         mgr = manager_for(9, Role.FREE_VEHICLE)
         mgr.maneuver = ManeuverState.HARDWARE_FAILURES  # unregistered for free
         out, _ = mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(),
-                                   maneuver=ManeuverState.HARDWARE_FAILURES), TickSignals())
+                                   maneuver=ManeuverState.HARDWARE_FAILURES))
         assert out.controller is None
         assert any("no strategy" in note for note in out.notes)
 
@@ -124,12 +123,12 @@ class TestPlatooningDispatch:
         registry = StrategyRegistry()
         mgr = VehicleManager(9, Role.FREE_VEHICLE, registry, PARAMS, DT)
         ctx = make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=1)
-        _, events = mgr.tick(ctx, TickSignals())
+        _, events = mgr.tick(ctx)
         assert [e.kind for e in events] == ["no_strategy"]
         registry.register(StrategyKey(ManeuverState.PLATOONING, Role.FREE_VEHICLE),
                           PlatooningFree())
         out, events = mgr.tick(
-            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=2), TickSignals())
+            make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=2))
         assert events == []
         assert out.controller.longitudinal.mode is LongitudinalMode.DRIVER
 
@@ -152,8 +151,7 @@ class TestPlatooningDispatch:
         mgr = VehicleManager(9, Role.FREE_VEHICLE, registry, PARAMS, DT)
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, 9))
         for tick in range(3):
-            mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=tick),
-                     TickSignals())
+            mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=tick))
         assert calls == ["join", "platooning", "platooning"]
 
 
@@ -538,8 +536,7 @@ class TestManagerTriggers:
         instr = ActiveInstruction(ManeuverState.JOIN_TAIL, target=2)
         assert mgr.offer_instruction(instr)
         out, events = mgr.tick(make_ctx(ego_id=2, role=Role.FREE_VEHICLE,
-                                        series=(), reading=make_reading(gap=45.0)),
-                               TickSignals())
+                                        series=(), reading=make_reading(gap=45.0)))
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         assert mgr.active_instruction is instr
 
@@ -548,8 +545,8 @@ class TestManagerTriggers:
         for m in (mgr, idle):
             m.monitor.update(make_reading(gap=30.0, target=1))
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        mgr.tick(make_ctx(), TickSignals())
-        idle.tick(make_ctx(), TickSignals())
+        mgr.tick(make_ctx())
+        idle.tick(make_ctx())
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         # a new, closer target is a baseline after the reset, a cut-in without it
         closer = make_reading(gap=8.0, target=9)
@@ -559,80 +556,82 @@ class TestManagerTriggers:
     def test_free_vehicle_ignores_instructions_for_others(self):
         mgr = manager_for(9, Role.FREE_VEHICLE)
         assert not mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, 2))
-        mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()), TickSignals())
+        mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=()))
         assert mgr.maneuver == ManeuverState.PLATOONING
 
     def test_instruction_queued_while_busy(self):
         mgr = manager_for()
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        mgr.tick(make_ctx(), TickSignals())
+        mgr.tick(make_ctx())
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         mgr.offer_instruction(ActiveInstruction(ManeuverState.LEAVE_MIDDLE, target=3))
-        mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL), TickSignals())
+        mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL))
         assert mgr.maneuver == ManeuverState.JOIN_TAIL  # still busy, queued
         mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL,
-                          inbox=[flag(MessageKind.UPDATE_FLAG)]), TickSignals())
+                          inbox=[flag(MessageKind.UPDATE_FLAG)]))
         assert mgr.maneuver == ManeuverState.PLATOONING
-        mgr.tick(make_ctx(), TickSignals())
+        mgr.tick(make_ctx())
         assert mgr.maneuver == ManeuverState.LEAVE_MIDDLE
 
     def test_hardware_fault_preempts_running_maneuver(self):
         mgr = manager_for()
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        mgr.tick(make_ctx(), TickSignals())
+        mgr.tick(make_ctx())
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
-        mgr.tick(make_ctx(own_faults={FaultKind.RADAR_FAIL}),
-                 TickSignals(new_own_faults=(FaultKind.RADAR_FAIL,)))
+        mgr.tick(make_ctx(own_faults={FaultKind.RADAR_FAIL}))
         assert mgr.maneuver == ManeuverState.HARDWARE_FAILURES
 
     def test_fault_signal_survives_same_tick_cloud_instruction(self):
         mgr = manager_for()
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        mgr.tick(make_ctx(own_faults={FaultKind.RADAR_FAIL}),
-                 TickSignals(new_own_faults=(FaultKind.RADAR_FAIL,)))
+        mgr.tick(make_ctx(own_faults={FaultKind.RADAR_FAIL}))
         # cloud won the slot this tick; the fault preempts on the next one
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         mgr.tick(make_ctx(own_faults={FaultKind.RADAR_FAIL},
-                          maneuver=ManeuverState.JOIN_TAIL), TickSignals())
+                          maneuver=ManeuverState.JOIN_TAIL))
         assert mgr.maneuver == ManeuverState.HARDWARE_FAILURES
 
     def test_sensor_trigger_dropped_while_busy(self):
         mgr = manager_for()
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        mgr.tick(make_ctx(), TickSignals())
-        mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL),
-                 TickSignals(ttc_result=TriggerKind.CUT_IN))
+        mgr.tick(make_ctx())
+        mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL))
+        mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL,
+                          reading=make_reading(gap=10.0, target=9)))
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
         mgr.tick(make_ctx(maneuver=ManeuverState.JOIN_TAIL,
-                          inbox=[flag(MessageKind.UPDATE_FLAG)]), TickSignals())
-        mgr.tick(make_ctx(), TickSignals())
+                          inbox=[flag(MessageKind.UPDATE_FLAG)]))
+        mgr.tick(make_ctx())
         assert mgr.maneuver == ManeuverState.PLATOONING  # event was not replayed
 
     def test_ttc_trigger_maps_by_role(self):
         leader = manager_for(1, Role.LEADER)
-        leader.tick(make_ctx(ego_id=1, role=Role.LEADER),
-                    TickSignals(ttc_result=TriggerKind.AEB))
+        leader.tick(make_ctx(ego_id=1, role=Role.LEADER))
+        leader.tick(make_ctx(ego_id=1, role=Role.LEADER,
+                             reading=make_reading(gap=4.0, target=9)))
         assert leader.maneuver == ManeuverState.AEB_HEAD
         follower = manager_for()
-        follower.tick(make_ctx(), TickSignals(ttc_result=TriggerKind.AEB))
+        follower.tick(make_ctx())
+        follower.tick(make_ctx(reading=make_reading(gap=4.0, target=9)))
         assert follower.maneuver == ManeuverState.AEB_MIDDLE
 
     def test_sensor_entry_announces_maneuver(self):
         mgr = manager_for()
-        out, _ = mgr.tick(make_ctx(), TickSignals(ttc_result=TriggerKind.CUT_IN))
+        mgr.tick(make_ctx())
+        out, _ = mgr.tick(make_ctx(reading=make_reading(gap=10.0, target=9)))
         assert MessageKind.MANEUVER_ANNOUNCE in kinds(out)
 
     def test_cloud_entry_does_not_announce(self):
         mgr = manager_for()
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        out, _ = mgr.tick(make_ctx(), TickSignals())
+        out, _ = mgr.tick(make_ctx())
         assert MessageKind.MANEUVER_ANNOUNCE not in kinds(out)
 
     def test_peer_announce_adopts_maneuver(self):
         mgr = manager_for()
         announce = flag(MessageKind.MANEUVER_ANNOUNCE, sender=4,
                         maneuver=ManeuverState.AEB_MIDDLE)
-        out, _ = mgr.tick(make_ctx(inbox=[announce]), TickSignals())
+        out, _ = mgr.tick(make_ctx(inbox=[announce]))
         assert mgr.maneuver == ManeuverState.AEB_MIDDLE
         assert mgr.progress.data["detector"] == 4
         # adopting a broadcast selection is not re-announced
@@ -642,12 +641,11 @@ class TestManagerTriggers:
         mgr = manager_for(2, Role.FREE_VEHICLE)
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=2))
         mgr.tick(make_ctx(ego_id=2, role=Role.FREE_VEHICLE, series=(),
-                          reading=make_reading(gap=45.0), tick=0), TickSignals())
+                          reading=make_reading(gap=45.0), tick=0))
         timeout_ticks = PARAMS.ticks(PARAMS.maneuver_timeout_s, DT)
         out, events = mgr.tick(
             make_ctx(ego_id=2, role=Role.FREE_VEHICLE, series=(),
-                     reading=make_reading(gap=45.0), tick=timeout_ticks + 1),
-            TickSignals())
+                     reading=make_reading(gap=45.0), tick=timeout_ticks + 1))
         assert mgr.maneuver == ManeuverState.PLATOONING
         assert mgr.role is Role.FREE_VEHICLE
         assert any(e.kind == "maneuver_timeout" for e in events)
@@ -656,17 +654,16 @@ class TestManagerTriggers:
         """Follower 2 after a radar fault and its takeover, with ``queued``
         offered while it was still a member in HardwareFailures."""
         mgr, radar = manager_for(), {FaultKind.RADAR_FAIL}
-        mgr.tick(make_ctx(tick=0, own_faults=radar),
-                 TickSignals(new_own_faults=(FaultKind.RADAR_FAIL,)))
+        mgr.tick(make_ctx(tick=0, own_faults=radar))
         assert mgr.maneuver == ManeuverState.HARDWARE_FAILURES
         for instr in queued:
             assert mgr.offer_instruction(instr)  # a member takes part in any
         takeover = PARAMS.ticks(PARAMS.takeover_delay_s, DT)
         mgr.tick(make_ctx(tick=takeover, own_faults=radar,
-                          maneuver=ManeuverState.HARDWARE_FAILURES), TickSignals())
+                          maneuver=ManeuverState.HARDWARE_FAILURES))
         assert mgr.role is Role.FREE_VEHICLE and mgr.maneuver == ManeuverState.PLATOONING
         _, events = mgr.tick(make_ctx(tick=takeover + 1, role=Role.FREE_VEHICLE, series=(),
-                                      own_faults=radar), TickSignals())
+                                      own_faults=radar))
         return mgr, events
 
     def test_free_vehicle_drops_another_vehicles_queued_instruction(self):
@@ -682,18 +679,38 @@ class TestManagerTriggers:
 
 
 class TestFaultSignalOrder:
-    """The engine hands fault signals over as sets; the manager queues own
-    faults by FaultKind value, then silent peers in ascending id."""
+    """The manager gets its own faults and the silent peers as sets, and
+    queues each new one once: own faults by FaultKind value, then silent
+    peers in ascending id."""
 
     @pytest.mark.parametrize("own", [*itertools.permutations(FaultKind), frozenset(FaultKind)])
     @pytest.mark.parametrize("silent", [*itertools.permutations((5, 3, 4)), frozenset((5, 3, 4))])
     def test_queued_in_a_fixed_order_whatever_the_signal_order(self, own, silent):
         mgr = manager_for()
-        mgr._queue_faults(make_ctx(own_faults=own), TickSignals(own, silent))
+        mgr._queue_faults(make_ctx(own_faults=own), own, silent)
         by_value = sorted(FaultKind, key=lambda k: k.value)
         assert list(mgr._pending_faults) == (
             [(kind, 2, True) for kind in by_value]
             + [(FaultKind.V2V_FAIL, peer, False) for peer in (3, 4, 5)])
+
+    def test_a_fault_handed_over_on_every_tick_is_queued_once(self):
+        mgr = manager_for()
+        mgr._fault_trigger = lambda: None  # start nothing: keep what tick queues
+        own, silent = frozenset(FaultKind), frozenset((5, 3, 4))
+        for tick in (100, 101, 102):
+            mgr.tick(make_ctx(tick=tick, own_faults=own), silent)
+        by_value = sorted(FaultKind, key=lambda k: k.value)
+        assert list(mgr._pending_faults) == (
+            [(kind, 2, True) for kind in by_value]
+            + [(FaultKind.V2V_FAIL, peer, False) for peer in (3, 4, 5)])
+
+    def test_a_fault_seen_while_free_starts_nothing_once_a_member(self):
+        mgr = manager_for(2, Role.FREE_VEHICLE)
+        radar = {FaultKind.RADAR_FAIL}
+        mgr.tick(make_ctx(role=Role.FREE_VEHICLE, series=(), own_faults=radar))
+        mgr.role, mgr.member = Role.FOLLOWER, True  # as if it had joined
+        mgr.tick(make_ctx(tick=101, own_faults=radar))
+        assert mgr.maneuver == ManeuverState.PLATOONING
 
 
 class TestDriverRestart:
@@ -731,10 +748,10 @@ class TestEqualButDistinctManeuver:
                 mgr.maneuver = ManeuverState(mgr.maneuver.name)
             if tick == 1:
                 mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-            signals = (TickSignals(new_own_faults=(FaultKind.V2V_FAIL,)) if tick == 1250
-                       else TickSignals(newly_silent_peers=(3,)) if tick == 1251
-                       else TickSignals())
-            out, events = mgr.tick(make_ctx(tick=tick, maneuver=mgr.maneuver), signals)
+            own = (FaultKind.V2V_FAIL,) if tick >= 1250 else ()
+            silent = frozenset((3,)) if tick >= 1251 else frozenset()
+            out, events = mgr.tick(make_ctx(tick=tick, maneuver=mgr.maneuver,
+                                            own_faults=own), silent)
             seen.append((mgr.maneuver.name, mgr.role, [(e.kind, e.detail) for e in events],
                          out.controller, kinds(out), out.maneuver_done, out.notes))
         return seen
