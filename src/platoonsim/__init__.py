@@ -20,7 +20,7 @@ from .core import (
     maneuver_transition,
     role_transition,
 )
-from .engine import RunReport, Simulator, TickError, Trace, replay_check, run
+from .engine import RunReport, Simulator, TickError, Trace, first_difference, replay_check, run
 from .management import (
     StrategyContext,
     StrategyKey,
@@ -56,6 +56,7 @@ __all__ = [
     "V2VMessage",
     "VehicleState",
     "default_registry",
+    "first_difference",
     "load_scenario",
     "maneuver_transition",
     "replay_check",

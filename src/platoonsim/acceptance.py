@@ -28,7 +28,7 @@ from .core import (
     role_transition,
 )
 from .dynamics import G
-from .engine import RunReport, Trace, replay_check, run
+from .engine import RunReport, Trace, first_difference, run
 from .management import (
     StrategyContext,
     StrategyKey,
@@ -314,9 +314,10 @@ def check_determinism() -> CheckResult:
         spec = bundled_scenario(name)
         trace_a, _ = run(spec)
         trace_b, _ = run(spec)
-        equal, divergence = replay_check(trace_a, trace_b)
-        passed &= equal
-        details.append(f"{name}: {'identical' if equal else f'diverged at {divergence}'}")
+        diff = first_difference(trace_a, trace_b)
+        passed &= diff is None
+        details.append(f"{name}: identical" if diff is None else
+                       "{}: diverged at row {}, {}: {!r} vs {!r}".format(name, *diff))
     return CheckResult(11, "determinism", passed, "; ".join(details))
 
 

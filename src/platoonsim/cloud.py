@@ -1,13 +1,14 @@
 """Cloud-based decision layer, reduced to a deterministic scripted driver.
 
-The cloud issues the scenario's leave instructions at their scripted times.
-Scripted joins and answered JoinRequests share one first-in, first-out
-queue: a scripted join is filed due at its event time, a JoinRequest as a
-tail join due a fixed service delay after it was sent, unless its sender is
-already filed or in the platoon. The queue's head is issued once it is due
-and no join is outstanding, and a join stays outstanding until its target
-shows up in the leader's platoon. A due head whose target is a member by
-then is dropped, as a member's JoinRequest is never filed. Instructions are
+The cloud issues the scenario's leaves at their scripted times, to members
+of the leader's platoon only. Scripted joins and answered JoinRequests share
+one first-in, first-out queue: a scripted join is filed due at its event
+time, a JoinRequest as a tail join due a fixed service delay after it was
+sent, unless its sender is already filed or in the platoon. The queue's head
+is issued once it is due and no join is outstanding, and a join stays
+outstanding until its target shows up in the leader's platoon. A due head
+whose target is a member by then is dropped, as is one placed before a
+non-member. Every drop is reported with its reason. Instructions are
 omniscient and lossless: they bypass the V2V fault model entirely.
 """
 
@@ -44,6 +45,7 @@ class CloudOutput:
     instructions: list[ActiveInstruction] = field(default_factory=list)
     spawns: list[CutInEvent] = field(default_factory=list)
     faults: list[FaultEvent] = field(default_factory=list)
+    drops: list[tuple[VehicleId, str]] = field(default_factory=list)  # (target, why)
 
 
 class Cloud:
@@ -91,8 +93,10 @@ class Cloud:
             self._next_event += 1
             if isinstance(event, JoinEvent):
                 self._file_join(tick, event.target, event.before)
+            elif isinstance(event, LeaveEvent) and event.target not in members:
+                out.drops.append((event.target, "leave dropped: not a platoon member"))
             elif isinstance(event, LeaveEvent):
-                at_tail = members and members[-1] == event.target
+                at_tail = members[-1] == event.target
                 out.instructions.append(ActiveInstruction(
                     maneuver=ManeuverState.LEAVE_TAIL if at_tail else ManeuverState.LEAVE_MIDDLE,
                     target=event.target))
@@ -102,11 +106,15 @@ class Cloud:
                 out.faults.append(event)
 
         # issue the first filed join once it is due and none is outstanding,
-        # dropping those whose target is a member by now
+        # dropping those whose target is a member by now or whose place is not
         while self._outstanding is None and self._joins and tick >= self._joins[0][0]:
             _, instr = self._joins.popleft()
-            if instr.target in members:
+            why = ("already a platoon member" if instr.target in members
+                   else f"v{instr.before} is not a platoon member"
+                   if instr.before is not None and instr.before not in members else None)
+            if why is not None:
                 self._filed.discard(instr.target)
+                out.drops.append((instr.target, f"{instr.maneuver.name} dropped: {why}"))
                 continue
             out.instructions.append(instr)
             self._outstanding = instr.target

@@ -33,7 +33,7 @@ from .core import (
     VehicleId,
     VehicleState,
 )
-from .dynamics import LaneGeometry, Snapshot, lateral_position
+from .dynamics import LaneGeometry, Snapshot
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ class MessageBus:
         """Pop all messages due at ``tick`` into the inboxes of the owners of
         the opened peer stores; returns the inboxes, and keeps their
         non-heartbeat part in :attr:`flag_inboxes`. Both are lazy
-        :class:`Inboxes`: a receiver's list is cut only when it is read.
+        :class:`Inboxes`: a receiver's list is cut only when it is read. A
+        delivery without flags keeps a plain dict of empty lists instead.
 
         The due heartbeats then update the bus's heartbeat table once. A
         store shares the table while its owner hears the bus, that is, until
@@ -117,12 +118,12 @@ class MessageBus:
         detaches onto a copy of the table as it stood before this tick.
         Faults are permanent, so nothing reaches that copy again.
         """
-        due = sorted((m for t, m in self._in_flight if t <= tick),
+        due = sorted([m for t, m in self._in_flight if t <= tick],
                      key=V2VMessage.sort_key)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
         hears = {rid: not faults.has(rid, FaultKind.V2V_FAIL) for rid in self._stores}
-        self.flag_inboxes = Inboxes(
-            [m for m in due if m.kind is not MessageKind.HEARTBEAT], hears)
+        flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
+        self.flag_inboxes = Inboxes(flags, hears) if flags else {rid: [] for rid in hears}
         for rid, store in self._stores.items():
             if not hears[rid] and store.table is self.heartbeats:
                 store.table = self.heartbeats.copy()
@@ -182,26 +183,27 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
     in [0, max_range]; the smallest gap wins, and equal gaps go to the lower
     id.
 
-    The search bisects the snapshot's ``(rear, id)`` order to the first
-    ``rear >= ego.s`` and walks forward. Gaps never shrink along the walk,
-    so it stops past ``max_range`` or once a gap exceeds the best one found;
-    it walks on through equal gaps, because two different rears can round
-    to the same gap and the lower id must still win.
+    The search bisects the snapshot's rears in ``(rear, id)`` order to the
+    first ``rear >= ego.s`` and walks forward, reading lateral positions
+    from the snapshot. Gaps never shrink along the walk, so it stops past
+    ``max_range`` or once a gap exceeds the best one found; it walks on
+    through equal gaps, because two different rears can round to the same
+    gap and the lower id must still win.
     """
     ego = states[ego_id]
     if faults.has(ego_id, FaultKind.RADAR_FAIL):
         return RadarReading(False, max_range, 0.0, None)
-    order = Snapshot.of(states).by_rear()
+    order, rears, lateral = Snapshot.by_rear(states, geom)
     center = geom.center(ego.lane)
     best: Optional[tuple[float, VehicleId, VehicleState]] = None
-    for i in range(bisect_left(order, (ego.s,)), len(order)):
+    for i in range(bisect_left(rears, ego.s), len(order)):
         rear, vid, st = order[i]
         gap = rear - ego.s
         if gap > max_range or (best is not None and gap > best[0]):
             break
         if vid == ego_id:
             continue
-        if abs(lateral_position(st, geom) - center) > geom.lane_width / 2.0:
+        if abs(lateral[i] - center) > geom.lane_width / 2.0:
             continue
         if best is None or gap < best[0] or (gap == best[0] and vid < best[1]):
             best = (gap, vid, st)
@@ -270,9 +272,6 @@ class HeartbeatTable:
         self._lanes = None
         self._fresh = None
 
-    def get(self, sender: VehicleId) -> Optional[V2VMessage]:
-        return self._latest.get(sender)
-
     def known(self) -> tuple[VehicleId, ...]:
         """Every sender heard from, ascending."""
         return tuple(sorted(self._latest))
@@ -303,8 +302,8 @@ class HeartbeatTable:
         memo = self._fresh
         if memo is None or memo[0] != tick or memo[1] != timeout_ticks:
             horizon = tick - timeout_ticks
-            memo = (tick, timeout_ticks, frozenset(
-                vid for vid, msg in self._latest.items() if msg.tick_sent >= horizon), None, None)
+            memo = (tick, timeout_ticks, frozenset([vid for vid, msg in self._latest.items()
+                                                    if msg.tick_sent >= horizon]), None, None)
         if memo[3] is not peers or type(peers) is not tuple:
             quiet = frozenset(peers).difference(memo[2]) if tick > timeout_ticks else frozenset()
             memo = self._fresh = memo[:3] + (peers, quiet)
@@ -330,7 +329,7 @@ class PeerViewStore:
         return tuple(p for p in self.table.known() if p != self.owner)
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
-        return None if peer == self.owner else self.table.get(peer)
+        return None if peer == self.owner else self.table._latest.get(peer)
 
     def leader_heartbeat(self) -> Optional[V2VMessage]:
         """Of the last update's leader heartbeats carrying a platoon, other
@@ -444,4 +443,5 @@ def detect_peer_failure(store: PeerViewStore, peers: Iterable[VehicleId], tick: 
     ``tick`` (see :meth:`HeartbeatTable.quiet`), in no order."""
     if timeout_ticks < 1:
         raise ValueError("timeout must be at least one tick")
-    return store.table.quiet(peers, tick, timeout_ticks).difference((store.owner,))
+    quiet = store.table.quiet(peers, tick, timeout_ticks)
+    return quiet.difference((store.owner,)) if store.owner in quiet else quiet

@@ -367,7 +367,8 @@ class MessageKind(enum.Enum):
     TAKEOVER_REQUEST = "TakeoverRequest"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(MessageKind)}
+# keyed by member name: an Enum member hashes in Python, a str in C
+_KIND_ORDER = {kind._name_: i for i, kind in enumerate(MessageKind)}
 
 
 class V2VMessage(NamedTuple):
@@ -386,7 +387,7 @@ class V2VMessage(NamedTuple):
     maneuver: Optional[ManeuverState] = None
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.sender, _KIND_ORDER[self.kind], self.tick_sent)
+        return (self.sender, _KIND_ORDER[self.kind._name_], self.tick_sent)
 
 
 def heartbeat(sender: VehicleId, tick: int, state: VehicleState, role: Role,

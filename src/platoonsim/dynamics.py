@@ -122,21 +122,23 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
 
 
 class Snapshot(dict[VehicleId, VehicleState]):
-    """The states of one tick by vehicle id, plus the vehicles ordered by
-    ``(rear, id)``, sorted on the first call of :meth:`by_rear`. The order is
-    not rebuilt after a change, so a snapshot must not be modified once it
-    has been read in order."""
+    """The states of one tick by vehicle id. :meth:`by_rear` keeps their
+    sweep for one lane geometry: the vehicles ordered by ``(rear, id)``,
+    their rears alone and their lateral positions. A snapshot must not be
+    modified once it has been swept."""
 
-    _by_rear: Optional[list[tuple[float, VehicleId, VehicleState]]] = None
+    _sweep: Optional[tuple] = None  # (geometry, sweep)
 
-    @classmethod
-    def of(cls, states: Mapping[VehicleId, VehicleState]) -> "Snapshot":
-        return states if isinstance(states, Snapshot) else cls(states)
-
-    def by_rear(self) -> list[tuple[float, VehicleId, VehicleState]]:
-        if self._by_rear is None:
-            self._by_rear = sorted((st.rear, vid, st) for vid, st in self.items())
-        return self._by_rear
+    @staticmethod
+    def by_rear(states: Mapping[VehicleId, VehicleState], geom: LaneGeometry,
+                ) -> tuple[list[tuple[float, VehicleId, VehicleState]], list[float], list[float]]:
+        """The sweep of ``states``, built once per snapshot and geometry."""
+        snap = states if type(states) is Snapshot else Snapshot(states)
+        if snap._sweep is None or snap._sweep[0] is not geom:
+            order = sorted([(st.rear, vid, st) for vid, st in snap.items()])
+            snap._sweep = (geom, (order, [rear for rear, _, _ in order],
+                                  [lateral_position(st, geom) for _, _, st in order]))
+        return snap._sweep[1]
 
 
 def detect_collisions(states: Mapping[VehicleId, VehicleState], geom: LaneGeometry,
@@ -152,17 +154,16 @@ def detect_collisions(states: Mapping[VehicleId, VehicleState], geom: LaneGeomet
     floats as an all-pairs scan. The result is sorted and has no
     duplicates, so it is deterministic.
     """
-    order = Snapshot.of(states).by_rear()
+    order, rears, lateral = Snapshot.by_rear(states, geom)
     hits: list[tuple[VehicleId, VehicleId]] = []
-    for i, (_, a, sa) in enumerate(order):
-        ya = lateral_position(sa, geom)
+    for i, (rear_a, a, sa) in enumerate(order):
         for j in range(i + 1, len(order)):
-            rear_b, b, sb = order[j]
-            if rear_b >= sa.s:
+            if rears[j] >= sa.s:
                 break  # no longitudinal overlap from here on
-            if sa.rear >= sb.s:
+            _, b, sb = order[j]
+            if rear_a >= sb.s:
                 continue
-            if abs(ya - lateral_position(sb, geom)) >= vehicle_width / 2.0:
+            if abs(lateral[i] - lateral[j]) >= vehicle_width / 2.0:
                 continue
             hits.append((a, b) if a < b else (b, a))
     hits.sort()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -213,8 +214,6 @@ class _Runtime:
         self.ctx: Optional[StrategyContext] = None  # refilled every tick
 
     def set_controller(self, kind: ControllerKind) -> bool:
-        if kind is self.controller:
-            return False
         changed = kind != self.controller
         if kind.longitudinal.mode != self.controller.longitudinal.mode:
             self.pid_acc.reset()
@@ -322,6 +321,8 @@ class Simulator:
             self._log(tick, instr.target, "instruction", instr)
             for vid in self._managed:
                 self.runtimes[vid].manager.offer_instruction(instr)
+        for target, why in out.drops:
+            self._log(tick, target, "note", why)
 
     def _stage_sense(self, snapshot: Snapshot, managed: list[VehicleId],
                      ) -> dict[VehicleId, RadarReading]:
@@ -390,8 +391,10 @@ class Simulator:
                 sent.append(msg)
                 if msg.kind is not MessageKind.HEARTBEAT:
                     self._log(tick, vid, "flag", msg.kind)
-            if output.controller is not None and rt.set_controller(output.controller):
-                self._log(tick, vid, "controller", output.controller)
+            kind = output.controller
+            # a strategy mostly hands back the very selection it made last tick
+            if kind is not None and kind is not rt.controller and rt.set_controller(kind):
+                self._log(tick, vid, "controller", kind)
 
             hb = heartbeat(vid, tick, snapshot[vid], rt.manager.role,
                            rt.replica if rt.manager.member else None)
@@ -430,7 +433,7 @@ class Simulator:
                       readings: dict[VehicleId, RadarReading], trace: Trace) -> bool:
         time_end = (tick + 1) * self.dt
         self._snapshot = states = Snapshot(
-            (vid, rt.state) for vid, rt in self.runtimes.items() if rt.active)
+            {vid: rt.state for vid, rt in self.runtimes.items() if rt.active})
         hit_pairs = detect_collisions(states, self.params.geometry,
                                       self.params.vehicle_width)
         halt = False
@@ -484,8 +487,8 @@ class Simulator:
             # the cloud stage drops the snapshot when it activates a vehicle
             snapshot = self._snapshot
             if snapshot is None:
-                snapshot = Snapshot((vid, rt.state) for vid, rt in self.runtimes.items()
-                                    if rt.active)
+                snapshot = Snapshot({vid: rt.state for vid, rt in self.runtimes.items()
+                                     if rt.active})
             readings = self._stage_sense(snapshot, managed)
             flag_inboxes = self._stage_bus(tick)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
@@ -506,19 +509,29 @@ def run(spec: ScenarioSpec, registry: Optional[StrategyRegistry] = None,
     return Simulator(spec, registry).run(observer)
 
 
-def replay_check(trace_a: Trace, trace_b: Trace) -> tuple[bool, Optional[int]]:
-    """Bit-exact row comparison of two traces from the same spec.
-
-    Returns (equal, first divergent row index). Traces from different specs
-    raise SpecHashMismatch instead of comparing garbage.
-    """
+def first_difference(trace_a: Trace, trace_b: Trace,
+                     ) -> Optional[tuple[int, Optional[str], object, object]]:
+    """The first differing cell of two traces from the same spec, as (row,
+    column name, value in a, value in b), or None when they are identical.
+    A row only one trace has differs in its first column, the other value
+    None; differing columns differ at row 0 under no name, with both column
+    tuples as the values. Traces of different specs raise SpecHashMismatch."""
     if trace_a.spec_hash != trace_b.spec_hash:
         raise SpecHashMismatch("traces come from different scenario specs")
     if trace_a.columns != trace_b.columns:
-        return False, 0
-    for i, (ra, rb) in enumerate(zip(trace_a.rows, trace_b.rows)):
+        return 0, None, trace_a.columns, trace_b.columns
+    for i, (ra, rb) in enumerate(zip_longest(trace_a.rows, trace_b.rows)):
+        if ra is None or rb is None:  # a row only one trace has
+            return (i, trace_a.columns[0], None if ra is None else ra[0],
+                    None if rb is None else rb[0])
         if ra != rb:
-            return False, i
-    if len(trace_a.rows) != len(trace_b.rows):
-        return False, min(len(trace_a.rows), len(trace_b.rows))
-    return True, None
+            j = next(j for j, (a, b) in enumerate(zip(ra, rb)) if a != b)
+            return i, trace_a.columns[j], ra[j], rb[j]
+    return None
+
+
+def replay_check(trace_a: Trace, trace_b: Trace) -> tuple[bool, Optional[int]]:
+    """Bit-exact row comparison of two traces from the same spec: (equal,
+    first divergent row index), read from :func:`first_difference`."""
+    diff = first_difference(trace_a, trace_b)
+    return (True, None) if diff is None else (False, diff[0])

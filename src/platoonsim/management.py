@@ -236,8 +236,6 @@ class VehicleManager:
         return True
 
     def _queue_announces(self, ctx: StrategyContext) -> None:
-        if not ctx.inbox or not self.member:
-            return
         for msg in ctx.flags(MessageKind.MANEUVER_ANNOUNCE):
             if msg.maneuver is not None and msg.maneuver != self.maneuver:
                 self._pending_announces.append((msg.sender, msg.maneuver))
@@ -247,9 +245,6 @@ class VehicleManager:
         """Queue new faults in a fixed order, whatever order they come in;
         they stay queued until consumed so a same-tick cloud instruction
         cannot swallow a failure."""
-        if not ((ctx.inbox or new_own or new_silent)
-                and ctx.degradation_enabled and self.member):
-            return
         if self.role is Role.FOLLOWER:
             # the leader is driver-operated and never degrades itself
             for kind in sorted(new_own, key=lambda k: k.value):
@@ -271,15 +266,16 @@ class VehicleManager:
             return HardwareFaultTrigger(kind), data
         return None
 
-    def _select_trigger(self, ttc_result: TriggerKind) -> Optional[tuple[ManeuverTrigger, dict]]:
-        in_platooning = _same(self.maneuver, ManeuverState.PLATOONING)
+    def _select_trigger(self, ttc_result: TriggerKind, in_platooning: bool,
+                        ) -> Optional[tuple[ManeuverTrigger, dict]]:
         while in_platooning and self._pending_instructions:
             instr = self._pending_instructions.popleft()
             if self._takes_part(instr):  # else the vehicle turned free since it was queued
                 return CloudInstructionTrigger(instr.maneuver), {"instruction": instr}
-        fault = self._fault_trigger()
-        if fault is not None:
-            return fault
+        if self._pending_faults:
+            fault = self._fault_trigger()
+            if fault is not None:
+                return fault
         if in_platooning and self.member:
             if ttc_result is TriggerKind.AEB:
                 return (ObstacleTtcTrigger(at_head=self.role is Role.LEADER),
@@ -310,12 +306,16 @@ class VehicleManager:
             self._latched_own |= new_own
             new_silent = silent - self._latched_silent
             self._latched_silent |= new_silent
-        self._queue_announces(ctx)
-        self._queue_faults(ctx, new_own, new_silent)
+        if ctx.inbox and self.member:
+            self._queue_announces(ctx)
+        if (ctx.inbox or new_own or new_silent) and ctx.degradation_enabled and self.member:
+            self._queue_faults(ctx, new_own, new_silent)
 
         entry_messages: list[V2VMessage] = []
-        selected = self._select_trigger(ttc_result)
+        platooning = _same(self.maneuver, ManeuverState.PLATOONING)
+        selected = self._select_trigger(ttc_result, platooning)
         if selected is not None:
+            platooning = False  # no trigger starts Platooning
             trigger, data = selected
             self.maneuver = maneuver_transition(self.maneuver, trigger)
             self.progress = StrategyProgress(entered_tick=ctx.tick, data=dict(data))
@@ -351,13 +351,14 @@ class VehicleManager:
         else:
             output = strategy.step(ctx, self.progress)
 
-        output.messages = entry_messages + output.messages
+        if entry_messages:
+            output.messages = entry_messages + output.messages
 
         if output.role_change is not None and not output.maneuver_done:
             raise IllegalTransition("role change is only allowed with maneuver completion")
 
         # liveness bound: abort any maneuver stuck past the timeout
-        if (not _same(self.maneuver, ManeuverState.PLATOONING) and not output.maneuver_done
+        if (not platooning and not output.maneuver_done
                 and self.progress.age(ctx.tick) > self._timeout_ticks):
             output.maneuver_done = True
             output.role_change = None

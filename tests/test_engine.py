@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,15 @@ from platoonsim.core import (
     PlatoonInfo,
     Role,
 )
-from platoonsim.engine import Simulator, SpecHashMismatch, TickError, replay_check, run
+from platoonsim.engine import (
+    Simulator,
+    SpecHashMismatch,
+    TickError,
+    Trace,
+    first_difference,
+    replay_check,
+    run,
+)
 from platoonsim.management import ActiveInstruction, StrategyKey, StrategyOutput
 from platoonsim.scenario import (
     CutInEvent,
@@ -85,6 +94,24 @@ class TestDeterminism:
         trace_b, _ = run(spec_b)
         with pytest.raises(SpecHashMismatch):
             replay_check(trace_a, trace_b)
+
+    def test_first_difference_names_the_cell_and_both_values(self):
+        trace_a, _ = run(platoon_spec(duration=2.0))
+        rows = list(trace_a.rows)
+        col = trace_a.columns.index("v3_v")
+        rows[17] = rows[17][:col] + (rows[17][col] + 1e-12,) + rows[17][col + 1:]
+        trace_b = Trace(trace_a.spec_hash, trace_a.columns, rows)
+        assert first_difference(trace_a, trace_b) == (
+            17, "v3_v", trace_a.rows[17][col], trace_a.rows[17][col] + 1e-12)
+        assert replay_check(trace_a, trace_b) == (False, 17)
+        assert first_difference(trace_a, trace_a) is None
+
+    def test_first_difference_of_a_missing_row(self):
+        trace_a, _ = run(platoon_spec(duration=1.0))
+        trace_b = Trace(trace_a.spec_hash, trace_a.columns, trace_a.rows[:-1])
+        last = len(trace_a.rows) - 1
+        assert first_difference(trace_a, trace_b) == (last, "tick", last, None)
+        assert replay_check(trace_b, trace_a) == (False, last)
 
     def test_csv_bytes_identical(self, tmp_path):
         spec = bundled_scenario("steady")
@@ -359,6 +386,49 @@ class TestBenchmarkHookPoints:
         summary = tracer.summary()
         assert summary["comms.MessageBus.deliver.copies"] == golden["bus_copies"]
         assert summary["comms.detect_peer_failure.calls"] > 0
+
+
+    def test_each_hook_is_called_once_per_vehicle_tick(self, monkeypatch):
+        # a per-layer metric counts these calls; a leaner tick must not lose any
+        calls = {}
+        for name in ("radar_sense", "v2v_payload", "step_longitudinal",
+                     "step_lateral", "detect_collisions"):
+            original = getattr(engine, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counting)
+        _, report = Simulator(platoon_spec(count=20, duration=2.0)).run()
+        assert report.ticks == 40
+        assert calls == {"radar_sense": 800, "v2v_payload": 800, "step_longitudinal": 800,
+                         "step_lateral": 800, "detect_collisions": 40}
+
+
+# Python-level calls per vehicle-tick of a steady 20-vehicle platoon: 59.9
+# before the calls that did no work were cut, 45.2 after; the ceiling leaves 2
+CALL_CEILING = 47.2
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="counts CPython profiler call events")
+def test_python_calls_per_vehicle_tick_stay_within_budget():
+    sim = Simulator(platoon_spec(count=20, duration=2.0))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        _, report = sim.run()
+    finally:
+        sys.setprofile(previous)
+    assert report.ticks == 40
+    assert calls / (20 * report.ticks) <= CALL_CEILING
 
 
 class TestSharedHeartbeatTable:

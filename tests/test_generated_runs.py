@@ -110,6 +110,19 @@ def test_a_queued_join_whose_target_is_a_member_is_dropped():
     assert not [e for e in report.events if e.kind == "maneuver_timeout"]
 
 
+@pytest.mark.parametrize("seed, note", [
+    (9, "t=13.250 v4 note leave dropped: not a platoon member"),
+    (73, "t=5.000 v4 note JoinMiddle dropped: v3 is not a platoon member"),
+])
+def test_an_instruction_the_platoon_cannot_carry_out_is_dropped_with_a_note(seed, note):
+    # seed 9 issued LeaveMiddle at free v4 and seed 73 a JoinMiddle before
+    # free v3; every member started it and waited for the 60 s timeout
+    spec = scenario_from_dict(dict(generate(seed), run={"dt": 0.05, "duration": 90.0}))
+    _, report = Simulator(spec).run()
+    assert note in [e.line() for e in report.events]
+    assert not [e for e in report.events if e.kind == "maneuver_timeout"]
+
+
 def breakdown(seeds) -> Counter:
     """How the generated scenarios of ``seeds`` end."""
     counts: Counter = Counter()

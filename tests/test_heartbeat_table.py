@@ -374,10 +374,11 @@ class TestQuietPeers:
             owner = rng.choice(senders or [7])
             # never-heard peers, and the owner itself, among the peers asked about
             peers = tuple(rng.sample(range(1, 30), rng.randrange(0, 15))) + (owner,)
-            heard = {p: table.get(p) for p in peers if p != owner}
+            store = PeerViewStore(owner, table)
+            heard = {p: store.raw(p) for p in peers if p != owner}
             ages = {p: tick if msg is None else tick - msg.tick_sent for p, msg in heard.items()}
             old = sorted(p for p, age in ages.items() if age > timeout)
-            new = detect_peer_failure(PeerViewStore(owner, table), peers, tick, timeout)
+            new = detect_peer_failure(store, peers, tick, timeout)
             assert sorted(new) == old
             cases["within" if tick <= timeout else "past"] += 1
             cases["silent"] += bool(old)
