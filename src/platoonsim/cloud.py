@@ -58,7 +58,6 @@ class Cloud:
         self._next_event = 0
         # filed joins in filing order, each as (due tick, instruction)
         self._joins: deque[tuple[int, ActiveInstruction]] = deque()
-        self._filed: set[VehicleId] = set()  # targets queued or outstanding
         self._outstanding: Optional[VehicleId] = None
 
     def _file_join(self, due: int, target: VehicleId,
@@ -66,7 +65,6 @@ class Cloud:
         maneuver = ManeuverState.JOIN_TAIL if before is None else ManeuverState.JOIN_MIDDLE
         self._joins.append((due, ActiveInstruction(maneuver=maneuver, target=target,
                                                    before=before)))
-        self._filed.add(target)
 
     def tick(self, tick: int, uplink: Sequence[V2VMessage],
              leader_platoon: Optional[PlatoonInfo]) -> CloudOutput:
@@ -76,14 +74,14 @@ class Cloud:
 
         # a join closes once its target shows up in the leader's platoon
         if self._outstanding is not None and self._outstanding in members:
-            self._filed.discard(self._outstanding)
             self._outstanding = None
 
         # file join requests (each answered at most once)
         delay = self.params.ticks(self.params.join_service_delay_s, self.dt)
         for msg in uplink:
-            if (msg.kind is MessageKind.JOIN_REQUEST and msg.sender not in self._filed
-                    and msg.sender not in members):
+            if (msg.kind is MessageKind.JOIN_REQUEST and msg.sender not in members
+                    and msg.sender != self._outstanding
+                    and all(instr.target != msg.sender for _, instr in self._joins)):
                 self._file_join(msg.tick_sent + delay, msg.sender, None)
 
         # scripted events whose time has come
@@ -113,7 +111,6 @@ class Cloud:
                    else f"v{instr.before} is not a platoon member"
                    if instr.before is not None and instr.before not in members else None)
             if why is not None:
-                self._filed.discard(instr.target)
                 out.drops.append((instr.target, f"{instr.maneuver.name} dropped: {why}"))
                 continue
             out.instructions.append(instr)
@@ -141,10 +138,8 @@ class IntruderScript:
     EXITING = "exiting"
     GONE = "gone"
 
-    def __init__(self, event: CutInEvent, vid: VehicleId, params: Parameters,
-                 dt: float) -> None:
+    def __init__(self, event: CutInEvent, params: Parameters, dt: float) -> None:
         self.event = event
-        self.vid = vid
         self.params = params
         self.dt = dt
         self.phase = self.WAITING

@@ -3,14 +3,14 @@ single-target radar model, permanent fault injection and peer-failure
 detection from heartbeat ages.
 
 No path here scans every pair of vehicles in a tick. Radar bisects the
-snapshot's ``(rear, id)`` order, and delivery slices a receiver's inbox from
-one sorted list of due messages when it is read. The bus keeps one heartbeat
-table, the freshest heartbeat per sender, updated once per tick; each
-receiver's peer store is that table minus the receiver's own entry, so no
-receiver stores or scans its own copy of the N - 1 heartbeats. The one way
-a vehicle stops hearing the bus is its own V2V fault: its store then keeps a
-frozen copy of the table as it stood before. The predecessor search bisects
-per-lane member orders, and peer views are built only when looked up.
+snapshot's ``(rear, id)`` order, and delivery cuts a receiver's inbox, when
+it is read, from one list of due messages grouped by sender. The bus keeps
+one heartbeat table, the freshest heartbeat per sender, updated once per
+tick; each receiver's peer store is that table minus the receiver's own
+entry, so no receiver stores or scans its own copy of the N - 1 heartbeats.
+The one way a vehicle stops hearing the bus is its own V2V fault: its store
+then keeps a frozen copy of the table as it stood before. The predecessor
+search bisects per-lane member orders, and peer views are built on lookup.
 
 A peer is silent once its heartbeat is older than the timeout. Only
 :meth:`HeartbeatTable.quiet` decides which peers are, once per series, table
@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .core import (
@@ -68,15 +69,18 @@ class FaultBoard:
         return frozenset(faults) if faults else self._NONE
 
 
+_SENDER = attrgetter("sender")  # delivery groups by this key alone, in C
+
+
 class MessageBus:
     """Broadcast bus with deterministic delivery.
 
     The receivers are the owners of the peer stores opened on the bus.
     Messages sent at tick t reach every other receiver's inbox at
     t + delivery_delay. A sender with a V2V fault loses its ability to
-    broadcast; a receiver with a V2V fault gets an empty inbox. Inboxes are
-    sorted by (sender id, message kind, send tick), ties in send order, so
-    delivery order is reproducible.
+    broadcast; a receiver with a V2V fault gets an empty inbox. An inbox
+    holds its messages grouped by ascending sender id, each sender's in send
+    order, so delivery order is reproducible.
 
     The bus keeps one :class:`HeartbeatTable` of the freshest delivered
     heartbeat per sender, and opens each receiver's :class:`PeerViewStore`
@@ -118,8 +122,8 @@ class MessageBus:
         detaches onto a copy of the table as it stood before this tick.
         Faults are permanent, so nothing reaches that copy again.
         """
-        due = sorted([m for t, m in self._in_flight if t <= tick],
-                     key=V2VMessage.sort_key)
+        # a stable sort: each sender's messages keep their send order
+        due = sorted([m for t, m in self._in_flight if t <= tick], key=_SENDER)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
         hears = {rid: not faults.has(rid, FaultKind.V2V_FAIL) for rid in self._stores}
         flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
@@ -133,7 +137,7 @@ class MessageBus:
 
 class Inboxes(Mapping[VehicleId, list[V2VMessage]]):
     """Read-only mapping from receiver id to its part of one delivery's
-    messages, sorted by sender: all but the receiver's own block (never
+    messages, grouped by sender: all but the receiver's own block (never
     self-deliver), cut when looked up; empty for a receiver with a V2V fault."""
 
     def __init__(self, msgs: list[V2VMessage], hears: dict[VehicleId, bool]) -> None:
@@ -144,8 +148,8 @@ class Inboxes(Mapping[VehicleId, list[V2VMessage]]):
         msgs = self._msgs
         if not (self._hears[rid] and msgs):
             return []
-        own = bisect_left(msgs, (rid,), key=V2VMessage.sort_key)
-        others = bisect_left(msgs, (rid + 1,), own, key=V2VMessage.sort_key)
+        own = bisect_left(msgs, rid, key=_SENDER)
+        others = bisect_right(msgs, rid, own, key=_SENDER)
         return msgs[:own] + msgs[others:]
 
     def __iter__(self) -> Iterator[VehicleId]:

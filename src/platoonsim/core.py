@@ -315,46 +315,41 @@ class ControllerKind:
 
 @dataclass(frozen=True)
 class PlatoonInfo:
-    """Leader-maintained platoon size and ordered member ids (head = leader).
+    """Leader-maintained ordered member ids (head = leader); the platoon's
+    size is their count.
 
     The leader's copy is authoritative; followers replicate it from the
     leader's heartbeat and may be one heartbeat stale.
     """
 
-    size: int
     id_series: tuple[VehicleId, ...]
 
     def __post_init__(self) -> None:
-        if self.size != len(self.id_series):
-            raise ValueError("size must equal the length of id_series")
         if len(set(self.id_series)) != len(self.id_series):
             raise ValueError("id_series must not repeat ids")
 
     @classmethod
     def solo(cls, leader: VehicleId) -> "PlatoonInfo":
-        return cls(1, (leader,))
+        return cls((leader,))
 
     def insert_before(self, joiner: VehicleId, member: VehicleId) -> "PlatoonInfo":
         idx = self.id_series.index(member)
-        series = self.id_series[:idx] + (joiner,) + self.id_series[idx:]
-        return PlatoonInfo(self.size + 1, series)
+        return PlatoonInfo(self.id_series[:idx] + (joiner,) + self.id_series[idx:])
 
     def append_tail(self, joiner: VehicleId) -> "PlatoonInfo":
-        return PlatoonInfo(self.size + 1, self.id_series + (joiner,))
+        return PlatoonInfo(self.id_series + (joiner,))
 
     def remove(self, vid: VehicleId) -> "PlatoonInfo":
-        series = tuple(i for i in self.id_series if i != vid)
-        return PlatoonInfo(len(series), series)
+        return PlatoonInfo(tuple(i for i in self.id_series if i != vid))
 
     def truncate_from(self, vid: VehicleId) -> "PlatoonInfo":
         """Drop ``vid`` and every member behind it."""
-        idx = self.id_series.index(vid)
-        series = self.id_series[:idx]
-        return PlatoonInfo(len(series), series)
+        return PlatoonInfo(self.id_series[:self.id_series.index(vid)])
 
 
 class MessageKind(enum.Enum):
-    """Tagged V2V message vocabulary. Enum order fixes delivery sorting."""
+    """Tagged V2V message vocabulary. The order of the members means
+    nothing: the bus delivers in send order, grouped by sender."""
 
     HEARTBEAT = "Heartbeat"
     JOIN_FLAG = "JoinFlag"
@@ -365,10 +360,6 @@ class MessageKind(enum.Enum):
     MANEUVER_ANNOUNCE = "ManeuverAnnounce"
     JOIN_REQUEST = "JoinRequest"
     TAKEOVER_REQUEST = "TakeoverRequest"
-
-
-# keyed by member name: an Enum member hashes in Python, a str in C
-_KIND_ORDER = {kind._name_: i for i, kind in enumerate(MessageKind)}
 
 
 class V2VMessage(NamedTuple):
@@ -385,9 +376,6 @@ class V2VMessage(NamedTuple):
     platoon: Optional[PlatoonInfo] = None
     fault: Optional[FaultKind] = None
     maneuver: Optional[ManeuverState] = None
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.sender, _KIND_ORDER[self.kind._name_], self.tick_sent)
 
 
 def heartbeat(sender: VehicleId, tick: int, state: VehicleState, role: Role,

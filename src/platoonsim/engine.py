@@ -193,10 +193,9 @@ _UNSELECTED = ControllerKind(LongitudinalCommand(LongitudinalMode.DRIVER))
 class _Runtime:
     """Engine-side container for one vehicle."""
 
-    def __init__(self, vid: VehicleId, state: VehicleState,
-                 manager: Optional[VehicleManager], peer_store: Optional[PeerViewStore],
+    def __init__(self, state: VehicleState, manager: Optional[VehicleManager],
+                 peer_store: Optional[PeerViewStore],
                  script: Optional[IntruderScript] = None) -> None:
-        self.vid = vid
         self.state = state
         self.manager = manager
         self.script = script
@@ -248,12 +247,12 @@ class Simulator:
         self._snapshot: Optional[Snapshot] = None
 
         series = initial_platoon(spec)
-        platoon = PlatoonInfo(len(series), series) if series else None
+        platoon = PlatoonInfo(series) if series else None
         self.runtimes: dict[VehicleId, _Runtime] = {}
         for v in spec.vehicles:
             state = VehicleState(s=v.s, lane=v.lane, v=v.v, length=v.length)
             manager = VehicleManager(v.vid, v.role, self.registry, self.params, self.dt)
-            rt = _Runtime(v.vid, state, manager, self.bus.peer_store(v.vid))
+            rt = _Runtime(state, manager, self.bus.peer_store(v.vid))
             if v.role.is_member():
                 rt.replica = platoon
             rt.set_controller(CC(self.params.platoon_speed) if v.role is Role.LEADER
@@ -265,10 +264,10 @@ class Simulator:
         for i, event in enumerate(e for e in spec.events if isinstance(e, CutInEvent)):
             vid = next_vid
             next_vid += 1
-            script = IntruderScript(event, vid, self.params, self.dt)
+            script = IntruderScript(event, self.params, self.dt)
             parked = VehicleState(s=-1000.0 - 100.0 * i, lane=0, v=0.0,
                                   length=self.params.vehicle_length)
-            self.runtimes[vid] = _Runtime(vid, parked, None, None, script)
+            self.runtimes[vid] = _Runtime(parked, None, None, script)
             self._intruders[id(event)] = vid
         # every stage and the trace columns walk the runtimes by ascending id
         self.runtimes = dict(sorted(self.runtimes.items()))
@@ -402,9 +401,11 @@ class Simulator:
         self._uplink = sent
 
     def _stage_step(self, tick: int, snapshot: Snapshot,
-                    readings: dict[VehicleId, RadarReading]) -> None:
+                    readings: dict[VehicleId, RadarReading]) -> Snapshot:
+        """Step each active vehicle into its runtime and the returned
+        snapshot, the next tick's; a vehicle reads only its own old state."""
         stale_after = self._hb_timeout if self.spec.degradation_enabled else None
-        new_states: dict[VehicleId, VehicleState] = {}
+        states = Snapshot()
         for vid, rt in self.runtimes.items():
             if not rt.active:
                 continue
@@ -423,17 +424,16 @@ class Simulator:
                 lateral = rt.controller.lateral
             state = step_longitudinal(snapshot[vid], a_cmd, self.params.limits, self.dt)
             try:
-                new_states[vid] = step_lateral(state, lateral, self.params.geometry, self.dt)
+                rt.state = states[vid] = step_lateral(
+                    state, lateral, self.params.geometry, self.dt)
             except _PROTOCOL_ERRORS as exc:
                 raise self._tick_error(tick, vid, exc) from exc
-        for vid, state in new_states.items():
-            self.runtimes[vid].state = state
+        return states
 
-    def _stage_record(self, tick: int, managed: list[VehicleId],
+    def _stage_record(self, tick: int, states: Snapshot, managed: list[VehicleId],
                       readings: dict[VehicleId, RadarReading], trace: Trace) -> bool:
         time_end = (tick + 1) * self.dt
-        self._snapshot = states = Snapshot(
-            {vid: rt.state for vid, rt in self.runtimes.items() if rt.active})
+        self._snapshot = states
         hit_pairs = detect_collisions(states, self.params.geometry,
                                       self.params.vehicle_width)
         halt = False
@@ -492,8 +492,8 @@ class Simulator:
             readings = self._stage_sense(snapshot, managed)
             flag_inboxes = self._stage_bus(tick)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
-            self._stage_step(tick, snapshot, readings)
-            halt = self._stage_record(tick, managed, readings, trace)
+            states = self._stage_step(tick, snapshot, readings)
+            halt = self._stage_record(tick, states, managed, readings, trace)
             if observer is not None:
                 observer(self, tick)
             if halt:

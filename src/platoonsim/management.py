@@ -72,12 +72,11 @@ class ActiveInstruction:
 @dataclass
 class DriverState:
     """Scripted-driver bookkeeping for a free vehicle: the held speed plus an
-    optional staggered restart that also files a join request."""
+    optional staggered restart to platoon speed that also files a join
+    request."""
 
     v_set: float = 0.0
     restart_at: Optional[int] = None
-    restart_v: float = 0.0
-    request_join_on_restart: bool = False
 
 
 @dataclass
@@ -213,7 +212,7 @@ class VehicleManager:
         self.active_instruction: Optional[ActiveInstruction] = None
         self._pending_instructions: deque[ActiveInstruction] = deque()
         self._pending_announces: deque[tuple[VehicleId, ManeuverState]] = deque()
-        self._pending_faults: deque[tuple[FaultKind, VehicleId, bool]] = deque()
+        self._pending_faults: deque[tuple[FaultKind, VehicleId]] = deque()
         self.monitor = TtcMonitor(params.ttc)
         self._latched_own: set[FaultKind] = set()
         self._latched_silent: set[VehicleId] = set()
@@ -248,22 +247,19 @@ class VehicleManager:
         if self.role is Role.FOLLOWER:
             # the leader is driver-operated and never degrades itself
             for kind in sorted(new_own, key=lambda k: k.value):
-                self._pending_faults.append((kind, self.vid, True))
+                self._pending_faults.append((kind, self.vid))
         for msg in ctx.flags(MessageKind.FAULT_FLAG):
             if msg.fault is not None:
-                self._pending_faults.append((msg.fault, msg.sender, False))
+                self._pending_faults.append((msg.fault, msg.sender))
         for peer in sorted(new_silent):
-            self._pending_faults.append((FaultKind.V2V_FAIL, peer, False))
+            self._pending_faults.append((FaultKind.V2V_FAIL, peer))
 
     def _fault_trigger(self) -> Optional[tuple[HardwareFaultTrigger, dict]]:
         while self._pending_faults:
-            kind, faulty, own = self._pending_faults.popleft()
+            kind, faulty = self._pending_faults.popleft()
             if _same(self.maneuver, ManeuverState.HARDWARE_FAILURES):
                 continue  # already handling a failure; drop the duplicate
-            data = {"faulty": faulty}
-            if own:
-                data["own_entry"] = True
-            return HardwareFaultTrigger(kind), data
+            return HardwareFaultTrigger(kind), {"faulty": faulty}
         return None
 
     def _select_trigger(self, ttc_result: TriggerKind, in_platooning: bool,
@@ -278,10 +274,9 @@ class VehicleManager:
                 return fault
         if in_platooning and self.member:
             if ttc_result is TriggerKind.AEB:
-                return (ObstacleTtcTrigger(at_head=self.role is Role.LEADER),
-                        {"detector": self.vid, "own_entry": True})
+                return ObstacleTtcTrigger(at_head=self.role is Role.LEADER), {"detector": self.vid}
             if ttc_result is TriggerKind.CUT_IN:
-                return ObstacleCutInTrigger(), {"detector": self.vid, "own_entry": True}
+                return ObstacleCutInTrigger(), {"detector": self.vid}
         if in_platooning and self._pending_announces:
             sender, maneuver = self._pending_announces.popleft()
             return PeerAnnounceTrigger(maneuver), {"detector": sender}
@@ -323,7 +318,8 @@ class VehicleManager:
             self.monitor.reset()
             events.append(self._event(ctx.tick, "maneuver_start", self.maneuver))
             if isinstance(trigger, HardwareFaultTrigger):
-                if data.get("own_entry"):
+                # only an own fault names this vehicle: no FaultFlag or silent peer does
+                if data["faulty"] == self.vid:
                     entry_messages.append(V2VMessage(
                         self.vid, MessageKind.FAULT_FLAG, ctx.tick, fault=trigger.kind))
             elif isinstance(trigger, (ObstacleTtcTrigger, ObstacleCutInTrigger)):
@@ -345,8 +341,7 @@ class VehicleManager:
             if strategy is not None:
                 self._strategy_key, self._strategy = key, strategy
         if strategy is None:
-            output = StrategyOutput(notes=[
-                f"no strategy for ({self.maneuver.name}, {self.role.value}); holding"])
+            output = StrategyOutput()  # hold the previous controller
             events.append(self._event(ctx.tick, "no_strategy", StrategyKey(*key)))
         else:
             output = strategy.step(ctx, self.progress)
@@ -362,7 +357,6 @@ class VehicleManager:
                 and self.progress.age(ctx.tick) > self._timeout_ticks):
             output.maneuver_done = True
             output.role_change = None
-            output.notes.append(f"{self.maneuver.name} timed out; aborting")
             events.append(self._event(ctx.tick, "maneuver_timeout", self.maneuver))
 
         if output.role_change is not None and output.role_change != self.role:

@@ -170,11 +170,9 @@ class PlatooningFree:
         out = StrategyOutput()
         drv = ctx.driver
         if drv.restart_at is not None and ctx.tick >= drv.restart_at:
-            drv.v_set = drv.restart_v
-            if drv.request_join_on_restart:
-                out.messages.append(ctx.make(MessageKind.JOIN_REQUEST))
+            drv.v_set = ctx.params.platoon_speed
+            out.messages.append(ctx.make(MessageKind.JOIN_REQUEST))
             drv.restart_at = None
-            drv.request_join_on_restart = False
             out.notes.append("driver restart")
         out.controller = DRIVER(drv.v_set)
         return out
@@ -350,8 +348,6 @@ class AebFollower:
                 stagger = ctx.ticks(ctx.params.restart_stagger_s)
                 ctx.driver.v_set = 0.0
                 ctx.driver.restart_at = progress.data["safe_tick"] + (rank + 1) * stagger
-                ctx.driver.restart_v = ctx.params.platoon_speed
-                ctx.driver.request_join_on_restart = True
                 out.role_change = Role.FREE_VEHICLE
                 out.maneuver_done = True
         return out

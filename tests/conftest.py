@@ -52,7 +52,7 @@ def make_ctx(ego_id=2, role=Role.FOLLOWER, maneuver=ManeuverState.PLATOONING,
              series=(1, 2, 3, 4, 5), instruction: Optional[ActiveInstruction] = None,
              own_faults=(), driver: Optional[DriverState] = None,
              degradation=True, params: Parameters = PARAMS):
-    platoon = PlatoonInfo(len(series), tuple(series)) if series else None
+    platoon = PlatoonInfo(tuple(series)) if series else None
     return StrategyContext(
         tick=tick, dt=DT, ego_id=ego_id,
         ego=VehicleState(s=ego_s, lane=ego_lane, v=ego_v,

@@ -2,6 +2,7 @@
 all fault combinations, radar geometry, peer views and failure detection."""
 
 import itertools
+import random
 
 import pytest
 
@@ -96,18 +97,19 @@ class TestBus:
                 )
                 assert [m.sender for m in inboxes[receiver]] == expected
 
-    def test_delivery_sorted_by_sender_then_kind(self):
+    def test_inbox_groups_senders_ascending_each_in_send_order(self):
+        # mixed kinds and send ticks in random send orders: neither sorts
+        rng = random.Random(17)
         faults = FaultBoard()
-        outbox = [
-            V2VMessage(2, MessageKind.UPDATE_FLAG, 100),
-            V2VMessage(2, MessageKind.HEARTBEAT, 100),
-            V2VMessage(1, MessageKind.SAFE_FLAG, 100),
-        ]
-        inboxes = bus_deliver(outbox, faults, 100, [1, 2, 3])
-        got = [(m.sender, m.kind) for m in inboxes[3]]
-        assert got == [(1, MessageKind.SAFE_FLAG),
-                       (2, MessageKind.HEARTBEAT),
-                       (2, MessageKind.UPDATE_FLAG)]
+        faults.inject(5, FaultKind.V2V_FAIL)
+        for _ in range(8):
+            outbox = [V2VMessage(rng.randint(1, 4), rng.choice(list(MessageKind)),
+                                 rng.randint(90, 100)) for _ in range(24)]
+            inboxes = bus_deliver(outbox, faults, 100, [1, 2, 3, 4, 5])
+            for rid in (1, 2, 3, 4):
+                assert inboxes[rid] == [m for sender in (1, 2, 3, 4) if sender != rid
+                                        for m in outbox if m.sender == sender]
+            assert inboxes[5] == []
 
 
 def states_for_radar():
@@ -159,7 +161,7 @@ def store_with(tick_sent, sender=3, v=20.0, a=0.0):
     store = open_store()
     state = VehicleState(s=50.0, lane=1, v=v, a=a)
     store.table.update([heartbeat(sender, tick_sent, state, Role.FOLLOWER,
-                                  PlatoonInfo(1, (sender,)))])
+                                  PlatoonInfo((sender,)))])
     return store
 
 

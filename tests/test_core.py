@@ -147,41 +147,31 @@ class TestManeuverState:
 
 
 class TestPlatoonInfo:
-    def test_size_must_match_series(self):
-        with pytest.raises(ValueError):
-            PlatoonInfo(2, (1,))
-
     def test_tail_append(self):
-        info = PlatoonInfo(2, (1, 2))
-        assert info.append_tail(3) == PlatoonInfo(3, (1, 2, 3))
+        info = PlatoonInfo((1, 2))
+        assert info.append_tail(3) == PlatoonInfo((1, 2, 3))
 
     def test_insert_before_member(self):
         # joining vehicle slots in ahead of the evading follower
-        info = PlatoonInfo(3, (1, 2, 4))
-        assert info.insert_before(5, 2) == PlatoonInfo(4, (1, 5, 2, 4))
+        info = PlatoonInfo((1, 2, 4))
+        assert info.insert_before(5, 2) == PlatoonInfo((1, 5, 2, 4))
 
     def test_insert_positions_match_list_oracle(self):
         base = (1, 2, 3, 4)
-        info = PlatoonInfo(4, base)
+        info = PlatoonInfo(base)
         for member in base[1:]:
             expected = list(base)
             expected.insert(expected.index(member), 9)
             assert info.insert_before(9, member).id_series == tuple(expected)
 
     def test_truncate_from_drops_faulty_and_behind(self):
-        info = PlatoonInfo(5, (1, 2, 3, 4, 5))
-        assert info.truncate_from(3) == PlatoonInfo(2, (1, 2))
-        assert info.truncate_from(5) == PlatoonInfo(4, (1, 2, 3, 4))
-        assert info.truncate_from(2) == PlatoonInfo(1, (1,))
+        info = PlatoonInfo((1, 2, 3, 4, 5))
+        assert info.truncate_from(3) == PlatoonInfo((1, 2))
+        assert info.truncate_from(5) == PlatoonInfo((1, 2, 3, 4))
+        assert info.truncate_from(2) == PlatoonInfo((1,))
 
 
 class TestMessages:
-    def test_sort_key_orders_by_sender_then_kind(self):
-        a = V2VMessage(2, MessageKind.JOIN_FLAG, 10)
-        b = V2VMessage(1, MessageKind.UPDATE_FLAG, 10)
-        c = V2VMessage(1, MessageKind.HEARTBEAT, 10)
-        assert sorted([a, b, c], key=V2VMessage.sort_key) == [c, b, a]
-
     def test_vehicle_state_rejects_reverse(self):
         with pytest.raises(ValueError):
             VehicleState(s=0.0, lane=0, v=-1.0)
@@ -232,7 +222,7 @@ class TestRecords:
     (EngineEvent(1000, 50.0, 3, "controller", CC(15.0)), "t=50.000 v3 controller CC@15.00"),
     (EngineEvent(472, 472 * 0.05, 2, "controller", DRIVER(0.0)),
      "t=23.600 v2 controller Driver@0.00"),
-    (EngineEvent(157, 157 * 0.05, 1, "platoon_update", PlatoonInfo(2, (1, 2))),
+    (EngineEvent(157, 157 * 0.05, 1, "platoon_update", PlatoonInfo((1, 2))),
      "t=7.850 v1 platoon_update series=[1, 2]"),
     (EngineEvent(1400, 70.0, 6, "cut_in_spawn",
                  CutInEvent(t=70.0, target=1, lane=0, s_offset=18.0, duration=5.0,

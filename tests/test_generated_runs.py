@@ -5,25 +5,34 @@ with a leader and some free vehicles, and joins, leaves, cut-ins and radar
 or V2V faults aimed at any vehicle, with degradation on or off. A cut-in
 comes from a lane next to its target's declared lane. Such a document may
 break a load rule; then it must be a ``SpecError``. A loaded scenario must
-run to its end, so a ``TickError`` fails, and two runs of it must write the
-same bytes.
+run to its end, so a ``TickError`` fails, two runs of it must write the
+same bytes, and no vehicle may start HardwareFailures more often than faults
+were injected. Six seeds run for 90 s are pinned to golden digests.
 
-Run as a script, ``PYTHONPATH=src python3 tests/test_generated_runs.py [N]``
-prints how seeds ``0..N-1`` (default 400) end: ``SpecError``, full run or
-``TickError``, and how many full runs collide, with degradation on and off.
+Run as a script,
+``PYTHONPATH=src python3 tests/test_generated_runs.py [N] [--duration S]``
+prints how seeds ``0..N-1`` (default 400) end when run for S seconds
+(default 20): ``SpecError``, full run or ``TickError``, and how many full
+runs collide or reach a ``maneuver_timeout``, with degradation on and off,
+and how many log a dropped cloud instruction.
 """
 
+import argparse
+import hashlib
+import json
 import random
-import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from platoonsim.core import ManeuverState
 from platoonsim.engine import Simulator, TickError
 from platoonsim.scenario import SpecError, scenario_from_dict
 
 SEEDS = range(60)
 DURATION = 20.0
+GOLDEN = json.loads(Path(__file__).with_name("golden_generated.json").read_text())
 
 
 def generate(seed: int) -> dict:
@@ -65,22 +74,53 @@ def generate(seed: int) -> dict:
             "modes": {"degradation_enabled": rng.random() < 0.5}}
 
 
+def generated_spec(seed: int, duration: float = DURATION):
+    """The scenario of ``seed``, run for ``duration`` seconds; its events
+    stay where ``generate`` put them."""
+    return scenario_from_dict(dict(generate(seed), run={"dt": 0.05, "duration": duration}))
+
+
 def outputs(spec, out):
-    """The bytes of trace.csv and events.log."""
+    """The bytes of trace.csv and events.log, and the run's report."""
     trace, report = Simulator(spec).run()
     out.mkdir()
     trace.write_csv(out / "trace.csv")
     report.write_events(out / "events.log")
-    return (out / "trace.csv").read_bytes(), (out / "events.log").read_bytes()
+    return (out / "trace.csv").read_bytes(), (out / "events.log").read_bytes(), report
+
+
+def overstarted_failures(report) -> list:
+    """The HardwareFailures starts that leave their vehicle with more starts
+    than faults injected so far."""
+    injected, starts, over = 0, Counter(), []
+    for e in report.events:
+        injected += e.kind == "fault_injected"
+        if e.kind == "maneuver_start" and e.subject == ManeuverState.HARDWARE_FAILURES:
+            starts[e.vehicle] += 1
+            if starts[e.vehicle] > injected:
+                over.append(e.line())
+    return over
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
     try:
-        spec = scenario_from_dict(generate(seed))
+        spec = generated_spec(seed)
     except SpecError:
         return
-    assert outputs(spec, tmp_path / "a") == outputs(spec, tmp_path / "b")
+    trace, events, report = outputs(spec, tmp_path / "a")
+    assert (trace, events) == outputs(spec, tmp_path / "b")[:2]
+    assert overstarted_failures(report) == []
+
+
+# 9, 73 and 311 log the cloud's three drop notes; 35 (degradation on)
+# collides, preempts a maneuver with HardwareFailures and takes over; 318
+# and 1 reach a maneuver_timeout with degradation on and off
+@pytest.mark.parametrize("seed", list(GOLDEN))
+def test_a_generated_run_matches_its_golden_digests(seed, tmp_path):
+    trace, events, _ = outputs(generated_spec(int(seed), 90.0), tmp_path / "out")
+    assert {"trace_sha256": hashlib.sha256(trace).hexdigest(),
+            "events_sha256": hashlib.sha256(events).hexdigest()} == GOLDEN[seed]
 
 
 @pytest.mark.parametrize("seed", [327, 329])
@@ -88,7 +128,7 @@ def test_a_vehicle_freed_by_a_takeover_drops_another_vehicles_instruction(seed):
     # a follower took over while another vehicle's JoinTail instruction was
     # queued, started it as a free vehicle, and the leader stopped the run
     # with UnknownJoiner on its JoinFlag
-    _, report = Simulator(scenario_from_dict(generate(seed))).run()
+    _, report = Simulator(generated_spec(seed)).run()
     assert report.ticks == round(DURATION / 0.05)
 
 
@@ -97,15 +137,14 @@ def test_a_join_waits_until_the_last_joiner_is_in_the_platoon(seed):
     # the cloud issued a join while another was outstanding, the second
     # joiner flagged to a vehicle that was not the platoon's tail, and the
     # leader stopped the run with UnknownJoiner on its JoinFlag
-    _, report = Simulator(scenario_from_dict(generate(seed))).run()
+    _, report = Simulator(generated_spec(seed)).run()
     assert report.ticks == round(DURATION / 0.05)
 
 
 def test_a_queued_join_whose_target_is_a_member_is_dropped():
     # seed 311 files two joins for v8; the cloud issued the second the tick
     # after v8 joined, and v1, v2 and v8 sat in JoinTail until the timeout
-    spec = scenario_from_dict(dict(generate(311), run={"dt": 0.05, "duration": 90.0}))
-    _, report = Simulator(spec).run()
+    _, report = Simulator(generated_spec(311, 90.0)).run()
     assert [e.subject.target for e in report.events if e.kind == "instruction"].count(8) == 1
     assert not [e for e in report.events if e.kind == "maneuver_timeout"]
 
@@ -117,18 +156,18 @@ def test_a_queued_join_whose_target_is_a_member_is_dropped():
 def test_an_instruction_the_platoon_cannot_carry_out_is_dropped_with_a_note(seed, note):
     # seed 9 issued LeaveMiddle at free v4 and seed 73 a JoinMiddle before
     # free v3; every member started it and waited for the 60 s timeout
-    spec = scenario_from_dict(dict(generate(seed), run={"dt": 0.05, "duration": 90.0}))
-    _, report = Simulator(spec).run()
+    _, report = Simulator(generated_spec(seed, 90.0)).run()
     assert note in [e.line() for e in report.events]
     assert not [e for e in report.events if e.kind == "maneuver_timeout"]
 
 
-def breakdown(seeds) -> Counter:
-    """How the generated scenarios of ``seeds`` end."""
+def breakdown(seeds, duration: float = DURATION) -> Counter:
+    """How the generated scenarios of ``seeds``, run for ``duration``
+    seconds, end."""
     counts: Counter = Counter()
     for seed in seeds:
         try:
-            spec = scenario_from_dict(generate(seed))
+            spec = generated_spec(seed, duration)
         except SpecError:
             counts["SpecError"] += 1
             continue
@@ -138,15 +177,25 @@ def breakdown(seeds) -> Counter:
             counts["TickError"] += 1
             continue
         counts["full run"] += 1
+        degradation = "on" if spec.degradation_enabled else "off"
         if report.collisions:
-            counts["collision, degradation "
-                   + ("on" if spec.degradation_enabled else "off")] += 1
+            counts[f"collision, degradation {degradation}"] += 1
+        if any(e.kind == "maneuver_timeout" for e in report.events):
+            counts[f"maneuver_timeout, degradation {degradation}"] += 1
+        if any(e.kind == "note" and " dropped: " in e.subject for e in report.events):
+            counts["drop note"] += 1
     return counts
 
 
 if __name__ == "__main__":
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 400
-    counts = breakdown(range(n))
+    parser = argparse.ArgumentParser(description="How generated runs end.")
+    parser.add_argument("n", nargs="?", type=int, default=400, help="seeds 0..N-1")
+    parser.add_argument("--duration", type=float, default=DURATION, metavar="S",
+                        help=f"run length in seconds (default {DURATION:g})")
+    args = parser.parse_args()
+    counts = breakdown(range(args.n), args.duration)
     for key in ("SpecError", "full run", "TickError",
-                "collision, degradation on", "collision, degradation off"):
+                "collision, degradation on", "collision, degradation off",
+                "maneuver_timeout, degradation on", "maneuver_timeout, degradation off",
+                "drop note"):
         print(f"{key}: {counts[key]}")

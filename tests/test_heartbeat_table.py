@@ -163,7 +163,7 @@ class World:
         self.rng.shuffle(members)
         # once every vehicle has turned free, the series is empty
         count = self.rng.randrange(1, len(members) + 1) if members else 0
-        return PlatoonInfo(count, tuple(members[:count]))
+        return PlatoonInfo(tuple(members[:count]))
 
     def move(self):
         rng = self.rng

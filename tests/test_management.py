@@ -114,10 +114,11 @@ class TestPlatooningDispatch:
     def test_missing_key_holds_and_logs(self):
         mgr = manager_for(9, Role.FREE_VEHICLE)
         mgr.maneuver = ManeuverState.HARDWARE_FAILURES  # unregistered for free
-        out, _ = mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(),
-                                   maneuver=ManeuverState.HARDWARE_FAILURES))
+        out, events = mgr.tick(make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(),
+                                        maneuver=ManeuverState.HARDWARE_FAILURES))
         assert out.controller is None
-        assert any("no strategy" in note for note in out.notes)
+        assert [(e.kind, e.subject) for e in events] == [
+            ("no_strategy", StrategyKey(ManeuverState.HARDWARE_FAILURES, Role.FREE_VEHICLE))]
 
     def test_key_registered_after_a_hold_is_dispatched_next_tick(self):
         registry = StrategyRegistry()
@@ -190,7 +191,7 @@ class TestJoinLeader:
                        instruction=self.instruction(target=3),
                        inbox=[flag(MessageKind.JOIN_FLAG, sender=3)])
         out = JoinLeader().step(ctx, fresh_progress())
-        assert out.platoon_update == PlatoonInfo(3, (1, 2, 3))
+        assert out.platoon_update == PlatoonInfo((1, 2, 3))
         assert kinds(out) == [MessageKind.UPDATE_FLAG]
         assert out.maneuver_done
 
@@ -295,7 +296,7 @@ class TestAebHead:
         ctx = make_ctx(ego_id=1, role=Role.LEADER, maneuver=ManeuverState.AEB_HEAD,
                        reading=make_reading(gap=200.0, target=None))
         out = AebHeadLeader().step(ctx, fresh_progress())
-        assert out.platoon_update == PlatoonInfo(1, (1,))
+        assert out.platoon_update == PlatoonInfo((1,))
         assert kinds(out) == [MessageKind.SAFE_FLAG, MessageKind.UPDATE_FLAG]
         assert out.maneuver_done
 
@@ -322,9 +323,8 @@ class TestAebHead:
         out = strategy.step(ctx, progress)
         assert out.maneuver_done
         assert out.role_change is Role.FREE_VEHICLE
-        # staggered driver restart was scheduled and will request a join
+        # staggered driver restart was scheduled
         assert driver.restart_at == 200 + 2 * PARAMS.ticks(PARAMS.restart_stagger_s, DT)
-        assert driver.request_join_on_restart
 
     def test_restart_rank_follows_series_position(self):
         driver = DriverState()
@@ -690,8 +690,8 @@ class TestFaultSignalOrder:
         mgr._queue_faults(make_ctx(own_faults=own), own, silent)
         by_value = sorted(FaultKind, key=lambda k: k.value)
         assert list(mgr._pending_faults) == (
-            [(kind, 2, True) for kind in by_value]
-            + [(FaultKind.V2V_FAIL, peer, False) for peer in (3, 4, 5)])
+            [(kind, 2) for kind in by_value]
+            + [(FaultKind.V2V_FAIL, peer) for peer in (3, 4, 5)])
 
     def test_a_fault_handed_over_on_every_tick_is_queued_once(self):
         mgr = manager_for()
@@ -701,8 +701,8 @@ class TestFaultSignalOrder:
             mgr.tick(make_ctx(tick=tick, own_faults=own), silent)
         by_value = sorted(FaultKind, key=lambda k: k.value)
         assert list(mgr._pending_faults) == (
-            [(kind, 2, True) for kind in by_value]
-            + [(FaultKind.V2V_FAIL, peer, False) for peer in (3, 4, 5)])
+            [(kind, 2) for kind in by_value]
+            + [(FaultKind.V2V_FAIL, peer) for peer in (3, 4, 5)])
 
     def test_a_fault_seen_while_free_starts_nothing_once_a_member(self):
         mgr = manager_for(2, Role.FREE_VEHICLE)
@@ -715,19 +715,17 @@ class TestFaultSignalOrder:
 
 class TestDriverRestart:
     def test_restart_sets_speed_and_requests_join(self):
-        driver = DriverState(v_set=0.0, restart_at=100, restart_v=20.0,
-                             request_join_on_restart=True)
+        driver = DriverState(v_set=0.0, restart_at=100)
         out = PlatooningFree().step(
             make_ctx(ego_id=3, role=Role.FREE_VEHICLE, series=(), tick=100,
                      driver=driver),
             fresh_progress())
         assert kinds(out) == [MessageKind.JOIN_REQUEST]
-        assert out.controller.longitudinal.v_set == 20.0
+        assert out.controller.longitudinal.v_set == PARAMS.platoon_speed
         assert driver.restart_at is None
 
     def test_before_restart_time_holds_still(self):
-        driver = DriverState(v_set=0.0, restart_at=100, restart_v=20.0,
-                             request_join_on_restart=True)
+        driver = DriverState(v_set=0.0, restart_at=100)
         out = PlatooningFree().step(
             make_ctx(ego_id=3, role=Role.FREE_VEHICLE, series=(), tick=99,
                      driver=driver),

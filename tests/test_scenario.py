@@ -409,7 +409,7 @@ class TestCloud:
     def test_scripted_event_fires_at_its_time(self):
         spec = self.spec([JoinEvent(t=1.0, target=2)])
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         assert cloud.tick(19, [], platoon).instructions == []
         out = cloud.tick(20, [], platoon)
         assert len(out.instructions) == 1
@@ -418,7 +418,7 @@ class TestCloud:
     def test_leave_classified_by_tail_position(self):
         spec = self.spec([LeaveEvent(t=0.0, target=5), LeaveEvent(t=1.0, target=3)])
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(5, (1, 2, 3, 4, 5))
+        platoon = PlatoonInfo((1, 2, 3, 4, 5))
         out = cloud.tick(0, [], platoon)
         assert out.instructions[0].maneuver == ManeuverState.LEAVE_TAIL
         out = cloud.tick(20, [], platoon)
@@ -427,7 +427,7 @@ class TestCloud:
     def test_join_request_answered_after_service_delay(self):
         spec = self.spec()
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         request = V2VMessage(2, MessageKind.JOIN_REQUEST, tick_sent=100)
         assert cloud.tick(100, [request], platoon).instructions == []
         delay = spec.params.ticks(spec.params.join_service_delay_s, 0.05)
@@ -439,7 +439,7 @@ class TestCloud:
     def test_joins_serialized_single_outstanding(self):
         spec = self.spec()
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         reqs = [V2VMessage(2, MessageKind.JOIN_REQUEST, 100),
                 V2VMessage(3, MessageKind.JOIN_REQUEST, 100)]
         cloud.tick(100, reqs, platoon)
@@ -447,14 +447,14 @@ class TestCloud:
         assert [i.target for i in out.instructions] == [2]
         # nothing for vehicle 3 until vehicle 2 shows up in the platoon
         assert cloud.tick(200, [], platoon).instructions == []
-        joined = PlatoonInfo(2, (1, 2))
+        joined = PlatoonInfo((1, 2))
         out = cloud.tick(201, [], joined)
         assert [i.target for i in out.instructions] == [3]
 
     def test_repeated_request_answered_once(self):
         spec = self.spec()
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         req = V2VMessage(2, MessageKind.JOIN_REQUEST, 100)
         cloud.tick(100, [req, req], platoon)
         cloud.tick(101, [req], platoon)
@@ -465,21 +465,21 @@ class TestCloud:
     def test_scripted_join_waits_for_an_answered_request(self):
         spec = self.spec([JoinEvent(t=7.0, target=3)])
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         cloud.tick(100, [V2VMessage(2, MessageKind.JOIN_REQUEST, 100)], platoon)
         assert [i.target for i in cloud.tick(120, [], platoon).instructions] == [2]
         # the scripted join falls due while vehicle 2 has not joined yet
         assert cloud.tick(140, [], platoon).instructions == []
-        out = cloud.tick(141, [], PlatoonInfo(2, (1, 2)))
+        out = cloud.tick(141, [], PlatoonInfo((1, 2)))
         assert [i.target for i in out.instructions] == [3]
 
     def test_scripted_joins_issued_one_at_a_time(self):
         spec = self.spec([JoinEvent(t=1.0, target=2), JoinEvent(t=2.0, target=3)])
         cloud = Cloud(spec, spec.params, 0.05)
-        platoon = PlatoonInfo(1, (1,))
+        platoon = PlatoonInfo((1,))
         assert [i.target for i in cloud.tick(20, [], platoon).instructions] == [2]
         assert cloud.tick(40, [], platoon).instructions == []
-        out = cloud.tick(41, [], PlatoonInfo(2, (1, 2)))
+        out = cloud.tick(41, [], PlatoonInfo((1, 2)))
         assert [i.target for i in out.instructions] == [3]
 
 
@@ -488,7 +488,7 @@ class TestIntruderScript:
         params = Parameters()
         event = CutInEvent(t=0.0, target=1, lane=0, s_offset=18.0, duration=5.0,
                            ttc_satisfying=True)
-        script = IntruderScript(event, 9, params, 0.05)
+        script = IntruderScript(event, params, 0.05)
         target = VehicleState(s=500.0, lane=1, v=20.0)
         state = script.spawn_state(target, 5.0)
         # at the boundary-crossing time both have advanced half a lane change
@@ -501,7 +501,7 @@ class TestIntruderScript:
         params = Parameters()
         event = CutInEvent(t=0.0, target=1, lane=0, s_offset=8.0, duration=5.0,
                            ttc_satisfying=False)
-        script = IntruderScript(event, 9, params, 0.05)
+        script = IntruderScript(event, params, 0.05)
         with pytest.raises(ValueError, match="not adjacent"):
             script.spawn_state(VehicleState(s=500.0, lane=2, v=20.0), 5.0)
 
@@ -509,6 +509,6 @@ class TestIntruderScript:
         params = Parameters()
         event = CutInEvent(t=0.0, target=2, lane=0, s_offset=8.0, duration=5.0,
                            ttc_satisfying=False)
-        script = IntruderScript(event, 9, params, 0.05)
+        script = IntruderScript(event, params, 0.05)
         state = script.spawn_state(VehicleState(s=400.0, lane=1, v=20.0), 5.0)
         assert state.v == 20.0

@@ -77,8 +77,7 @@ def detect_collisions_reference(states, geom, vehicle_width):
 
 
 def deliver_reference(bus, tick, faults, receivers):
-    due = sorted((m for t, m in bus._in_flight if t <= tick),
-                 key=V2VMessage.sort_key)
+    due = sorted((m for t, m in bus._in_flight if t <= tick), key=lambda m: m.sender)
     bus._in_flight = [(t, m) for t, m in bus._in_flight if t > tick]
     inboxes = {r: [] for r in receivers}
     for msg in due:
@@ -250,7 +249,7 @@ def random_store(rng, ids, tick):
             state = VehicleState(s=rng.randrange(40) * 5.0, lane=rng.randrange(3),
                                  v=rng.uniform(0.0, 30.0), a=rng.uniform(-2.0, 2.0))
             role = rng.choice(list(Role))
-            platoon = PlatoonInfo(1, (vid,)) if role.is_member() else None
+            platoon = PlatoonInfo((vid,)) if role.is_member() else None
             inbox.append(heartbeat(vid, tick - rng.randrange(30), state, role, platoon))
         store.table.update(inbox)
     return store
