@@ -20,7 +20,7 @@ from .core import (
     maneuver_transition,
     role_transition,
 )
-from .engine import RunReport, Simulator, TickError, Trace, first_difference, replay_check, run
+from .engine import RunReport, Simulator, TickError, Trace, first_difference
 from .management import (
     StrategyContext,
     StrategyKey,
@@ -59,9 +59,7 @@ __all__ = [
     "first_difference",
     "load_scenario",
     "maneuver_transition",
-    "replay_check",
     "role_transition",
-    "run",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .core import (
     role_transition,
 )
 from .dynamics import G
-from .engine import RunReport, Trace, first_difference, run
+from .engine import RunReport, Simulator, Trace, first_difference
 from .management import (
     StrategyContext,
     StrategyKey,
@@ -89,7 +89,7 @@ def check_steady(params: Optional[Parameters] = None) -> CheckResult:
     if params is not None:
         spec = dataclasses.replace(spec, params=params)
     t0 = time.perf_counter()
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     wall = time.perf_counter() - t0
     gaps = _gaps_at_end(trace, range(2, 6))
     in_band = all(12.0 <= g <= 14.0 for g in gaps)
@@ -101,7 +101,7 @@ def check_steady(params: Optional[Parameters] = None) -> CheckResult:
 
 def check_join_tail() -> CheckResult:
     spec = bundled_scenario("join_tail")
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     join_flags = [e for e in report.events if e.subject is MessageKind.JOIN_FLAG]
     if not join_flags:
         return CheckResult(2, "join tail", False, "no JoinFlag emitted")
@@ -122,7 +122,7 @@ def check_join_tail() -> CheckResult:
 
 def check_join_middle() -> CheckResult:
     spec = bundled_scenario("join_middle")
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     evader_ctrl = [e for e in report.events if e.kind == "controller" and e.vehicle == 3]
     drops = [e for e in evader_ctrl if e.subject == CC(15.0)]
     resumes = [e for e in evader_ctrl if e.subject == CC(20.0)]
@@ -142,7 +142,7 @@ def check_join_middle() -> CheckResult:
 
 def check_aeb_head() -> CheckResult:
     spec = bundled_scenario("aeb_head")
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     aeb_start: dict[int, float] = {}
     stop_at: dict[int, float] = {}
     for row in trace.rows:
@@ -169,7 +169,7 @@ def check_aeb_head() -> CheckResult:
 
 def check_cut_in() -> CheckResult:
     spec = bundled_scenario("cut_in")
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     starts = {e.vehicle: e.tick for e in report.events
               if e.kind == "maneuver_start" and e.subject == ManeuverState.CUT_IN}
     if 2 not in starts:
@@ -197,9 +197,9 @@ def check_cut_in() -> CheckResult:
 
 def _v2v_pair() -> tuple[RunReport, RunReport, Trace, Trace, ScenarioSpec]:
     spec = bundled_scenario("v2v_fault")
-    trace_on, report_on = run(spec)
+    trace_on, report_on = Simulator(spec).run()
     spec_off = dataclasses.replace(spec, degradation_enabled=False)
-    trace_off, report_off = run(spec_off)
+    trace_off, report_off = Simulator(spec_off).run()
     return report_on, report_off, trace_on, trace_off, spec
 
 
@@ -246,7 +246,7 @@ def check_v2v_fault_without_degradation(pair=None) -> CheckResult:
 
 def check_radar_fault_with_degradation() -> CheckResult:
     spec = bundled_scenario("radar_fault")
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     sw3 = _first_controller_switch(report, 3, after=20.0)
     cc_ok = (sw3 is not None and sw3.subject.longitudinal.mode is LongitudinalMode.CC
              and abs(sw3.subject.longitudinal.v_set
@@ -271,7 +271,7 @@ def check_radar_fault_with_degradation() -> CheckResult:
 def check_radar_fault_without_degradation() -> CheckResult:
     spec = dataclasses.replace(bundled_scenario("radar_fault"),
                                degradation_enabled=False)
-    _, report = run(spec)
+    _, report = Simulator(spec).run()
     hits = [(t, a, b) for t, a, b in report.collisions
             if {a, b} == {2, 3} and t <= 30.0]
     return CheckResult(9, "radar fault without degradation", bool(hits),
@@ -281,7 +281,7 @@ def check_radar_fault_without_degradation() -> CheckResult:
 def check_integrated() -> CheckResult:
     spec = bundled_scenario("integrated")
     t0 = time.perf_counter()
-    trace, report = run(spec)
+    trace, report = Simulator(spec).run()
     wall = time.perf_counter() - t0
     first: dict[str, float] = {}
     for t, _, m in report.completions:
@@ -312,8 +312,8 @@ def check_determinism() -> CheckResult:
     passed = True
     for name in ("steady", "integrated"):
         spec = bundled_scenario(name)
-        trace_a, _ = run(spec)
-        trace_b, _ = run(spec)
+        trace_a, _ = Simulator(spec).run()
+        trace_b, _ = Simulator(spec).run()
         diff = first_difference(trace_a, trace_b)
         passed &= diff is None
         details.append(f"{name}: identical" if diff is None else

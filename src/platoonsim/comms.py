@@ -49,24 +49,12 @@ class BusConfig:
             raise ValueError("delivery delay must be non-negative")
 
 
-class FaultBoard:
-    """Per-vehicle set of active hardware faults. Faults are permanent:
-    there is no API to clear one."""
-
-    _NONE: frozenset[FaultKind] = frozenset()
-
-    def __init__(self) -> None:
-        self._faults: dict[VehicleId, set[FaultKind]] = {}
+class FaultBoard(dict[VehicleId, frozenset[FaultKind]]):
+    """Each vehicle's active hardware faults, read as ``faults.get(vid, ())``.
+    Faults are permanent: ``inject`` is the only writer and never removes one."""
 
     def inject(self, vid: VehicleId, kind: FaultKind) -> None:
-        self._faults.setdefault(vid, set()).add(kind)
-
-    def has(self, vid: VehicleId, kind: FaultKind) -> bool:
-        return bool(self._faults) and kind in self._faults.get(vid, ())
-
-    def active(self, vid: VehicleId) -> frozenset[FaultKind]:
-        faults = self._faults.get(vid)
-        return frozenset(faults) if faults else self._NONE
+        self[vid] = self.get(vid, frozenset()) | {kind}
 
 
 _SENDER = attrgetter("sender")  # delivery groups by this key alone, in C
@@ -97,7 +85,7 @@ class MessageBus:
 
     def send(self, msg: V2VMessage, faults: FaultBoard) -> bool:
         """Queue a broadcast; returns False when the sender's V2V is dead."""
-        if faults.has(msg.sender, FaultKind.V2V_FAIL):
+        if FaultKind.V2V_FAIL in faults.get(msg.sender, ()):
             return False
         self._in_flight.append((msg.tick_sent + self.config.delivery_delay_ticks, msg))
         return True
@@ -125,7 +113,7 @@ class MessageBus:
         # a stable sort: each sender's messages keep their send order
         due = sorted([m for t, m in self._in_flight if t <= tick], key=_SENDER)
         self._in_flight = [(t, m) for t, m in self._in_flight if t > tick]
-        hears = {rid: not faults.has(rid, FaultKind.V2V_FAIL) for rid in self._stores}
+        hears = {rid: FaultKind.V2V_FAIL not in faults.get(rid, ()) for rid in self._stores}
         flags = [m for m in due if m.kind is not MessageKind.HEARTBEAT]
         self.flag_inboxes = Inboxes(flags, hears) if flags else {rid: [] for rid in hears}
         for rid, store in self._stores.items():
@@ -195,7 +183,7 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
     gap and the lower id must still win.
     """
     ego = states[ego_id]
-    if faults.has(ego_id, FaultKind.RADAR_FAIL):
+    if FaultKind.RADAR_FAIL in faults.get(ego_id, ()):
         return RadarReading(False, max_range, 0.0, None)
     order, rears, lateral = Snapshot.by_rear(states, geom)
     center = geom.center(ego.lane)
@@ -276,10 +264,6 @@ class HeartbeatTable:
         self._lanes = None
         self._fresh = None
 
-    def known(self) -> tuple[VehicleId, ...]:
-        """Every sender heard from, ascending."""
-        return tuple(sorted(self._latest))
-
     def member_lanes(self) -> dict[int, _LaneOrder]:
         """Per lane, the platoon members' ``(s, id)`` in ascending order and,
         alongside, their positions alone for bisection."""
@@ -330,7 +314,7 @@ class PeerViewStore:
 
     def known_peers(self) -> tuple[VehicleId, ...]:
         """Every peer heard from, ascending."""
-        return tuple(p for p in self.table.known() if p != self.owner)
+        return tuple(p for p in sorted(self.table._latest) if p != self.owner)
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return None if peer == self.owner else self.table._latest.get(peer)

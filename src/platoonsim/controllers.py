@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 
 from .comms import PeerView, RadarReading
 from .core import LongitudinalCommand, LongitudinalMode
-from .dynamics import G
 
 if TYPE_CHECKING:
     from .params import Parameters
@@ -139,17 +138,14 @@ def cacc(reading: RadarReading, peer: PeerView, ego_v: float,
     return pid.step(error, dt, gains) + gains.kv * rel_speed + gains.ka * peer.a
 
 
-def aeb(ego_v: float, d_max: float = G) -> float:
+def aeb(ego_v: float, d_max: float) -> float:
     """Autonomous emergency braking: full deceleration until standstill."""
     return -d_max if ego_v > 0.0 else 0.0
 
 
-def cap_speed(a_cmd: float, ego_v: float, v_cap: Optional[float],
-              gains: GainSet) -> float:
+def cap_speed(a_cmd: float, ego_v: float, v_cap: float, gains: GainSet) -> float:
     """Bound an approach command so sustained closing cannot overspeed past
     ``v_cap``; below the cap the command passes through unchanged."""
-    if v_cap is None:
-        return a_cmd
     return min(a_cmd, gains.kv * (v_cap - ego_v))
 
 

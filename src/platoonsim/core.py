@@ -328,10 +328,6 @@ class PlatoonInfo:
         if len(set(self.id_series)) != len(self.id_series):
             raise ValueError("id_series must not repeat ids")
 
-    @classmethod
-    def solo(cls, leader: VehicleId) -> "PlatoonInfo":
-        return cls((leader,))
-
     def insert_before(self, joiner: VehicleId, member: VehicleId) -> "PlatoonInfo":
         idx = self.id_series.index(member)
         return PlatoonInfo(self.id_series[:idx] + (joiner,) + self.id_series[idx:])
@@ -376,12 +372,6 @@ class V2VMessage(NamedTuple):
     platoon: Optional[PlatoonInfo] = None
     fault: Optional[FaultKind] = None
     maneuver: Optional[ManeuverState] = None
-
-
-def heartbeat(sender: VehicleId, tick: int, state: VehicleState, role: Role,
-              platoon: Optional[PlatoonInfo]) -> V2VMessage:
-    # positional: a NamedTuple takes keywords at about 1.5 times the cost
-    return V2VMessage(sender, MessageKind.HEARTBEAT, tick, state, role, platoon)
 
 
 def controller_label(kind: ControllerKind) -> str:

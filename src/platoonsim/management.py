@@ -320,15 +320,13 @@ class VehicleManager:
             if isinstance(trigger, HardwareFaultTrigger):
                 # only an own fault names this vehicle: no FaultFlag or silent peer does
                 if data["faulty"] == self.vid:
-                    entry_messages.append(V2VMessage(
-                        self.vid, MessageKind.FAULT_FLAG, ctx.tick, fault=trigger.kind))
+                    entry_messages.append(ctx.make(MessageKind.FAULT_FLAG, fault=trigger.kind))
             elif isinstance(trigger, (ObstacleTtcTrigger, ObstacleCutInTrigger)):
                 # only sensor-detected maneuvers need broadcasting: cloud
                 # instructions already reach every vehicle and fault entries
                 # are carried by FaultFlag
-                entry_messages.append(V2VMessage(
-                    self.vid, MessageKind.MANEUVER_ANNOUNCE, ctx.tick,
-                    maneuver=self.maneuver))
+                entry_messages.append(ctx.make(MessageKind.MANEUVER_ANNOUNCE,
+                                               maneuver=self.maneuver))
 
         ctx.role = self.role
         ctx.maneuver = self.maneuver

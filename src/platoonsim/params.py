@@ -50,6 +50,3 @@ class Parameters:
 
     def ticks(self, seconds: float, dt: float) -> int:
         return max(1, round(seconds / dt))
-
-    def heartbeat_timeout_ticks(self, dt: float) -> int:
-        return self.ticks(self.heartbeat_timeout_s, dt)

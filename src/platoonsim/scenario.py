@@ -111,9 +111,6 @@ class ScenarioSpec:
             raise SpecError("run.duration must be an integer number of ticks")
         return int(round(ticks))
 
-    def members(self) -> tuple[VehicleSpec, ...]:
-        return tuple(v for v in self.vehicles if v.role.is_member())
-
     def fault_events(self) -> tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, FaultEvent))
 
@@ -361,13 +358,22 @@ def validate(spec: ScenarioSpec) -> None:
         if kind == "cut_in" and not (0 <= e.lane < geom.lane_count):
             raise SpecError(f"{where}.lane {e.lane} out of range")
 
+    # bodies in one lane that overlap at t = 0 collide on the first tick. In rear
+    # order, a body overlaps an earlier one iff its rear is behind their furthest front
+    fronts: dict[int, VehicleSpec] = {}  # per lane, the furthest front so far
+    for rear, i, v in sorted((v.s - v.length, i, v) for i, v in enumerate(spec.vehicles)):
+        ahead = fronts.setdefault(v.lane, v)
+        if ahead is not v and rear < ahead.s:
+            raise SpecError(f"vehicles[{i}]: vehicle {v.vid} overlaps vehicle {ahead.vid} "
+                            "at the start")
+        fronts[v.lane] = v if v.s > ahead.s else ahead
+
 
 def initial_platoon(spec: ScenarioSpec) -> Optional[tuple[VehicleId, ...]]:
     """Front-to-back id series of the declared platoon, leader first."""
-    members = spec.members()
-    if not members:
+    ordered = sorted((v for v in spec.vehicles if v.role.is_member()), key=lambda v: -v.s)
+    if not ordered:
         return None
-    ordered = sorted(members, key=lambda v: -v.s)
     if ordered[0].role is not Role.LEADER:
         raise SpecError("the leader must be the frontmost member")
     return tuple(v.vid for v in ordered)

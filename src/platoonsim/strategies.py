@@ -305,7 +305,7 @@ class AebHeadLeader:
         if _obstacle_cleared(ctx):
             out.messages.append(ctx.make(MessageKind.SAFE_FLAG))
             out.notes.append("obstacle gone; platoon reset")
-            return _confirm(ctx, out, PlatoonInfo.solo(ctx.ego_id))
+            return _confirm(ctx, out, PlatoonInfo((ctx.ego_id,)))
         return out
 
 

@@ -69,6 +69,10 @@ def flag(kind: MessageKind, sender=1, tick=99, **payload) -> V2VMessage:
     return V2VMessage(sender, kind, tick, **payload)
 
 
+def heartbeat(sender, tick, state, role, platoon) -> V2VMessage:
+    return V2VMessage(sender, MessageKind.HEARTBEAT, tick, state, role, platoon)
+
+
 def fresh_progress(tick=100, **data) -> StrategyProgress:
     return StrategyProgress(entered_tick=tick, data=dict(data))
 

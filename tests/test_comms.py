@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import open_store
+from conftest import heartbeat, open_store
 
 from platoonsim.comms import (
     BusConfig,
@@ -23,7 +23,6 @@ from platoonsim.core import (
     Role,
     V2VMessage,
     VehicleState,
-    heartbeat,
 )
 from platoonsim.dynamics import LaneGeometry
 

@@ -152,10 +152,10 @@ class TestAntiWindup:
 
 class TestAeb:
     def test_full_deceleration_while_moving(self):
-        assert aeb(20.0) == pytest.approx(-9.81)
+        assert aeb(20.0, G) == pytest.approx(-9.81)
 
     def test_zero_at_standstill(self):
-        assert aeb(0.0) == 0.0
+        assert aeb(0.0, G) == 0.0
 
     def test_time_to_stop_oracle(self):
         # v / d_max = 20 / 9.81 = 2.04 s
@@ -163,7 +163,7 @@ class TestAeb:
         state = VehicleState(s=0.0, lane=0, v=20.0)
         ticks = 0
         while state.v > 0.0:
-            state = step_longitudinal(state, aeb(state.v), limits, DT)
+            state = step_longitudinal(state, aeb(state.v, limits.d_max), limits, DT)
             ticks += 1
         assert ticks * DT == pytest.approx(20.0 / G, abs=DT)
 
@@ -174,9 +174,6 @@ class TestSpeedCap:
 
     def test_limits_accel_at_cap(self):
         assert cap_speed(2.9, 25.0, 25.0, GAINS) == 0.0
-
-    def test_no_cap_passthrough(self):
-        assert cap_speed(2.9, 40.0, None, GAINS) == 2.9
 
 
 class TestLongitudinalCommand:

@@ -6,21 +6,25 @@ or V2V faults aimed at any vehicle, with degradation on or off. A cut-in
 comes from a lane next to its target's declared lane. Such a document may
 break a load rule; then it must be a ``SpecError``. A loaded scenario must
 run to its end, so a ``TickError`` fails, two runs of it must write the
-same bytes, and no vehicle may start HardwareFailures more often than faults
-were injected. Six seeds run for 90 s are pinned to golden digests.
+same bytes, no collision may happen on its first tick, and no vehicle may
+start HardwareFailures more often than faults were injected. Six seeds run
+for 90 s are pinned to golden digests.
 
 Run as a script,
 ``PYTHONPATH=src python3 tests/test_generated_runs.py [N] [--duration S]``
 prints how seeds ``0..N-1`` (default 400) end when run for S seconds
 (default 20): ``SpecError``, full run or ``TickError``, and how many full
 runs collide or reach a ``maneuver_timeout``, with degradation on and off,
-and how many log a dropped cloud instruction.
+and how many log a dropped cloud instruction; then the ``SpecError``s by
+message, with every number in it (vehicle ids, event indexes) read as N.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -80,6 +84,19 @@ def generated_spec(seed: int, duration: float = DURATION):
     return scenario_from_dict(dict(generate(seed), run={"dt": 0.05, "duration": duration}))
 
 
+def overlapping_spec(seed: int, vid: int, duration: float = DURATION):
+    """The scenario of ``seed``, whose free vehicle ``vid`` starts inside
+    another one. The loader refuses that overlap, so it loads with ``vid``
+    moved clear and then puts it back: the run is the one a regression
+    below was found on, with its collision on the first tick."""
+    doc = dict(generate(seed), run={"dt": 0.05, "duration": duration})
+    s = doc["vehicles"][vid - 1]["s"]
+    doc["vehicles"] = [dict(v, s=-1000.0) if v["id"] == vid else v for v in doc["vehicles"]]
+    spec = scenario_from_dict(doc)
+    return dataclasses.replace(spec, vehicles=tuple(
+        dataclasses.replace(v, s=s) if v.vid == vid else v for v in spec.vehicles))
+
+
 def outputs(spec, out):
     """The bytes of trace.csv and events.log, and the run's report."""
     trace, report = Simulator(spec).run()
@@ -110,6 +127,7 @@ def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
         return
     trace, events, report = outputs(spec, tmp_path / "a")
     assert (trace, events) == outputs(spec, tmp_path / "b")[:2]
+    assert [e.line() for e in report.events if e.kind == "collision" and e.tick == 0] == []
     assert overstarted_failures(report) == []
 
 
@@ -128,7 +146,8 @@ def test_a_vehicle_freed_by_a_takeover_drops_another_vehicles_instruction(seed):
     # a follower took over while another vehicle's JoinTail instruction was
     # queued, started it as a free vehicle, and the leader stopped the run
     # with UnknownJoiner on its JoinFlag
-    _, report = Simulator(generated_spec(seed)).run()
+    spec = overlapping_spec(seed, 8) if seed == 329 else generated_spec(seed)
+    _, report = Simulator(spec).run()
     assert report.ticks == round(DURATION / 0.05)
 
 
@@ -137,7 +156,8 @@ def test_a_join_waits_until_the_last_joiner_is_in_the_platoon(seed):
     # the cloud issued a join while another was outstanding, the second
     # joiner flagged to a vehicle that was not the platoon's tail, and the
     # leader stopped the run with UnknownJoiner on its JoinFlag
-    _, report = Simulator(generated_spec(seed)).run()
+    spec = generated_spec(seed) if seed == 311 else overlapping_spec(seed, 6)
+    _, report = Simulator(spec).run()
     assert report.ticks == round(DURATION / 0.05)
 
 
@@ -168,8 +188,9 @@ def breakdown(seeds, duration: float = DURATION) -> Counter:
     for seed in seeds:
         try:
             spec = generated_spec(seed, duration)
-        except SpecError:
+        except SpecError as exc:
             counts["SpecError"] += 1
+            counts["SpecError: " + re.sub(r"\d+", "N", str(exc))] += 1
             continue
         try:
             _, report = Simulator(spec).run()
@@ -199,3 +220,7 @@ if __name__ == "__main__":
                 "maneuver_timeout, degradation on", "maneuver_timeout, degradation off",
                 "drop note"):
         print(f"{key}: {counts[key]}")
+    print("SpecError by message:")
+    for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        if key.startswith("SpecError: "):
+            print(f"  {n:4d}  {key.removeprefix('SpecError: ')}")

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import count_quiet_scans
+from conftest import count_quiet_scans, heartbeat
 
 from platoonsim.comms import (
     BusConfig,
@@ -32,7 +32,6 @@ from platoonsim.core import (
     Role,
     V2VMessage,
     VehicleState,
-    heartbeat,
 )
 
 SEEDS = range(40)
@@ -302,7 +301,7 @@ class TestDetachRule:
             self.beats(bus, faults, tick, (1, 2))  # 1's beats are refused
             assert bus.deliver(tick, faults) == {1: [], 2: []}
         assert stores[1].known_peers() == () and stores[2].known_peers() == ()
-        assert bus.heartbeats.known() == (2,)
+        assert sorted(bus.heartbeats._latest) == [2]
 
 
 def beat(vid, tick):

@@ -231,6 +231,16 @@ class TestValidation:
         with pytest.raises(SpecError, match="behind the leader"):
             scenario_from_dict(bad)
 
+    def test_bodies_overlapping_in_one_lane_at_start_rejected(self):
+        # 1 m behind the leader's front, the follower's body is inside the leader's
+        with pytest.raises(SpecError,
+                           match=re.escape("vehicles[0]: vehicle 1 overlaps vehicle 2")):
+            scenario_from_dict(doc(**vehicle(1, s=99.0)))
+        scenario_from_dict(doc(**vehicle(1, s=95.0)))  # touching bumpers load
+        beside = doc()
+        beside["vehicles"].append({"id": 3, "s": 99.0, "lane": 0, "v": 20.0, "role": "free"})
+        scenario_from_dict(beside)  # and so does a body beside another
+
     def test_duration_must_be_whole_ticks(self):
         with pytest.raises(SpecError, match="integer number of ticks"):
             scenario_from_dict(doc(run={"dt": 0.3, "duration": 1.0})).tick_count()

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import open_store
+from conftest import heartbeat, open_store
 
 from platoonsim.comms import (
     BusConfig,
@@ -25,7 +25,6 @@ from platoonsim.core import (
     Role,
     V2VMessage,
     VehicleState,
-    heartbeat,
 )
 from platoonsim.dynamics import LaneGeometry, Snapshot, detect_collisions, lateral_position
 
@@ -40,7 +39,7 @@ SEEDS = range(40)
 
 def radar_sense_reference(ego_id, states, faults, geom, max_range=200.0):
     ego = states[ego_id]
-    if faults.has(ego_id, FaultKind.RADAR_FAIL):
+    if FaultKind.RADAR_FAIL in faults.get(ego_id, ()):
         return RadarReading(False, max_range, 0.0, None)
     center = geom.center(ego.lane)
     best = None
@@ -84,7 +83,7 @@ def deliver_reference(bus, tick, faults, receivers):
         for rid in inboxes:
             if rid == msg.sender:
                 continue  # never self-deliver
-            if faults.has(rid, FaultKind.V2V_FAIL):
+            if FaultKind.V2V_FAIL in faults.get(rid, ()):
                 continue
             inboxes[rid].append(msg)
     return inboxes
