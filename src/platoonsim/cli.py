@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import RunReport, Simulator, TickError, Trace
-from .scenario import ScenarioSpec, SpecError, load_scenario, replace_run
+from .engine import RunReport, Simulator, TickError
+from .scenario import FaultEvent, ScenarioSpec, SpecError, load_scenario, replace_run
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
@@ -32,10 +32,14 @@ def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSp
         halt_on_collision=spec.halt_on_collision or args.halt_on_collision)
 
 
-def _write_outputs(out_dir: Path, trace: Trace, report: RunReport) -> None:
+def _run(spec: ScenarioSpec, out_dir: Path) -> RunReport:
+    """Run a scenario and write its trace, report and events; the trace is
+    dropped on return, so a second run does not hold it too."""
+    trace, report = Simulator(spec).run()
     trace.write_csv(out_dir / "trace.csv")
     (out_dir / "report.txt").write_text(report.to_text())
     report.write_events(out_dir / "events.log")
+    return report
 
 
 def _error(exc: Exception) -> int:
@@ -47,10 +51,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = _apply_overrides(load_scenario(args.scenario), args)
         Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before the run
-        trace, report = Simulator(spec).run()
+        report = _run(spec, Path(args.out))
     except (SpecError, TickError, OSError) as exc:
         return _error(exc)
-    _write_outputs(Path(args.out), trace, report)
     for t, a, b in report.collisions:
         print(f"collision at t={t:.3f} between v{a} and v{b}", file=sys.stderr)
     print(f"{spec.name}: {report.ticks} ticks, "
@@ -67,19 +70,16 @@ def _pair_text(min_gaps: dict) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         spec = load_scenario(args.scenario)
-        if not spec.fault_events():
+        if not any(isinstance(e, FaultEvent) for e in spec.events):
             print("error: compare needs a scenario with at least one fault "
                   "injection", file=sys.stderr)
             return EXIT_SPEC_ERROR
         out_dir = Path(args.out)
         for label in ("on", "off"):  # a bad --out fails before the runs
             (out_dir / label).mkdir(parents=True, exist_ok=True)
-        results = {}
-        for label, enabled in (("on", True), ("off", False)):
-            leg = dataclasses.replace(spec, degradation_enabled=enabled)
-            trace, report = Simulator(leg).run()
-            _write_outputs(out_dir / label, trace, report)
-            results[label] = report
+        results = {label: _run(dataclasses.replace(spec, degradation_enabled=enabled),
+                               out_dir / label)
+                   for label, enabled in (("on", True), ("off", False))}
     except (SpecError, TickError, OSError) as exc:
         return _error(exc)
 

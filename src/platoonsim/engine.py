@@ -27,8 +27,12 @@ A protocol error a strategy causes inside a tick is raised as a
 from __future__ import annotations
 
 import csv
+import struct
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import add, eq, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -100,41 +104,148 @@ _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 _NONE: frozenset = frozenset()  # no fault, no silent peer
 
 
+class TraceRows(Sequence):
+    """The rows of an engine trace, kept compact: a read-only sequence of
+    row tuples.
+
+    Row *i* is tick *i*, so the tick cell is not stored. The float cells of
+    all rows sit in one ``array('d')``; a row's other cells are one tuple,
+    the previous row's very object when the two are equal. A row read back
+    is the tuple recorded, in column order, with the same values and exact
+    types. The first recorded row that does not fit (its tick is not its
+    index, a float cell is not exactly a ``float``, its widths differ, or
+    an other cell's type differs from the first row's) turns the store into
+    a plain list of tuples for the rest of the run.
+    """
+
+    def __init__(self, width: int, float_at: Sequence[int]) -> None:
+        """``width`` cells per row, of which column 0 is the tick and the
+        columns ``float_at`` (in that order) hold the float cells."""
+        float_set = set(float_at)
+        other_at = [j for j in range(1, width) if j not in float_set]
+        # a recorded row is (tick, *floats, *others); this puts it in column order
+        source = {0: 0, **{j: 1 + k for k, j in enumerate(float_at)},
+                  **{j: 1 + len(float_at) + k for k, j in enumerate(other_at)}}
+        self._order = itemgetter(*[source[j] for j in range(width)])
+        self._width = width
+        self._nf = len(float_at)
+        self._float_types = [float] * self._nf
+        self._pack = struct.Struct(f"{self._nf}d").pack
+        self._floats = array("d")
+        self._others: list[tuple] = []
+        self._other_types: list[type] = []  # the first row's
+        self._plain: Optional[list[tuple]] = None  # every row, after a misfit
+
+    def record(self, tick: int, floats: list, others: list) -> None:
+        """Append the row of cells ``(tick, *floats, *others)`` in column
+        order; a row of another width is kept in that order."""
+        if self._plain is None:
+            last = self._others[-1] if self._others else None
+            others = tuple(others)
+            types = list(map(type, others))
+            if last is None:
+                self._other_types = types
+            if (tick == len(self._others) and types == self._other_types
+                    and list(map(type, floats)) == self._float_types):
+                self._floats.frombytes(self._pack(*floats))
+                self._others.append(last if others == last else others)
+                return
+            self._plain = list(self)
+        cells = (tick, *floats, *others)
+        self._plain.append(self._order(cells) if len(cells) == self._width else cells)
+
+    def _block(self, a: int, b: int) -> Iterator[tuple]:
+        """Rows a to b - 1, rebuilt in C."""
+        nf = self._nf
+        floats = self._floats[a * nf:b * nf]
+        return map(self._order, map(add, map(add, zip(range(a, b)), zip(*[iter(floats)] * nf)),
+                                    self._others[a:b]))
+
+    def __len__(self) -> int:
+        return len(self._others) if self._plain is None else len(self._plain)
+
+    def __getitem__(self, index):
+        if self._plain is not None:
+            return self._plain[index]
+        rows = range(len(self._others))[index]  # raises IndexError
+        if isinstance(index, slice):
+            if rows.step == 1:
+                return list(self._block(rows.start, rows.stop))
+            return [next(self._block(i, i + 1)) for i in rows]
+        return next(self._block(rows, rows + 1))
+
+    def __iter__(self) -> Iterator[tuple]:
+        if self._plain is not None:
+            return iter(self._plain)
+        n, step = len(self._others), _block_rows(self._width)
+        return chain.from_iterable(self._block(a, min(n, a + step)) for a in range(0, n, step))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, TraceRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+# the cells a trace reads or writes at once
+_BLOCK_CELLS = 16384
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_CELLS // max(1, width))
+
+
 @dataclass
 class Trace:
     spec_hash: str
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    rows: Sequence[tuple] = field(default_factory=list)
 
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
         6 decimals, other cells as ``str``, CRLF line ends, minimal quoting.
-        A row's exact cell types pick its ``%`` format, built once per call;
-        a row that needs quotes or holds another type goes through csv."""
+        The rows are read in slices of about 16,384 cells, each written at
+        once when it can be (see ``_write_formatted``); otherwise its rows
+        go one by one, and a row that needs quotes or holds a cell of
+        another type goes through csv."""
         formats: dict[tuple[type, ...], Optional[str]] = {}
+        rows = self.rows
+        step = _block_rows(len(self.columns))
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for row in map(tuple, self.rows):
-                types = tuple(map(type, row))
-                if types not in formats:
-                    cells = [_CELL_FORMATS.get(t) for t in types]
-                    # csv quotes a lone empty cell, so a formatted row has two
-                    formats[types] = (",".join(cells) + "\r\n"
-                                      if len(cells) > 1 and None not in cells else None)
-                fmt = formats[types]
-                if fmt is not None:
-                    line = fmt % row
-                    # a comma, quote or line break inside a str cell needs quotes
-                    if (line.count(",") == len(row) - 1 and '"' not in line
-                            and line.count("\r") == line.count("\n") == 1):
-                        fh.write(line)
-                        continue
-                writer.writerow([f"{v:.6f}" if isinstance(v, float) else str(v)
-                                 for v in row])
+            for a in range(0, len(rows), step):
+                block = rows[a:a + step]
+                if not _write_formatted(fh, block, formats):
+                    for row in block:
+                        if not _write_formatted(fh, [row], formats):
+                            writer.writerow([f"{v:.6f}" if isinstance(v, float) else str(v)
+                                             for v in row])
 
 
 _CELL_FORMATS = {float: "%.6f", int: "%s", str: "%s"}
+
+
+def _write_formatted(fh, rows: Sequence[Sequence], formats: dict) -> bool:
+    """Write ``rows`` in one call, each with the ``%`` format of the first
+    row's exact cell types (kept in ``formats``), if every row has those
+    types and no cell needs quotes; otherwise write nothing."""
+    types = tuple(map(type, rows[0]))
+    if types not in formats:
+        cells = [_CELL_FORMATS.get(t) for t in types]
+        # csv quotes a lone empty cell, so a formatted row has two
+        formats[types] = (",".join(cells) + "\r\n"
+                          if len(cells) > 1 and None not in cells else None)
+    fmt, n = formats[types], len(rows)
+    if (fmt is None or list(map(len, rows)) != [len(types)] * n
+            or list(map(type, chain.from_iterable(rows))) != list(types) * n):
+        return False
+    text = "".join(map(fmt.__mod__, map(tuple, rows)))
+    # a comma, quote or line break inside a str cell needs quotes
+    if (text.count(",") != (len(types) - 1) * n or '"' in text
+            or text.count("\r") != n or text.count("\n") != n):
+        return False
+    fh.write(text)
+    return True
 
 
 @dataclass
@@ -218,6 +329,9 @@ class _Runtime:
         if changed:
             self.label = controller_label(kind)
         return changed
+
+
+_FLOAT_FIELDS = ("time", "s", "v", "a", "gap")
 
 
 # Called after each recorded tick. It must not modify the runtimes: the
@@ -429,7 +543,7 @@ class Simulator:
         return states
 
     def _stage_record(self, tick: int, states: Snapshot, managed: list[VehicleId],
-                      readings: dict[VehicleId, RadarReading], trace: Trace) -> bool:
+                      readings: dict[VehicleId, RadarReading], rows: TraceRows) -> bool:
         time_end = (tick + 1) * self.dt
         self._snapshot = states
         hit_pairs = detect_collisions(states, self.params.geometry,
@@ -451,7 +565,8 @@ class Simulator:
                 if prev is None or reading.gap < prev:
                     self.report.min_gaps[key] = reading.gap
 
-        row: list = [tick, time_end]
+        floats: list = [time_end]
+        others: list = []
         for vid, rt in self.runtimes.items():
             reading = readings.get(vid)
             gap = reading.gap if reading is not None else 0.0
@@ -464,9 +579,10 @@ class Simulator:
             else:
                 maneuver = role = "-"
                 psize = 0
-            row.extend([rt.state.s, rt.state.lane, rt.state.v, rt.state.a,
-                        rt.label, maneuver, role, gap, psize])
-        trace.rows.append(tuple(row))
+            state = rt.state
+            floats += (state.s, state.v, state.a, gap)
+            others += (state.lane, rt.label, maneuver, role, psize)
+        rows.record(tick, floats, others)
         return halt
 
     # -- run ----------------------------------------------------------------
@@ -477,7 +593,11 @@ class Simulator:
             columns.extend(f"v{vid}_{name}" for name in
                            ("s", "lane", "v", "a", "controller", "maneuver",
                             "role", "gap", "psize"))
-        trace = Trace(self.report.spec_hash, tuple(columns))
+        # _stage_record hands the trace the time and each vehicle's s, v, a
+        # and gap as the float cells, in column order
+        rows = TraceRows(len(columns), [j for j, name in enumerate(columns)
+                                        if name.split("_", 1)[-1] in _FLOAT_FIELDS])
+        trace = Trace(self.report.spec_hash, tuple(columns), rows)
 
         managed = self._managed
         for tick in range(self.spec.tick_count()):
@@ -491,7 +611,7 @@ class Simulator:
             flag_inboxes = self._stage_bus(tick)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
             states = self._stage_step(tick, snapshot, readings)
-            halt = self._stage_record(tick, states, managed, readings, trace)
+            halt = self._stage_record(tick, states, managed, readings, rows)
             if observer is not None:
                 observer(self, tick)
             if halt:

@@ -111,9 +111,6 @@ class ScenarioSpec:
             raise SpecError("run.duration must be an integer number of ticks")
         return int(round(ticks))
 
-    def fault_events(self) -> tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if isinstance(e, FaultEvent))
-
     def spec_hash(self) -> str:
         """sha256 of the repr: the spec is a frozen tree of numbers, strings,
         enums and tuples, so the repr is deterministic and covers every field."""

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output files and flag handling."""
 
 import json
+import weakref
 
 import pytest
 
@@ -107,6 +108,20 @@ class TestCompare:
         code = main(["compare", scenario("steady"), "--out", str(tmp_path)])
         assert code == 1
         assert "fault" in capsys.readouterr().err
+
+    def test_the_off_leg_runs_without_the_on_leg_trace(self, tmp_path, capsys, monkeypatch):
+        traces, alive_at_start = [], []
+        run = engine.Simulator.run
+
+        def watched_run(sim, observer=None):
+            alive_at_start.append([ref() is not None for ref in traces])
+            trace, report = run(sim, observer)
+            traces.append(weakref.ref(trace))
+            return trace, report
+
+        monkeypatch.setattr(engine.Simulator, "run", watched_run)
+        assert main(["compare", scenario("v2v_fault"), "--out", str(tmp_path)]) == 0
+        assert alive_at_start == [[], [False]]
 
 
 @pytest.mark.parametrize("strategy, cause, text", BROKEN_STRATEGIES)

@@ -457,7 +457,7 @@ class TestSharedHeartbeatTable:
 
     def test_only_the_faulty_receiver_detaches(self):
         spec = bundled_scenario("v2v_fault")
-        (fault,) = spec.fault_events()
+        (fault,) = [e for e in spec.events if isinstance(e, FaultEvent)]
         sim = Simulator(spec)
         first = {}
 
@@ -473,7 +473,7 @@ class TestSharedHeartbeatTable:
         # the faulty receiver's store detaches onto a frozen copy; every
         # store must read as a private one fed its owner's full inboxes
         spec = bundled_scenario("v2v_fault")
-        (fault,) = spec.fault_events()
+        (fault,) = [e for e in spec.events if isinstance(e, FaultEvent)]
 
         def record(sim, log):
             def observer(s, tick):

@@ -1,7 +1,8 @@
 """trace.csv bytes: ``Trace.write_csv`` writes exactly what the plain
 ``csv.writer`` version below writes, on the trace of every bundled scenario
 and of the benchmark's 80-vehicle platoon, and on rows built to reach each
-branch of its per-row format strings."""
+branch of its per-row format strings; and ``TraceRows``, the compact store
+of engine traces, reads back exactly the rows recorded into it."""
 
 import csv
 import dataclasses
@@ -11,8 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from platoonsim.engine import Simulator, Trace
-from platoonsim.scenario import bundled_scenario, bundled_scenario_path, scenario_from_dict
+from platoonsim.core import Role
+from platoonsim.engine import Simulator, Trace, TraceRows
+from platoonsim.scenario import (
+    RunSpec,
+    ScenarioSpec,
+    VehicleSpec,
+    bundled_scenario,
+    bundled_scenario_path,
+    scenario_from_dict,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "platoonbench"
 
@@ -109,3 +118,105 @@ def test_empty_trace_is_the_header_only(tmp_path):
     trace = Trace("hash", COLUMNS)
     assert_same_bytes(trace, tmp_path)
     assert (tmp_path / "trace.csv").read_bytes() == b"tick,time,v1_s,v1_controller,v1_gap\r\n"
+
+
+# ---------------------------------------------------------------------------
+# TraceRows: the compact store of engine traces
+# ---------------------------------------------------------------------------
+
+FLOAT_AT = (1, 2, 4)  # time, v1_s and v1_gap of COLUMNS; v1_controller is the other cell
+
+
+def in_columns(tick, floats, others):
+    return (tick, floats[0], floats[1], others[0], floats[2])
+
+
+def store(recorded):
+    """A TraceRows of COLUMNS holding ``(tick, floats, others)`` records."""
+    rows = TraceRows(len(COLUMNS), FLOAT_AT)
+    for tick, floats, others in recorded:
+        rows.record(tick, floats, others)
+    return rows
+
+
+def plain(i):
+    return i, [0.05 * (i + 1), 400.0 + i / 3.0, 13.0 - i], ["CC@20.00" if i % 7 else "ACC"]
+
+
+def test_a_free_vehicle_at_standstill_keeps_its_int_position(tmp_path):
+    vehicles = (VehicleSpec(vid=1, s=400.0, lane=1, v=20.0, role=Role.LEADER),
+                VehicleSpec(vid=2, s=100, lane=0, v=0, role=Role.FREE_VEHICLE))
+    spec = ScenarioSpec(name="parked", run=RunSpec(dt=0.05, duration=1.0), vehicles=vehicles)
+    trace, _ = Simulator(spec).run()
+    assert {type(row[trace.columns.index("v2_s")]) for row in trace.rows} == {int}
+    assert_same_bytes(trace, tmp_path)
+    assert b",100,0," in (tmp_path / "trace.csv").read_bytes()
+
+
+MISFITS = {
+    "bool_in_a_float_column": (3, [0.2, True, 1.0], ["ACC"]),
+    "int_in_a_float_column": (3, [0.2, 400, 1.0], ["ACC"]),
+    "tick_not_the_row_index": (7, [0.2, 400.0, 1.0], ["ACC"]),
+    "another_width": (3, [0.2, 400.0, 1.0, 2.0], ["ACC"]),
+    "other_cell_of_another_type": (3, [0.2, 400.0, 1.0], [3]),
+}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_a_misfit_row_turns_the_store_into_a_plain_list(case, tmp_path):
+    misfit = MISFITS[case]
+    recorded = [plain(0), plain(1), plain(2), misfit, plain(4), plain(5)]
+    rows = store(recorded)
+    cells = (misfit[0], *misfit[1], *misfit[2])
+    expected = [in_columns(*r) for r in recorded[:3]] + [
+        in_columns(*misfit) if len(cells) == len(COLUMNS) else cells,
+        in_columns(*plain(4)), in_columns(*plain(5))]
+    assert list(rows) == expected
+    assert [list(map(type, r)) for r in rows] == [list(map(type, r)) for r in expected]
+    assert_same_bytes(Trace("hash", COLUMNS, rows), tmp_path)
+
+
+def test_equal_other_cells_of_another_type_are_not_shared():
+    rows = store([(0, [0.1, 1.0, 2.0], [1]), (1, [0.2, 1.0, 2.0], [True])])
+    assert type(rows[0][3]) is int and type(rows[1][3]) is bool
+
+
+def test_extreme_floats_round_trip(tmp_path):
+    extremes = [-0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]
+    recorded = [(i, [x, -x, 0.0], ["x"]) for i, x in enumerate(extremes)]
+    rows = store(recorded)
+    assert [repr(r) for r in rows] == [repr(in_columns(*r)) for r in recorded]
+    assert_same_bytes(Trace("hash", COLUMNS, rows), tmp_path)
+    assert b"0,-0.000000,0.000000,x,0.000000" in (tmp_path / "trace.csv").read_bytes()
+
+
+# more rows than one block of the writer and of iteration
+BLOCK_SPANNING = [plain(i) for i in range(7000)]
+
+
+def test_indexing_and_slicing_match_a_list():
+    rows = store(BLOCK_SPANNING)
+    expected = [in_columns(*r) for r in BLOCK_SPANNING]
+    assert len(rows) == len(expected) and list(rows) == expected
+    for i in (0, 1, 3276, 6999, -1, -7000):
+        assert rows[i] == expected[i]
+    for i in (7000, -7001):
+        with pytest.raises(IndexError):
+            rows[i]
+    for cut in (slice(None), slice(-5, None), slice(3270, 3290), slice(None, None, 3),
+                slice(10, 2, -2), slice(None, None, -1), slice(5, 5), slice(9000, None)):
+        assert rows[cut] == expected[cut]
+
+
+def test_equality_with_a_list_both_ways():
+    rows = store(BLOCK_SPANNING[:50])
+    expected = [in_columns(*r) for r in BLOCK_SPANNING[:50]]
+    assert rows == expected and expected == rows and rows == store(BLOCK_SPANNING[:50])
+    assert rows != expected[:-1] and expected[:-1] != rows
+    changed = expected[:-1] + [expected[-1][:-1] + (0.0,)]
+    assert rows != changed and changed != rows
+    assert rows != tuple(expected)
+
+
+def test_a_block_spanning_store_writes_like_the_reference(tmp_path):
+    assert_same_bytes(Trace("hash", COLUMNS, store(BLOCK_SPANNING)), tmp_path)
