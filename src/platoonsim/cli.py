@@ -62,11 +62,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_COLLISION if report.collisions else EXIT_OK
 
 
-def _pair_text(min_gaps: dict) -> list[str]:
-    return [f"  {front}-{back}: {gap:.3f}"
-            for (front, back), gap in sorted(min_gaps.items())]
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         spec = load_scenario(args.scenario)
@@ -87,11 +82,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for label in ("on", "off"):
         report = results[label]
         lines.append(f"degradation {label}:")
-        lines.append(f"  collisions: {len(report.collisions)}")
-        for t, a, b in report.collisions:
-            lines.append(f"    t={t:.3f} pair=({a},{b})")
-        lines.append("  min gaps:")
-        lines.extend("  " + row for row in _pair_text(report.min_gaps))
+        lines.extend(report.pair_lines("  ", "min gaps"))
         lines.append("")
     text = "\n".join(lines)
     (out_dir / "compare.txt").write_text(text)

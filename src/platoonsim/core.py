@@ -80,7 +80,8 @@ class ManeuverState:
 
     The core vocabulary is fixed; any other name is an extension maneuver,
     which lets new maneuvers register against the public registry without
-    touching this module.
+    touching this module. A name may not hold a comma, a double quote or a
+    line break, so no cell of trace.csv ever needs quotes.
     """
 
     name: str
@@ -106,6 +107,11 @@ class ManeuverState:
     AEB_MIDDLE: ClassVar["ManeuverState"]
     CUT_IN: ClassVar["ManeuverState"]
     HARDWARE_FAILURES: ClassVar["ManeuverState"]
+
+    def __post_init__(self) -> None:
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError(f"maneuver name {self.name!r} holds a comma, a quote "
+                             "or a line break")
 
     @classmethod
     def extension(cls, name: str) -> "ManeuverState":

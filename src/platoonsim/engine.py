@@ -109,13 +109,9 @@ class TraceRows(Sequence):
     row tuples.
 
     Row *i* is tick *i*, so the tick cell is not stored. The float cells of
-    all rows sit in one ``array('d')``; a row's other cells are one tuple,
-    the previous row's very object when the two are equal. A row read back
-    is the tuple recorded, in column order, with the same values and exact
-    types. The first recorded row that does not fit (its tick is not its
-    index, a float cell is not exactly a ``float``, its widths differ, or
-    an other cell's type differs from the first row's) turns the store into
-    a plain list of tuples for the rest of the run.
+    all rows sit in one ``array('d')``, so a float column reads back as
+    ``float`` whatever was recorded into it; a row's other cells are one
+    tuple, the previous row's very object when the two are equal.
     """
 
     def __init__(self, width: int, float_at: Sequence[int]) -> None:
@@ -123,36 +119,26 @@ class TraceRows(Sequence):
         columns ``float_at`` (in that order) hold the float cells."""
         float_set = set(float_at)
         other_at = [j for j in range(1, width) if j not in float_set]
-        # a recorded row is (tick, *floats, *others); this puts it in column order
+        # a row is rebuilt as (tick, *floats, *others); this puts it in column order
         source = {0: 0, **{j: 1 + k for k, j in enumerate(float_at)},
                   **{j: 1 + len(float_at) + k for k, j in enumerate(other_at)}}
         self._order = itemgetter(*[source[j] for j in range(width)])
         self._width = width
         self._nf = len(float_at)
-        self._float_types = [float] * self._nf
         self._pack = struct.Struct(f"{self._nf}d").pack
         self._floats = array("d")
         self._others: list[tuple] = []
-        self._other_types: list[type] = []  # the first row's
-        self._plain: Optional[list[tuple]] = None  # every row, after a misfit
+        # one CSV line: floats with 6 decimals, the tick and other cells as str
+        self.line_format = ",".join("%.6f" if j in float_set else "%s"
+                                    for j in range(width)) + "\r\n"
 
-    def record(self, tick: int, floats: list, others: list) -> None:
-        """Append the row of cells ``(tick, *floats, *others)`` in column
-        order; a row of another width is kept in that order."""
-        if self._plain is None:
-            last = self._others[-1] if self._others else None
-            others = tuple(others)
-            types = list(map(type, others))
-            if last is None:
-                self._other_types = types
-            if (tick == len(self._others) and types == self._other_types
-                    and list(map(type, floats)) == self._float_types):
-                self._floats.frombytes(self._pack(*floats))
-                self._others.append(last if others == last else others)
-                return
-            self._plain = list(self)
-        cells = (tick, *floats, *others)
-        self._plain.append(self._order(cells) if len(cells) == self._width else cells)
+    def record(self, floats: list, others: list) -> None:
+        """Append the next tick's row: its float cells and its other cells,
+        each in column order."""
+        others = tuple(others)
+        last = self._others[-1] if self._others else None
+        self._floats.frombytes(self._pack(*floats))
+        self._others.append(last if others == last else others)
 
     def _block(self, a: int, b: int) -> Iterator[tuple]:
         """Rows a to b - 1, rebuilt in C."""
@@ -162,11 +148,9 @@ class TraceRows(Sequence):
                                     self._others[a:b]))
 
     def __len__(self) -> int:
-        return len(self._others) if self._plain is None else len(self._plain)
+        return len(self._others)
 
     def __getitem__(self, index):
-        if self._plain is not None:
-            return self._plain[index]
         rows = range(len(self._others))[index]  # raises IndexError
         if isinstance(index, slice):
             if rows.step == 1:
@@ -175,8 +159,6 @@ class TraceRows(Sequence):
         return next(self._block(rows, rows + 1))
 
     def __iter__(self) -> Iterator[tuple]:
-        if self._plain is not None:
-            return iter(self._plain)
         n, step = len(self._others), _block_rows(self._width)
         return chain.from_iterable(self._block(a, min(n, a + step)) for a in range(0, n, step))
 
@@ -203,49 +185,20 @@ class Trace:
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
         6 decimals, other cells as ``str``, CRLF line ends, minimal quoting.
-        The rows are read in slices of about 16,384 cells, each written at
-        once when it can be (see ``_write_formatted``); otherwise its rows
-        go one by one, and a row that needs quotes or holds a cell of
-        another type goes through csv."""
-        formats: dict[tuple[type, ...], Optional[str]] = {}
+        An engine trace is written a slice of about 16,384 cells at a time
+        with its one line format: none of its cells needs quotes (see
+        ``ManeuverState``). Any other rows go through csv."""
         rows = self.rows
-        step = _block_rows(len(self.columns))
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for a in range(0, len(rows), step):
-                block = rows[a:a + step]
-                if not _write_formatted(fh, block, formats):
-                    for row in block:
-                        if not _write_formatted(fh, [row], formats):
-                            writer.writerow([f"{v:.6f}" if isinstance(v, float) else str(v)
-                                             for v in row])
-
-
-_CELL_FORMATS = {float: "%.6f", int: "%s", str: "%s"}
-
-
-def _write_formatted(fh, rows: Sequence[Sequence], formats: dict) -> bool:
-    """Write ``rows`` in one call, each with the ``%`` format of the first
-    row's exact cell types (kept in ``formats``), if every row has those
-    types and no cell needs quotes; otherwise write nothing."""
-    types = tuple(map(type, rows[0]))
-    if types not in formats:
-        cells = [_CELL_FORMATS.get(t) for t in types]
-        # csv quotes a lone empty cell, so a formatted row has two
-        formats[types] = (",".join(cells) + "\r\n"
-                          if len(cells) > 1 and None not in cells else None)
-    fmt, n = formats[types], len(rows)
-    if (fmt is None or list(map(len, rows)) != [len(types)] * n
-            or list(map(type, chain.from_iterable(rows))) != list(types) * n):
-        return False
-    text = "".join(map(fmt.__mod__, map(tuple, rows)))
-    # a comma, quote or line break inside a str cell needs quotes
-    if (text.count(",") != (len(types) - 1) * n or '"' in text
-            or text.count("\r") != n or text.count("\n") != n):
-        return False
-    fh.write(text)
-    return True
+            if isinstance(rows, TraceRows):
+                fmt, step = rows.line_format, _block_rows(len(self.columns))
+                for a in range(0, len(rows), step):
+                    fh.write("".join(map(fmt.__mod__, rows[a:a + step])))
+            else:
+                writer.writerows([f"{v:.6f}" if isinstance(v, float) else str(v)
+                                  for v in row] for row in rows)
 
 
 @dataclass
@@ -270,20 +223,24 @@ class RunReport:
         return [(e.time, e.vehicle) for e in self.events
                 if e.kind == "flag" and e.subject is MessageKind.TAKEOVER_REQUEST]
 
+    def pair_lines(self, indent: str, gaps_heading: str) -> list[str]:
+        """The collision count and each collision, then ``gaps_heading`` and
+        each pair's minimum gap: headings at ``indent``, entries 2 deeper."""
+        return [f"{indent}collisions: {len(self.collisions)}",
+                *(f"{indent}  t={t:.3f} pair=({a},{b})" for t, a, b in self.collisions),
+                f"{indent}{gaps_heading}:",
+                *(f"{indent}  {front}-{back}: {gap:.3f}"
+                  for (front, back), gap in sorted(self.min_gaps.items()))]
+
     def to_text(self) -> str:
         lines = [
             f"scenario: {self.scenario}",
             f"spec_hash: {self.spec_hash}",
             f"ticks: {self.ticks}",
             f"sim_duration_s: {self.sim_duration:.3f}",
-            f"collisions: {len(self.collisions)}",
+            *self.pair_lines("", "min_gaps"),
+            "maneuver_completions:",
         ]
-        for t, a, b in self.collisions:
-            lines.append(f"  t={t:.3f} pair=({a},{b})")
-        lines.append("min_gaps:")
-        for (front, back) in sorted(self.min_gaps):
-            lines.append(f"  {front}-{back}: {self.min_gaps[(front, back)]:.3f}")
-        lines.append("maneuver_completions:")
         for t, vid, name in self.completions:
             lines.append(f"  t={t:.3f} v{vid} {name}")
         lines.append("takeovers:")
@@ -582,7 +539,7 @@ class Simulator:
             state = rt.state
             floats += (state.s, state.v, state.a, gap)
             others += (state.lane, rt.label, maneuver, role, psize)
-        rows.record(tick, floats, others)
+        rows.record(floats, others)
         return halt
 
     # -- run ----------------------------------------------------------------

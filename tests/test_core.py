@@ -6,10 +6,13 @@ from platoonsim.comms import PeerView, RadarReading
 from platoonsim.core import (
     CloudInstructionTrigger,
     CompletedTrigger,
+    ControllerKind,
     EngineEvent,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
+    LongitudinalCommand,
+    LongitudinalMode,
     ManeuverState,
     MessageKind,
     ObstacleCutInTrigger,
@@ -20,6 +23,7 @@ from platoonsim.core import (
     RoleCause,
     V2VMessage,
     VehicleState,
+    controller_label,
     maneuver_transition,
     role_transition,
 )
@@ -131,6 +135,10 @@ class TestManeuverTransition:
                     maneuver_transition(state, trigger)
 
 
+# a cell needs quotes in trace.csv when it holds one of these
+CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
 class TestManeuverState:
     def test_core_constants_are_not_extensions(self):
         assert not ManeuverState.PLATOONING.is_extension
@@ -144,6 +152,25 @@ class TestManeuverState:
     def test_extension_cannot_shadow_core_name(self):
         with pytest.raises(ValueError):
             ManeuverState.extension("Platooning")
+
+    @pytest.mark.parametrize("char", CSV_SPECIAL,
+                             ids=["comma", "quote", "carriage_return", "newline"])
+    @pytest.mark.parametrize("make", [ManeuverState.extension, ManeuverState],
+                             ids=["extension", "constructor"])
+    def test_a_name_that_would_need_csv_quotes_is_refused(self, make, char):
+        with pytest.raises(ValueError):
+            make(f"Split{char}Stub")
+
+
+def test_no_string_the_engine_writes_to_the_trace_needs_quotes():
+    """Every string the engine puts in a trace cell that is not a float:
+    roles, core maneuver names, controller labels, and the fixed cells of
+    a scripted vehicle."""
+    labels = [controller_label(ControllerKind(LongitudinalCommand(mode, v_set)))
+              for mode in LongitudinalMode for v_set in (None, 20.0, -0.0, 1e300)]
+    cells = [*(role.value for role in Role), *ManeuverState.CORE_NAMES, *labels,
+             "Off", "Script", "-"]
+    assert [cell for cell in cells if any(c in cell for c in CSV_SPECIAL)] == []
 
 
 class TestPlatoonInfo:
