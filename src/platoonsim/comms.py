@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -40,9 +40,10 @@ from .dynamics import LaneGeometry, Snapshot
 @dataclass(frozen=True)
 class BusConfig:
     """Bus timing. The delay is fixed for a whole run so traces replay
-    bit-exactly."""
+    bit-exactly. A scenario file's delay is positive: the engine delivers
+    before its managers send, so a zero delay would run as a delay of one."""
 
-    delivery_delay_ticks: int = 1
+    delivery_delay_ticks: int = field(default=1, metadata={"bound": "positive"})
 
     def __post_init__(self) -> None:
         if self.delivery_delay_ticks < 0:
@@ -240,8 +241,6 @@ class HeartbeatTable:
 
     def __init__(self, latest: Optional[Mapping[VehicleId, V2VMessage]] = None) -> None:
         self._latest: dict[VehicleId, V2VMessage] = dict(latest or {})
-        # the leader heartbeats carrying a platoon in the last update, in order
-        self.leader_beats: list[V2VMessage] = []
         self._lanes: Optional[dict[int, _LaneOrder]] = None
         # (tick, timeout, fresh senders, the last peers asked about, quiet ones)
         self._fresh: Optional[tuple] = None
@@ -251,16 +250,12 @@ class HeartbeatTable:
 
     def update(self, msgs: Iterable[V2VMessage]) -> None:
         latest = self._latest
-        leaders: list[V2VMessage] = []
         for msg in msgs:
             if msg.kind is not MessageKind.HEARTBEAT:
                 continue
             cur = latest.get(msg.sender)
             if cur is None or msg.tick_sent >= cur.tick_sent:
                 latest[msg.sender] = msg
-            if msg.role is Role.LEADER and msg.platoon is not None:
-                leaders.append(msg)
-        self.leader_beats = leaders
         self._lanes = None
         self._fresh = None
 
@@ -318,15 +313,6 @@ class PeerViewStore:
 
     def raw(self, peer: VehicleId) -> Optional[V2VMessage]:
         return None if peer == self.owner else self.table._latest.get(peer)
-
-    def leader_heartbeat(self) -> Optional[V2VMessage]:
-        """Of the last update's leader heartbeats carrying a platoon, other
-        than the owner's, the first with the newest send tick."""
-        best: Optional[V2VMessage] = None
-        for msg in self.table.leader_beats:
-            if msg.sender != self.owner and (best is None or msg.tick_sent > best.tick_sent):
-                best = msg
-        return best
 
     def preceding_member(self, ego: VehicleState) -> Optional[VehicleId]:
         """Nearest platoon member ahead of ``ego``, from the freshest

@@ -153,14 +153,14 @@ def longitudinal_command(command: LongitudinalCommand, reading: RadarReading,
                          ego_v: float, driver_v_set: float,
                          predecessor: Optional[PeerView], params: Parameters,
                          pid_acc: PidState, pid_cacc: PidState, dt: float,
-                         stale_after_ticks: Optional[int]) -> float:
+                         stale_after_ticks: int) -> float:
     """One tick's acceleration command for the selected longitudinal mode.
 
     The driver mode tracks its set speed but brakes below the simulated
     driver's floor gap. Gap controllers command nothing on an invalid
     reading. CACC falls back to ACC when the predecessor's view is missing
-    or older than ``stale_after_ticks``. ACC and CACC commands are bounded
-    by the approach speed cap.
+    or, unless zeroed, older than ``stale_after_ticks``. ACC and CACC
+    commands are bounded by the approach speed cap.
     """
     gains = params.gains
     mode = command.mode

@@ -324,8 +324,8 @@ class PlatoonInfo:
     """Leader-maintained ordered member ids (head = leader); the platoon's
     size is their count.
 
-    The leader's copy is authoritative; followers replicate it from the
-    leader's heartbeat and may be one heartbeat stale.
+    The leader's copy is authoritative; every other vehicle copies it from
+    the declared leader's latest heartbeat, so theirs may be stale.
     """
 
     id_series: tuple[VehicleId, ...]

@@ -14,9 +14,9 @@ detection, is the next tick's snapshot for radar unless an intruder spawns
 Each managed vehicle's peer store is opened on the bus at construction,
 which makes the managed vehicles exactly the bus's receivers. Delivery
 keeps every store up to date (see :meth:`~platoonsim.comms.MessageBus.deliver`),
-so the bus stage is one ``deliver`` call; management reads the leader
-replica, the silent peers and the predecessor from the store without
-walking an inbox, and strategies get only the non-heartbeat messages.
+so the bus stage is one ``deliver`` call. Management reads from the store the
+platoon in the declared leader's latest heartbeat, the silent peers and the
+predecessor; strategies get only the non-heartbeat messages.
 The engine hands each manager the vehicle's active faults and every peer it
 detects as silent; the manager decides which of them are new and orders them.
 
@@ -272,7 +272,6 @@ class _Runtime:
         self.driver = DriverState(v_set=state.v)
         self.peer_store = peer_store
         self.replica: Optional[PlatoonInfo] = None
-        self.replica_tick = -1
         self.pid_acc = PidState()
         self.pid_cacc = PidState()
         self.ctx: Optional[StrategyContext] = None  # refilled every tick
@@ -316,6 +315,8 @@ class Simulator:
 
         series = initial_platoon(spec)
         platoon = PlatoonInfo(series) if series else None
+        # no role edge leads into or out of Leader: the declared leader leads throughout
+        self._leader = series[0] if series else None
         self.runtimes: dict[VehicleId, _Runtime] = {}
         for v in spec.vehicles:
             state = VehicleState(s=v.s, lane=v.lane, v=v.v, length=v.length)
@@ -356,17 +357,11 @@ class Simulator:
         maneuver = rt.manager.maneuver.name if rt.manager is not None else "-"
         return TickError(tick, tick * self.dt, vid, maneuver, error)
 
-    def _leader_runtime(self) -> Optional[_Runtime]:
-        for rt in self.runtimes.values():
-            if rt.manager is not None and rt.manager.role is Role.LEADER and rt.active:
-                return rt
-        return None
-
     # -- per-tick stages ----------------------------------------------------
 
     def _stage_cloud(self, tick: int) -> None:
-        leader = self._leader_runtime()
-        out = self.cloud.tick(tick, self._uplink, leader.replica if leader else None)
+        platoon = self.runtimes[self._leader].replica if self._leader is not None else None
+        out = self.cloud.tick(tick, self._uplink, platoon)
         self._uplink = []
         for fault in out.faults:
             self.faults.inject(fault.target, fault.kind)
@@ -418,9 +413,9 @@ class Simulator:
         for vid in managed:
             rt = self.runtimes[vid]
             store = rt.peer_store
-            beat = store.leader_heartbeat()  # replicate the platoon from the leader
-            if beat is not None and beat.tick_sent > rt.replica_tick:
-                rt.replica, rt.replica_tick = beat.platoon, beat.tick_sent
+            beat = store.raw(self._leader)  # None in the leader's own store
+            if beat is not None:
+                rt.replica = beat.platoon
             reading = readings[vid]
             assert rt.manager is not None
             own = silent = _NONE
@@ -451,7 +446,6 @@ class Simulator:
                 self._log(tick, vid, "note", note)
             if output.platoon_update is not None:
                 rt.replica = output.platoon_update
-                rt.replica_tick = tick
                 self._log(tick, vid, "platoon_update", output.platoon_update)
             for msg in output.messages:
                 self.bus.send(msg, self.faults)
@@ -473,7 +467,6 @@ class Simulator:
                     readings: dict[VehicleId, RadarReading]) -> Snapshot:
         """Step each active vehicle into its runtime and the returned
         snapshot, the next tick's; a vehicle reads only its own old state."""
-        stale_after = self._hb_timeout if self.spec.degradation_enabled else None
         states = Snapshot()
         for vid, rt in self.runtimes.items():
             if not rt.active:
@@ -489,7 +482,7 @@ class Simulator:
                         predecessor = rt.ctx.peers.get(peer_id)
                 a_cmd = longitudinal_command(
                     lon, readings[vid], rt.state.v, rt.driver.v_set, predecessor,
-                    self.params, rt.pid_acc, rt.pid_cacc, self.dt, stale_after)
+                    self.params, rt.pid_acc, rt.pid_cacc, self.dt, self._hb_timeout)
                 lateral = rt.controller.lateral
             state = step_longitudinal(snapshot[vid], a_cmd, self.params.limits, self.dt)
             try:

@@ -49,6 +49,10 @@ class VehicleSpec:
     role: Role
     length: float = positive(5.0)  # scenario files default to parameters.vehicle_length
 
+    def __post_init__(self) -> None:
+        if type(self.lane) is not int:  # the trace writes the lane cell as it is
+            raise ValueError(f"lane {self.lane!r} must be an integer")
+
 
 @dataclass(frozen=True)
 class RunSpec:

@@ -60,6 +60,20 @@ class TestRoleTransition:
                     pass
         assert legal == 4  # exactly the in-scope solid edges
 
+    # the engine fixes the declared leader at construction on these two
+    @pytest.mark.parametrize("role", list(Role))
+    @pytest.mark.parametrize("cause", list(RoleCause))
+    def test_no_edge_leads_into_leader(self, role, cause):
+        try:
+            assert role_transition(role, cause) is not Role.LEADER
+        except IllegalTransition:
+            pass
+
+    @pytest.mark.parametrize("cause", list(RoleCause))
+    def test_no_edge_leads_out_of_leader(self, cause):
+        with pytest.raises(IllegalTransition):
+            role_transition(Role.LEADER, cause)
+
 
 def _all_triggers():
     return [

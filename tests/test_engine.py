@@ -480,8 +480,7 @@ class TestSharedHeartbeatTable:
                 for vid, rt in s.runtimes.items():
                     store = rt.peer_store
                     log.append((tick, vid, dict(rt.ctx.peers.items()),
-                                store.preceding_member(rt.state), rt.replica,
-                                rt.replica_tick))
+                                store.preceding_member(rt.state), rt.replica))
             return observer
 
         shared_run = Simulator(spec)

@@ -20,8 +20,10 @@ message, with every number in it (vehicle ids, event indexes) read as N.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import random
 import re
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from platoonsim.core import ManeuverState
+from platoonsim.core import ManeuverState, Role
 from platoonsim.engine import Simulator, TickError
 from platoonsim.scenario import SpecError, scenario_from_dict
 
@@ -129,6 +131,12 @@ def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
     assert (trace, events) == outputs(spec, tmp_path / "b")[:2]
     assert [e.line() for e in report.events if e.kind == "collision" and e.tick == 0] == []
     assert overstarted_failures(report) == []
+    # no role edge leads into or out of Leader: the declared leader leads throughout
+    (leader,) = [v.vid for v in spec.vehicles if v.role is Role.LEADER]
+    header, *rows = csv.reader(io.StringIO(trace.decode()))
+    roles = [j for j, name in enumerate(header) if name.endswith("_role")]
+    for row in rows:
+        assert [header[j] for j in roles if row[j] == Role.LEADER.value] == [f"v{leader}_role"]
 
 
 # 9, 73 and 311 log the cloud's three drop notes; 35 (degradation on)

@@ -108,12 +108,10 @@ def reference_replica(inbox, replica, replica_tick):
     return replica, replica_tick
 
 
-def store_replica(store, replica, replica_tick):
-    """The same rule, as the engine applies it to a store."""
-    beat = store.leader_heartbeat()
-    if beat is not None and beat.tick_sent > replica_tick:
-        return beat.platoon, beat.tick_sent
-    return replica, replica_tick
+def store_replica(store, leader, replica):
+    """The engine's rule: the platoon in the leader's latest heartbeat."""
+    beat = store.raw(leader)
+    return replica if beat is None else beat.platoon
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +142,16 @@ class World:
                       for vid in self.ids}
         self.role = {vid: rng.choice((Role.FOLLOWER, Role.FOLLOWER, Role.FREE_VEHICLE))
                      for vid in self.ids}
-        self.role[rng.choice(self.ids)] = Role.LEADER
+        self.leader = rng.choice(self.ids)  # no role edge leads into or out of Leader
+        self.role[self.leader] = Role.LEADER
         self.series = self.new_series()
+        self.platoons = dict.fromkeys(self.ids)
         self.faults = FaultBoard()
         self.bus = MessageBus(config)
         self.stores = {vid: self.bus.peer_store(vid) for vid in self.ids}
         self.refs = {vid: ReferenceStore() for vid in self.ids}
-        self.replicas = {vid: (None, -1) for vid in self.ids}
-        self.ref_replicas = dict(self.replicas)
+        self.replicas = dict.fromkeys(self.ids)
+        self.ref_replicas = {vid: (None, -1) for vid in self.ids}
 
     def detached(self):
         return {vid for vid, store in self.stores.items()
@@ -170,8 +170,8 @@ class World:
             if rng.random() < 0.5:
                 self.state[vid] = VehicleState(s=random_position(rng),
                                                lane=rng.randrange(LANES), v=20.0)
-            if rng.random() < 0.05:
-                self.role[vid] = rng.choice(list(Role))  # a second leader may appear
+            if rng.random() < 0.05 and vid != self.leader:
+                self.role[vid] = rng.choice((Role.FOLLOWER, Role.FREE_VEHICLE))
         if rng.random() < 0.3:
             self.series = self.new_series()  # the leader replica changes
 
@@ -181,17 +181,19 @@ class World:
             if rng.random() < 0.04:
                 self.faults.inject(vid, FaultKind.V2V_FAIL)  # senders and receivers
         outbox = []
+        held = dict(self.platoons)  # the platoon each vehicle sent last tick
         for vid in self.ids:
             role = self.role[vid]
-            platoon = self.series if role is Role.LEADER else (
+            platoon = self.platoons[vid] = self.series if role is Role.LEADER else (
                 self.series if role.is_member() and rng.random() < 0.5 else None)
             if rng.random() < 0.9:
                 outbox.append(heartbeat(vid, tick, self.state[vid], role, platoon))
             if rng.random() < 0.1:  # a second beat of the same tick: the later wins
                 moved = VehicleState(s=random_position(rng), lane=rng.randrange(LANES), v=19.0)
                 outbox.append(heartbeat(vid, tick, moved, role, platoon))
-            if rng.random() < 0.05 and tick > 0:  # an older beat arriving late
-                outbox.append(heartbeat(vid, tick - 1, self.state[vid], role, platoon))
+            if rng.random() < 0.05 and tick > 0:  # an older beat arriving late,
+                # with the platoon its sender held then
+                outbox.append(heartbeat(vid, tick - 1, self.state[vid], role, held[vid]))
             if rng.random() < 0.2:
                 kind = rng.choice([k for k in MessageKind if k is not MessageKind.HEARTBEAT])
                 outbox.append(V2VMessage(vid, kind, tick))
@@ -226,7 +228,7 @@ def check_receiver(world, vid, tick, inbox):
     for series in (world.series.id_series, tuple(world.ids)):
         silent = detect_peer_failure(store, series, tick, TIMEOUT)
         assert silent == reference_silent(ref, vid, series, tick)
-    assert world.replicas[vid] == world.ref_replicas[vid]
+    assert world.replicas[vid] == world.ref_replicas[vid][0]
     assert world.bus.flag_inboxes[vid] == [
         m for m in inbox if m.kind is not MessageKind.HEARTBEAT]
 
@@ -235,7 +237,7 @@ def run_world(seed, delay, ticks=10):
     rng = random.Random(seed)
     world = World(rng, BusConfig(delivery_delay_ticks=delay))
     detached = set()
-    checks = {"shared": 0, "detached": 0}
+    checks = {"shared": 0, "detached": 0, "replica changes": 0}
     for tick in range(ticks):
         world.send(tick)
         inboxes = world.bus.deliver(tick, world.faults)
@@ -243,7 +245,9 @@ def run_world(seed, delay, ticks=10):
         for vid in world.ids:
             world.refs[vid].update(inboxes[vid])
             world.ref_replicas[vid] = reference_replica(inboxes[vid], *world.ref_replicas[vid])
-            world.replicas[vid] = store_replica(world.stores[vid], *world.replicas[vid])
+            replica = store_replica(world.stores[vid], world.leader, world.replicas[vid])
+            checks["replica changes"] += replica is not world.replicas[vid]
+            world.replicas[vid] = replica
         for vid in world.ids:
             check_receiver(world, vid, tick, inboxes[vid])
             checks["detached" if vid in world.detached() else "shared"] += 1
@@ -261,13 +265,14 @@ class TestSharedTableAgainstPrivateStores:
         run_world(seed, delay)
 
     def test_worlds_exercise_sharing_and_detaching(self):
-        # the seeds above must check both kinds of store, or the comparison
-        # says nothing about one of them
-        checks = {"shared": 0, "detached": 0}
+        # the seeds above must check both kinds of store, and replicas that
+        # change, or the comparison says nothing about one of them
+        checks = {"shared": 0, "detached": 0, "replica changes": 0}
         for seed in SEEDS:
             for kind, count in run_world(seed, 1).items():
                 checks[kind] += count
         assert checks["shared"] > 500 and checks["detached"] > 500, checks
+        assert checks["replica changes"] > 200, checks
 
 
 class TestDetachRule:

@@ -144,6 +144,9 @@ class TestLoading:
         ({"parameters": {"gains": {"kp": -1}}}, "parameters.gains"),
         ({"parameters": {"limits": {"a_max": 0}}}, "parameters.limits"),
         ({"parameters": {"bus": {"delivery_delay_ticks": -1}}}, "parameters.bus"),
+        # the bus stage runs before the managers send: a zero delay runs as one
+        ({"parameters": {"bus": {"delivery_delay_ticks": 0}}},
+         "parameters.bus.delivery_delay_ticks must be positive"),
         ({"parameters": {"spacing": {"h_min": 0.9}}}, "parameters.spacing"),
         ({"parameters": {"geometry": {"lane_count": 0}}}, "parameters.geometry"),
         ({"parameters": {"geometry": {"lane_width": 0}}}, "parameters.geometry"),
@@ -207,6 +210,13 @@ class TestLoading:
 
 
 class TestValidation:
+    def test_a_vehicle_spec_built_in_python_refuses_a_float_lane(self):
+        with pytest.raises(ValueError, match="lane 1.0 must be an integer"):
+            VehicleSpec(vid=1, s=100.0, lane=1.0, v=20.0, role=Role.LEADER)
+        # a loaded lane meets the field check first, with its own text
+        with pytest.raises(SpecError, match=re.escape("vehicles[1].lane must be an integer")):
+            scenario_from_dict(doc(**vehicle(1, lane=1.0)))
+
     def test_ids_must_be_dense(self):
         bad = doc()
         bad["vehicles"][1]["id"] = 5
