@@ -144,9 +144,6 @@ class TestLoading:
         ({"parameters": {"gains": {"kp": -1}}}, "parameters.gains"),
         ({"parameters": {"limits": {"a_max": 0}}}, "parameters.limits"),
         ({"parameters": {"bus": {"delivery_delay_ticks": -1}}}, "parameters.bus"),
-        # the bus stage runs before the managers send: a zero delay runs as one
-        ({"parameters": {"bus": {"delivery_delay_ticks": 0}}},
-         "parameters.bus.delivery_delay_ticks must be positive"),
         ({"parameters": {"spacing": {"h_min": 0.9}}}, "parameters.spacing"),
         ({"parameters": {"geometry": {"lane_count": 0}}}, "parameters.geometry"),
         ({"parameters": {"geometry": {"lane_width": 0}}}, "parameters.geometry"),
@@ -203,6 +200,9 @@ class TestLoading:
         ({**ONE_LANE, **event(**CUT_IN)}, "events[0]"),
         # no member is ahead of the leader to open a slot: it would hang too
         (event(kind="join", target=2, position="before:1"), "events[0]"),
+        # the bus stage runs before the managers send: a zero delay runs as one
+        ({"parameters": {"bus": {"delivery_delay_ticks": 0}}},
+         "parameters.bus.delivery_delay_ticks must be positive"),
     ])
     def test_rejected_values_are_spec_errors(self, overrides, where):
         with pytest.raises(SpecError, match=re.escape(where)):
