@@ -203,8 +203,8 @@ def _v2v_pair() -> tuple[RunReport, RunReport, Trace, Trace, ScenarioSpec]:
     return report_on, report_off, trace_on, trace_off, spec
 
 
-def check_v2v_fault_with_degradation(pair=None) -> CheckResult:
-    report_on, _, trace, _, spec = pair if pair is not None else _v2v_pair()
+def check_v2v_fault_with_degradation(pair) -> CheckResult:
+    report_on, _, trace, _, spec = pair
     dt = spec.run.dt
     deadline = 20.0 + spec.params.heartbeat_timeout_s \
         + spec.params.bus.delivery_delay_ticks * dt
@@ -225,8 +225,8 @@ def check_v2v_fault_with_degradation(pair=None) -> CheckResult:
                        f"series -> [1,2]={pruned}")
 
 
-def check_v2v_fault_without_degradation(pair=None) -> CheckResult:
-    report_on, report_off, _, trace_off, spec = pair if pair is not None else _v2v_pair()
+def check_v2v_fault_without_degradation(pair) -> CheckResult:
+    report_on, report_off, _, trace_off, spec = pair
     dt = spec.run.dt
     substitution = 20.0 + spec.params.heartbeat_timeout_s
     window = [r for r in trace_off.rows if substitution <= r[1] <= substitution + 1.0]

@@ -12,9 +12,9 @@ The one way a vehicle stops hearing the bus is its own V2V fault: its store
 then keeps a frozen copy of the table as it stood before. The predecessor
 search bisects per-lane member orders, and peer views are built on lookup.
 
-A peer is silent once its heartbeat is older than the timeout. Only
-:meth:`HeartbeatTable.quiet` decides which peers are, once per series, table
-and tick; :func:`detect_peer_failure` reads it for one store, in no order.
+A peer is silent once its heartbeat is older than the heartbeat table's
+timeout. :meth:`HeartbeatTable.quiet` applies that one rule to a series, as a
+set, and a :class:`PeerView` carries it for one peer, as ``silent``.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class MessageBus:
     on it (see :meth:`peer_store` and :meth:`deliver`).
     """
 
-    def __init__(self, config: BusConfig) -> None:
+    def __init__(self, config: BusConfig, timeout_ticks: int) -> None:
         self.config = config
         self._in_flight: list[tuple[int, V2VMessage]] = []
-        self.heartbeats = HeartbeatTable()
+        self.heartbeats = HeartbeatTable(timeout_ticks)
         self._stores: dict[VehicleId, PeerViewStore] = {}
         # the non-heartbeat part of the last delivery's inboxes
         self.flag_inboxes: Mapping[VehicleId, list[V2VMessage]] = {}
@@ -211,9 +211,10 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
 # ---------------------------------------------------------------------------
 
 class PeerView(NamedTuple):
-    """Latest heartbeat fields for one peer, plus their age in ticks.
-    ``zeroed`` marks the no-degradation failure substitution. A NamedTuple:
-    it compares as the tuple of its fields."""
+    """Latest heartbeat fields for one peer, their age in ticks, and whether
+    the peer is silent (older than the table's timeout). ``zeroed`` marks the
+    no-degradation substitution of a silent peer. A NamedTuple: it compares
+    as the tuple of its fields."""
 
     s: float
     v: float
@@ -224,6 +225,7 @@ class PeerView(NamedTuple):
     age_ticks: int
     lane: int = 0
     zeroed: bool = False
+    silent: bool = False
 
 
 # one lane's platoon members: their positions, and their (s, id) alongside
@@ -236,17 +238,22 @@ class HeartbeatTable:
 
     A heartbeat replaces the kept one when its send tick is not older, so of
     two with the same tick the later in delivery order wins. The bus keeps
-    one table for every receiver (see :meth:`MessageBus.deliver`).
+    one table for every receiver (see :meth:`MessageBus.deliver`). A sender
+    whose heartbeat is more than ``timeout_ticks`` old is silent.
     """
 
-    def __init__(self, latest: Optional[Mapping[VehicleId, V2VMessage]] = None) -> None:
+    def __init__(self, timeout_ticks: int,
+                 latest: Optional[Mapping[VehicleId, V2VMessage]] = None) -> None:
+        if timeout_ticks < 1:
+            raise ValueError("timeout must be at least one tick")
+        self.timeout_ticks = timeout_ticks
         self._latest: dict[VehicleId, V2VMessage] = dict(latest or {})
         self._lanes: Optional[dict[int, _LaneOrder]] = None
-        # (tick, timeout, fresh senders, the last peers asked about, quiet ones)
+        # (tick, fresh senders, the last peers asked about, quiet ones)
         self._fresh: Optional[tuple] = None
 
     def copy(self) -> "HeartbeatTable":
-        return HeartbeatTable(self._latest)
+        return HeartbeatTable(self.timeout_ticks, self._latest)
 
     def update(self, msgs: Iterable[V2VMessage]) -> None:
         latest = self._latest
@@ -276,21 +283,21 @@ class HeartbeatTable:
                 self._lanes[lane] = ([s for s, _ in order], order)
         return self._lanes
 
-    def quiet(self, peers: Iterable[VehicleId], tick: int,
-              timeout_ticks: int) -> frozenset[VehicleId]:
-        """Those ``peers`` whose heartbeat is older than ``timeout_ticks``
-        ticks at ``tick``; a peer never heard from counts as heard at tick 0.
-        Kept beside the fresh senders and keyed on the identity of a tuple,
-        so the readers of one replica series share one scan."""
+    def quiet(self, peers: Iterable[VehicleId], tick: int) -> frozenset[VehicleId]:
+        """Those ``peers`` that are silent at ``tick``; a peer never heard
+        from counts as heard at tick 0. Kept beside the fresh senders and
+        keyed on the identity of a tuple, so the readers of one replica
+        series share one scan."""
         memo = self._fresh
-        if memo is None or memo[0] != tick or memo[1] != timeout_ticks:
-            horizon = tick - timeout_ticks
-            memo = (tick, timeout_ticks, frozenset([vid for vid, msg in self._latest.items()
-                                                    if msg.tick_sent >= horizon]), None, None)
-        if memo[3] is not peers or type(peers) is not tuple:
-            quiet = frozenset(peers).difference(memo[2]) if tick > timeout_ticks else frozenset()
-            memo = self._fresh = memo[:3] + (peers, quiet)
-        return memo[4]
+        if memo is None or memo[0] != tick:
+            horizon = tick - self.timeout_ticks
+            memo = (tick, frozenset([vid for vid, msg in self._latest.items()
+                                     if msg.tick_sent >= horizon]), None, None)
+        if memo[2] is not peers or type(peers) is not tuple:
+            quiet = (frozenset(peers).difference(memo[1]) if tick > self.timeout_ticks
+                     else frozenset())
+            memo = self._fresh = memo[:2] + (peers, quiet)
+        return memo[3]
 
 
 class PeerViewStore:
@@ -364,11 +371,10 @@ class PeerViews(Mapping[VehicleId, PeerView]):
     next delivery.
     """
 
-    def __init__(self, store: PeerViewStore, tick: int, timeout_ticks: int,
-                 degradation_enabled: bool) -> None:
+    def __init__(self, store: PeerViewStore, tick: int, degradation_enabled: bool) -> None:
         self._store = store
         self._tick = tick
-        self._timeout_ticks = timeout_ticks
+        self._timeout_ticks = store.table.timeout_ticks  # a detached copy keeps it
         self._degradation_enabled = degradation_enabled
 
     def __getitem__(self, peer: VehicleId) -> PeerView:
@@ -383,12 +389,13 @@ class PeerViews(Mapping[VehicleId, PeerView]):
             return default
         assert msg.state is not None and msg.role is not None
         age = self._tick - msg.tick_sent
-        if not self._degradation_enabled and age > self._timeout_ticks:
+        silent = age > self._timeout_ticks
+        if silent and not self._degradation_enabled:
             return PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
-                            msg.platoon, age, msg.state.lane, zeroed=True)
+                            msg.platoon, age, msg.state.lane, True, True)
         return PeerView(msg.state.s, msg.state.v, msg.state.a,
                         msg.state.length, msg.role, msg.platoon, age,
-                        msg.state.lane)
+                        msg.state.lane, False, silent)
 
     def __iter__(self) -> Iterator[VehicleId]:
         return iter(self._store.known_peers())
@@ -397,25 +404,22 @@ class PeerViews(Mapping[VehicleId, PeerView]):
         return len(self._store.known_peers())
 
 
-def v2v_payload(store: PeerViewStore, tick: int, timeout_ticks: int,
+def v2v_payload(store: PeerViewStore, tick: int,
                 degradation_enabled: bool) -> Mapping[VehicleId, PeerView]:
     """Per-peer kinematic view from the freshest heartbeats.
 
-    With degradation enabled a stale peer keeps its last-known values (the
+    With degradation enabled a silent peer keeps its last-known values (the
     failure is reported separately through detect_peer_failure). With
-    degradation disabled, a heartbeat absent past the timeout turns the
-    peer's communicated data to all zeros, which is the raw failure
-    semantics the degraded controllers are protecting against. Views are
-    built on lookup (see :class:`PeerViews`).
+    degradation disabled, a silent peer's communicated data turns to all
+    zeros, which is the raw failure semantics the degraded controllers are
+    protecting against. Views are built on lookup (see :class:`PeerViews`).
     """
-    return PeerViews(store, tick, timeout_ticks, degradation_enabled)
+    return PeerViews(store, tick, degradation_enabled)
 
 
-def detect_peer_failure(store: PeerViewStore, peers: Iterable[VehicleId], tick: int,
-                        timeout_ticks: int) -> frozenset[VehicleId]:
+def detect_peer_failure(store: PeerViewStore, peers: Iterable[VehicleId],
+                        tick: int) -> frozenset[VehicleId]:
     """Those ``peers``, other than the store's owner, that are silent at
     ``tick`` (see :meth:`HeartbeatTable.quiet`), in no order."""
-    if timeout_ticks < 1:
-        raise ValueError("timeout must be at least one tick")
-    quiet = store.table.quiet(peers, tick, timeout_ticks)
+    quiet = store.table.quiet(peers, tick)
     return quiet.difference((store.owner,)) if store.owner in quiet else quiet

@@ -26,7 +26,7 @@ class InvalidReading(Exception):
 
 
 class StaleData(Exception):
-    """CACC was fed a predecessor heartbeat older than the timeout."""
+    """CACC was fed a silent predecessor's view that was not zeroed."""
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class SpacingPolicy:
         h = self.h_base - self.headway_slope * rel_speed
         return max(self.h_min, min(self.h_max, h))
 
-    def desired_gap(self, v: float, h: Optional[float] = None) -> float:
-        return self.d0 + (self.h_base if h is None else h) * v
+    def desired_gap(self, v: float, h: float) -> float:
+        return self.d0 + h * v
 
 
 @dataclass(frozen=True)
@@ -123,14 +123,13 @@ def acc(reading: RadarReading, ego_v: float, policy: SpacingPolicy,
 
 
 def cacc(reading: RadarReading, peer: PeerView, ego_v: float,
-         policy: SpacingPolicy, gains: GainSet, pid: PidState, dt: float,
-         stale_after_ticks: Optional[int] = None) -> float:
+         policy: SpacingPolicy, gains: GainSet, pid: PidState, dt: float) -> float:
     """Cooperative ACC: radar gap with variable headway plus the
     predecessor's broadcast speed (relative-speed term) and acceleration
-    (feedforward)."""
+    (feedforward). A silent predecessor's data is stale, unless zeroed."""
     if not reading.valid:
         raise InvalidReading("CACC needs a valid radar reading")
-    if stale_after_ticks is not None and peer.age_ticks > stale_after_ticks and not peer.zeroed:
+    if peer.silent and not peer.zeroed:
         raise StaleData(f"predecessor heartbeat {peer.age_ticks} ticks old")
     rel_speed = peer.v - ego_v
     h = policy.variable_headway(rel_speed)
@@ -152,15 +151,14 @@ def cap_speed(a_cmd: float, ego_v: float, v_cap: float, gains: GainSet) -> float
 def longitudinal_command(command: LongitudinalCommand, reading: RadarReading,
                          ego_v: float, driver_v_set: float,
                          predecessor: Optional[PeerView], params: Parameters,
-                         pid_acc: PidState, pid_cacc: PidState, dt: float,
-                         stale_after_ticks: int) -> float:
+                         pid_acc: PidState, pid_cacc: PidState, dt: float) -> float:
     """One tick's acceleration command for the selected longitudinal mode.
 
     The driver mode tracks its set speed but brakes below the simulated
     driver's floor gap. Gap controllers command nothing on an invalid
     reading. CACC falls back to ACC when the predecessor's view is missing
-    or, unless zeroed, older than ``stale_after_ticks``. ACC and CACC
-    commands are bounded by the approach speed cap.
+    or silent but not zeroed. ACC and CACC commands are bounded by the
+    approach speed cap.
     """
     gains = params.gains
     mode = command.mode
@@ -183,8 +181,7 @@ def longitudinal_command(command: LongitudinalCommand, reading: RadarReading,
     cmd: Optional[float] = None
     if mode is LongitudinalMode.CACC and predecessor is not None:
         try:
-            cmd = cacc(reading, predecessor, ego_v, params.spacing, gains, pid_cacc,
-                       dt, stale_after_ticks=stale_after_ticks)
+            cmd = cacc(reading, predecessor, ego_v, params.spacing, gains, pid_cacc, dt)
         except StaleData:
             pass
     if cmd is None:

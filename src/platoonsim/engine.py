@@ -305,11 +305,11 @@ class Simulator:
         self.dt = spec.run.dt
         self.registry = registry if registry is not None else default_registry()
         self.faults = FaultBoard()
-        self.bus = MessageBus(self.params.bus)
+        self.bus = MessageBus(self.params.bus,
+                              self.params.ticks(self.params.heartbeat_timeout_s, self.dt))
         self.cloud = Cloud(spec, self.params, self.dt)
         self._uplink: list[V2VMessage] = []
         self._collided: set[tuple[VehicleId, VehicleId]] = set()
-        self._hb_timeout = self.params.ticks(self.params.heartbeat_timeout_s, self.dt)
         # the states the last tick recorded; None until then, or after a spawn
         self._snapshot: Optional[Snapshot] = None
 
@@ -408,7 +408,6 @@ class Simulator:
                       readings: dict[VehicleId, RadarReading],
                       flag_inboxes: Mapping[VehicleId, list[V2VMessage]]) -> None:
         sent: list[V2VMessage] = []
-        hb_timeout = self._hb_timeout
         degradation = self.spec.degradation_enabled
         for vid in managed:
             rt = self.runtimes[vid]
@@ -424,9 +423,9 @@ class Simulator:
                 # a vehicle that cannot hear does not blame its peers for the silence
                 if (rt.manager.member and rt.replica is not None
                         and (not own or FaultKind.V2V_FAIL not in own)):
-                    silent = detect_peer_failure(store, rt.replica.id_series, tick, hb_timeout)
+                    silent = detect_peer_failure(store, rt.replica.id_series, tick)
 
-            peers = v2v_payload(store, tick, hb_timeout, degradation)
+            peers = v2v_payload(store, tick, degradation)
             ctx = rt.ctx
             if ctx is None:  # built once; refilled below, and by the manager's tick
                 ctx = rt.ctx = StrategyContext(
@@ -482,7 +481,7 @@ class Simulator:
                         predecessor = rt.ctx.peers.get(peer_id)
                 a_cmd = longitudinal_command(
                     lon, readings[vid], rt.state.v, rt.driver.v_set, predecessor,
-                    self.params, rt.pid_acc, rt.pid_cacc, self.dt, self._hb_timeout)
+                    self.params, rt.pid_acc, rt.pid_cacc, self.dt)
                 lateral = rt.controller.lateral
             state = step_longitudinal(snapshot[vid], a_cmd, self.params.limits, self.dt)
             try:

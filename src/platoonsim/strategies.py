@@ -505,12 +505,11 @@ class HardwareFailuresLeader:
             return out
         idx = ctx.platoon.id_series.index(faulty)
         prune = ctx.platoon.id_series[idx:]
-        timeout = ctx.ticks(ctx.params.heartbeat_timeout_s)
         for vid in prune:
             view = ctx.peers.get(vid)
             if view is None:
                 return out  # nothing heard yet; keep waiting
-            taken_over = view.role is Role.FREE_VEHICLE or view.age_ticks > timeout
+            taken_over = view.role is Role.FREE_VEHICLE or view.silent
             if not taken_over:
                 return out
         out.notes.append(f"pruned {list(prune)} after takeover")

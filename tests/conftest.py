@@ -41,9 +41,21 @@ def make_reading(gap=13.0, rel_speed=0.0, valid=True, target=1):
 
 
 def make_peer(s=400.0, v=20.0, a=0.0, role=Role.FOLLOWER, platoon=None,
-              age=1, lane=1, zeroed=False):
+              age=1, lane=1, zeroed=False, silent=False):
     return PeerView(s=s, v=v, a=a, length=5.0, role=role, platoon=platoon,
-                    age_ticks=age, lane=lane, zeroed=zeroed)
+                    age_ticks=age, lane=lane, zeroed=zeroed, silent=silent)
+
+
+def reference_view(msg, tick, timeout, degradation):
+    """The view of one heartbeat, built eagerly: silent once older than
+    ``timeout``, and zeroed when silent without degradation."""
+    age = tick - msg.tick_sent
+    silent = age > timeout
+    if silent and not degradation:
+        return PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role, msg.platoon, age,
+                        msg.state.lane, zeroed=True, silent=True)
+    return PeerView(msg.state.s, msg.state.v, msg.state.a, msg.state.length, msg.role,
+                    msg.platoon, age, msg.state.lane, silent=silent)
 
 
 def make_ctx(ego_id=2, role=Role.FOLLOWER, maneuver=ManeuverState.PLATOONING,
@@ -129,9 +141,10 @@ BROKEN_STRATEGIES = [
 
 
 def open_store(owner=0):
-    """A peer store on a heartbeat table of its own, which the test feeds
-    through ``store.table``; the default owner, 0, sends no heartbeat."""
-    return PeerViewStore(owner, HeartbeatTable())
+    """A peer store on a heartbeat table of its own with a 10-tick timeout,
+    which the test feeds through ``store.table``; the default owner, 0,
+    sends no heartbeat."""
+    return PeerViewStore(owner, HeartbeatTable(10))
 
 
 def count_quiet_scans(monkeypatch):
@@ -140,9 +153,9 @@ def count_quiet_scans(monkeypatch):
     scans = []
     original = HeartbeatTable.quiet
 
-    def counting(table, peers, tick, timeout_ticks):
+    def counting(table, peers, tick):
         before = table._fresh
-        answer = original(table, peers, tick, timeout_ticks)
+        answer = original(table, peers, tick)
         if table._fresh is not before:
             scans.append(peers)
         return answer

@@ -11,6 +11,7 @@ from conftest import heartbeat, open_store
 from platoonsim.comms import (
     BusConfig,
     FaultBoard,
+    HeartbeatTable,
     MessageBus,
     detect_peer_failure,
     radar_sense,
@@ -35,7 +36,7 @@ def msg(sender, kind=MessageKind.JOIN_FLAG, tick=100):
 
 def bus_with_receivers(receivers, config=BusConfig()):
     """A fresh bus with a peer store opened for each of ``receivers``."""
-    bus = MessageBus(config)
+    bus = MessageBus(config, timeout_ticks=10)
     for rid in receivers:
         bus.peer_store(rid)
     return bus
@@ -171,22 +172,22 @@ class TestPeerViews:
         new = VehicleState(s=11.0, lane=1, v=12.0)
         store.table.update([heartbeat(3, 5, old, Role.FOLLOWER, None)])
         store.table.update([heartbeat(3, 6, new, Role.FOLLOWER, None)])
-        views = v2v_payload(store, tick=7, timeout_ticks=10, degradation_enabled=True)
+        views = v2v_payload(store, tick=7, degradation_enabled=True)
         assert views[3].v == 12.0
         assert views[3].age_ticks == 1
 
     def test_silent_peer_zeroed_without_degradation(self):
         store = store_with(tick_sent=100)
-        views = v2v_payload(store, tick=111, timeout_ticks=10, degradation_enabled=False)
-        assert views[3].zeroed
+        views = v2v_payload(store, tick=111, degradation_enabled=False)
+        assert views[3].zeroed and views[3].silent
         assert views[3].v == 0.0
         assert views[3].a == 0.0
         assert views[3].s == 0.0
 
     def test_silent_peer_keeps_last_values_with_degradation(self):
         store = store_with(tick_sent=100, v=19.5)
-        views = v2v_payload(store, tick=111, timeout_ticks=10, degradation_enabled=True)
-        assert not views[3].zeroed
+        views = v2v_payload(store, tick=111, degradation_enabled=True)
+        assert not views[3].zeroed and views[3].silent
         assert views[3].v == 19.5
 
 
@@ -195,15 +196,13 @@ class TestPeerViewsGet:
 
     @pytest.mark.parametrize("degradation", [True, False])
     def test_known_peer_is_the_indexed_view(self, degradation):
-        views = v2v_payload(store_with(tick_sent=100), tick=111, timeout_ticks=10,
-                            degradation_enabled=degradation)
+        views = v2v_payload(store_with(tick_sent=100), tick=111, degradation_enabled=degradation)
         assert views.get(3) == views[3]
         assert views.get(3, "default") == views[3]
         assert views.get(3).zeroed is not degradation
 
     def test_unknown_peer_is_the_default(self):
-        views = v2v_payload(store_with(tick_sent=100), tick=101, timeout_ticks=10,
-                            degradation_enabled=True)
+        views = v2v_payload(store_with(tick_sent=100), tick=101, degradation_enabled=True)
         assert views.get(4) is None
         assert views.get(4, "default") == "default"
         with pytest.raises(KeyError):
@@ -213,7 +212,7 @@ class TestPeerViewsGet:
         store = open_store(owner=3)
         store.table.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
                                       Role.FOLLOWER, None)])
-        views = v2v_payload(store, tick=101, timeout_ticks=10, degradation_enabled=False)
+        views = v2v_payload(store, tick=101, degradation_enabled=False)
         assert views.get(3) is None
         assert views.get(3, "default") == "default"
         assert 3 not in views
@@ -228,25 +227,31 @@ class TestPeerFailureDetection:
 
     def test_fresh_peer_not_failed(self):
         store = self.store_heard_from_2_at(7)  # 3 ticks old at tick 10
-        assert detect_peer_failure(store, (2,), tick=10, timeout_ticks=10) == set()
+        assert detect_peer_failure(store, (2,), tick=10) == set()
 
     def test_aged_peer_failed(self):
         store = self.store_heard_from_2_at(0)
-        assert detect_peer_failure(store, (2,), tick=10, timeout_ticks=10) == set()
-        assert detect_peer_failure(store, (2,), tick=11, timeout_ticks=10) == {2}
+        assert detect_peer_failure(store, (2,), tick=10) == set()
+        assert detect_peer_failure(store, (2,), tick=11) == {2}
 
     def test_never_heard_peer_fails_once_tick_exceeds_timeout(self):
         store = open_store()
-        assert detect_peer_failure(store, (4,), tick=10, timeout_ticks=10) == set()
-        assert detect_peer_failure(store, (4,), tick=11, timeout_ticks=10) == {4}
+        assert detect_peer_failure(store, (4,), tick=10) == set()
+        assert detect_peer_failure(store, (4,), tick=11) == {4}
 
     def test_the_owner_is_never_silent(self):
         store = self.store_heard_from_2_at(0)
-        assert detect_peer_failure(store, (1, 2, 3), tick=20, timeout_ticks=10) == {2, 3}
+        assert detect_peer_failure(store, (1, 2, 3), tick=20) == {2, 3}
+
+    def test_a_timeout_below_one_tick_is_refused(self):
+        with pytest.raises(ValueError, match="at least one tick"):
+            HeartbeatTable(0)
+        with pytest.raises(ValueError, match="at least one tick"):
+            MessageBus(BusConfig(), 0)
 
     def test_heartbeat_liveness_age_bound(self):
         # a peer heard via a delay-1 bus is never older than delay + 1 ticks
-        bus = MessageBus(BusConfig(delivery_delay_ticks=1))
+        bus = MessageBus(BusConfig(delivery_delay_ticks=1), timeout_ticks=2)
         store = bus.peer_store(1)
         bus.peer_store(2)
         faults = FaultBoard()
@@ -256,4 +261,4 @@ class TestPeerFailureDetection:
             bus.deliver(tick, faults)
             if tick >= 1:
                 assert tick - store.raw(2).tick_sent <= 2
-                assert detect_peer_failure(store, (2,), tick, timeout_ticks=2) == set()
+                assert detect_peer_failure(store, (2,), tick) == set()

@@ -39,9 +39,9 @@ def reading(gap, rel_speed=0.0, valid=True, target=1):
     return RadarReading(valid, gap, rel_speed, target)
 
 
-def peer(v=20.0, a=0.0, age=1, zeroed=False, s=100.0):
+def peer(v=20.0, a=0.0, age=1, zeroed=False, s=100.0, silent=False):
     return PeerView(s=s, v=v, a=a, length=5.0, role=Role.FOLLOWER,
-                    platoon=None, age_ticks=age, zeroed=zeroed)
+                    platoon=None, age_ticks=age, zeroed=zeroed, silent=silent)
 
 
 class TestCc:
@@ -103,18 +103,17 @@ class TestCacc:
 
     def test_zeroed_peer_view_commands_hard_braking(self):
         # communicated data all turned to zero at a true 13 m gap
-        cmd = cacc(reading(13.0), peer(v=0.0, a=0.0, zeroed=True, s=0.0),
+        cmd = cacc(reading(13.0), peer(v=0.0, a=0.0, zeroed=True, s=0.0, silent=True),
                    20.0, POLICY, GAINS, PidState(), DT)
         assert cmd < -G
 
     def test_stale_peer_rejected(self):
         with pytest.raises(StaleData):
-            cacc(reading(13.0), peer(age=11), 20.0, POLICY, GAINS, PidState(), DT,
-                 stale_after_ticks=10)
+            cacc(reading(13.0), peer(age=11, silent=True), 20.0, POLICY, GAINS, PidState(), DT)
 
     def test_fresh_peer_accepted_within_timeout(self):
-        cmd = cacc(reading(13.0), peer(age=10), 20.0, POLICY, GAINS, PidState(), DT,
-                   stale_after_ticks=10)
+        # the view's age does not matter to CACC, only whether it is silent
+        cmd = cacc(reading(13.0), peer(age=10), 20.0, POLICY, GAINS, PidState(), DT)
         assert cmd == pytest.approx(0.0)
 
     def test_monotone_in_gap(self):
@@ -180,17 +179,16 @@ class TestLongitudinalCommand:
     PARAMS = Parameters()
 
     def command(self, mode, reading_, ego_v=20.0, predecessor=None, v_set=None,
-                driver_v_set=20.0, pid_acc=None, pid_cacc=None, stale_after=10):
+                driver_v_set=20.0, pid_acc=None, pid_cacc=None):
         return longitudinal_command(
             LongitudinalCommand(mode, v_set), reading_, ego_v, driver_v_set,
-            predecessor, self.PARAMS, pid_acc or PidState(), pid_cacc or PidState(),
-            DT, stale_after)
+            predecessor, self.PARAMS, pid_acc or PidState(), pid_cacc or PidState(), DT)
 
     def acc_fallback(self, reading_, ego_v):
         cmd = acc(reading_, ego_v, POLICY, GAINS, PidState(), DT)
         return cap_speed(cmd, ego_v, self.PARAMS.approach_speed_cap, GAINS)
 
-    @pytest.mark.parametrize("predecessor", [None, peer(age=50)],
+    @pytest.mark.parametrize("predecessor", [None, peer(age=50, silent=True)],
                              ids=["missing", "stale"])
     @pytest.mark.parametrize("gap, ego_v", [(12.0, 19.0), (80.0, 27.0)],
                              ids=["uncapped", "capped"])

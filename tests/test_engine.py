@@ -486,7 +486,8 @@ class TestSharedHeartbeatTable:
         shared_run = Simulator(spec)
         private_run = Simulator(spec)
         # one private table per vehicle, fed that vehicle's full inbox
-        private = {vid: comms.PeerViewStore(vid, comms.HeartbeatTable())
+        timeout = private_run.bus.heartbeats.timeout_ticks
+        private = {vid: comms.PeerViewStore(vid, comms.HeartbeatTable(timeout))
                    for vid in private_run._managed}
         for vid, store in private.items():
             private_run.runtimes[vid].peer_store = store

@@ -17,6 +17,10 @@ prints how seeds ``0..N-1`` (default 400) end when run for S seconds
 runs collide or reach a ``maneuver_timeout``, with degradation on and off,
 and how many log a dropped cloud instruction; then the ``SpecError``s by
 message, with every number in it (vehicle ids, event indexes) read as N.
+With ``--paired`` it runs each loadable seed that injects a fault twice,
+with degradation on and off as ``platoon-sim compare`` does, and prints
+both runs' collision counts and first-collision times, then how many seeds
+collide in each mode and the seeds where degradation on collides more.
 """
 
 import argparse
@@ -34,7 +38,7 @@ import pytest
 
 from platoonsim.core import ManeuverState, Role
 from platoonsim.engine import Simulator, TickError
-from platoonsim.scenario import SpecError, scenario_from_dict
+from platoonsim.scenario import FaultEvent, SpecError, scenario_from_dict
 
 SEEDS = range(60)
 DURATION = 20.0
@@ -216,19 +220,58 @@ def breakdown(seeds, duration: float = DURATION) -> Counter:
     return counts
 
 
+def paired(seeds, duration: float = DURATION) -> list:
+    """Each loadable scenario of ``seeds`` that injects a fault, run for
+    ``duration`` seconds with degradation on and then off: its seed, and
+    per run the collision count and the first collision's time (None
+    without one)."""
+    rows = []
+    for seed in seeds:
+        try:
+            spec = generated_spec(seed, duration)
+        except SpecError:
+            continue
+        if not any(isinstance(e, FaultEvent) for e in spec.events):
+            continue
+        runs = [Simulator(dataclasses.replace(spec, degradation_enabled=on)).run()[1]
+                for on in (True, False)]
+        rows.append((seed, *[(len(r.collisions), r.collisions[0][0] if r.collisions else None)
+                             for r in runs]))
+    return rows
+
+
+def print_paired(rows) -> None:
+    def run(count, first):
+        return f"{count:2d} collision(s), first at " + ("-" if first is None else f"{first:.2f} s")
+
+    for seed, on, off in rows:
+        print(f"seed {seed:3d}  on: {run(*on):34s}  off: {run(*off)}")
+    better = [seed for seed, on, off in rows if on[0] < off[0]]
+    worse = [seed for seed, on, off in rows if on[0] > off[0]]
+    print(f"{len(rows)} seeds inject a fault: {sum(on[0] > 0 for _, on, _ in rows)} collide "
+          f"with degradation on, {sum(off[0] > 0 for _, _, off in rows)} off; on has fewer "
+          f"collisions in {len(better)} seeds and more in {len(worse)}: "
+          + (", ".join(map(str, worse)) or "none"))
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="How generated runs end.")
     parser.add_argument("n", nargs="?", type=int, default=400, help="seeds 0..N-1")
     parser.add_argument("--duration", type=float, default=DURATION, metavar="S",
                         help=f"run length in seconds (default {DURATION:g})")
+    parser.add_argument("--paired", action="store_true",
+                        help="run each seed with a fault with degradation on and off")
     args = parser.parse_args()
-    counts = breakdown(range(args.n), args.duration)
-    for key in ("SpecError", "full run", "TickError",
-                "collision, degradation on", "collision, degradation off",
-                "maneuver_timeout, degradation on", "maneuver_timeout, degradation off",
-                "drop note"):
-        print(f"{key}: {counts[key]}")
-    print("SpecError by message:")
-    for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        if key.startswith("SpecError: "):
-            print(f"  {n:4d}  {key.removeprefix('SpecError: ')}")
+    if args.paired:
+        print_paired(paired(range(args.n), args.duration))
+    else:
+        counts = breakdown(range(args.n), args.duration)
+        for key in ("SpecError", "full run", "TickError",
+                    "collision, degradation on", "collision, degradation off",
+                    "maneuver_timeout, degradation on", "maneuver_timeout, degradation off",
+                    "drop note"):
+            print(f"{key}: {counts[key]}")
+        print("SpecError by message:")
+        for key, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+            if key.startswith("SpecError: "):
+                print(f"  {n:4d}  {key.removeprefix('SpecError: ')}")

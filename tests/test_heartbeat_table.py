@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import count_quiet_scans, heartbeat
+from conftest import count_quiet_scans, heartbeat, reference_view
 
 from platoonsim.comms import (
     BusConfig,
@@ -20,7 +20,6 @@ from platoonsim.comms import (
     HeartbeatTable,
     Inboxes,
     MessageBus,
-    PeerView,
     PeerViewStore,
     detect_peer_failure,
     v2v_payload,
@@ -74,21 +73,6 @@ class ReferenceStore:
     def age(self, peer, tick):
         msg = self._latest.get(peer)
         return tick if msg is None else tick - msg.tick_sent
-
-
-def reference_views(store, tick, timeout_ticks, degradation_enabled):
-    views = {}
-    for peer in sorted(store._latest):
-        msg = store._latest[peer]
-        age = tick - msg.tick_sent
-        if not degradation_enabled and age > timeout_ticks:
-            views[peer] = PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
-                                   msg.platoon, age, msg.state.lane, zeroed=True)
-        else:
-            views[peer] = PeerView(msg.state.s, msg.state.v, msg.state.a,
-                                   msg.state.length, msg.role, msg.platoon, age,
-                                   msg.state.lane)
-    return views
 
 
 def reference_silent(store, vid, series, tick):
@@ -147,7 +131,7 @@ class World:
         self.series = self.new_series()
         self.platoons = dict.fromkeys(self.ids)
         self.faults = FaultBoard()
-        self.bus = MessageBus(config)
+        self.bus = MessageBus(config, TIMEOUT)
         self.stores = {vid: self.bus.peer_store(vid) for vid in self.ids}
         self.refs = {vid: ReferenceStore() for vid in self.ids}
         self.replicas = dict.fromkeys(self.ids)
@@ -219,14 +203,15 @@ def check_receiver(world, vid, tick, inbox):
     store, ref = world.stores[vid], world.refs[vid]
     assert store.known_peers() == tuple(sorted(ref._latest))
     for degradation in (True, False):
-        views = v2v_payload(store, tick, TIMEOUT, degradation)
-        expected = reference_views(ref, tick, TIMEOUT, degradation)
+        views = v2v_payload(store, tick, degradation)
+        expected = {peer: reference_view(ref._latest[peer], tick, TIMEOUT, degradation)
+                    for peer in sorted(ref._latest)}
         assert list(views) == list(expected) and len(views) == len(expected)
         assert dict(views.items()) == expected
     for ego in world.probes(vid):
         assert store.preceding_member(ego) == ref.preceding_member(ego)
     for series in (world.series.id_series, tuple(world.ids)):
-        silent = detect_peer_failure(store, series, tick, TIMEOUT)
+        silent = detect_peer_failure(store, series, tick)
         assert silent == reference_silent(ref, vid, series, tick)
     assert world.replicas[vid] == world.ref_replicas[vid][0]
     assert world.bus.flag_inboxes[vid] == [
@@ -282,7 +267,7 @@ class TestDetachRule:
                                Role.FOLLOWER, None), faults)
 
     def test_full_receivers_share_and_a_faulty_one_detaches(self):
-        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0), TIMEOUT), FaultBoard()
         stores = {vid: bus.peer_store(vid) for vid in (1, 2, 3)}
         self.beats(bus, faults, 0, (1, 2, 3))
         bus.deliver(0, faults)
@@ -294,9 +279,10 @@ class TestDetachRule:
         assert stores[1].table is bus.heartbeats and stores[3].table is bus.heartbeats
         assert stores[2].raw(1).tick_sent == 0  # the copy is the table before tick 1
         assert stores[1].raw(3).tick_sent == 1
+        assert stores[2].table.timeout_ticks == TIMEOUT  # the copy keeps the timeout
 
     def test_faulty_owner_detaches_on_the_first_tick_of_its_fault(self):
-        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0), TIMEOUT), FaultBoard()
         stores = {vid: bus.peer_store(vid) for vid in (1, 2)}
         faults.inject(1, FaultKind.V2V_FAIL)
         assert bus.deliver(0, faults) == {1: [], 2: []}  # nothing was due
@@ -320,49 +306,48 @@ class TestQuietPeers:
         return count_quiet_scans(monkeypatch)
 
     def table(self):
-        table = HeartbeatTable()
+        table = HeartbeatTable(3)
         table.update([beat(1, 10), beat(2, 4), beat(3, 9)])
         return table
 
-    def test_one_scan_per_tuple_tick_and_timeout(self, scans):
+    def test_one_scan_per_tuple_and_tick(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
-        first = table.quiet(series, 10, 3)
+        first = table.quiet(series, 10)
         assert first == {2, 4}
-        assert table.quiet(series, 10, 3) is first
+        assert table.quiet(series, 10) is first
         assert len(scans) == 1
-        assert table.quiet(series, 13, 3) == {2, 3, 4}  # a new tick
-        assert table.quiet(series, 13, 4) == {2, 4}  # a new timeout
-        assert len(scans) == 3
+        assert table.quiet(series, 13) == {2, 3, 4}  # a new tick
+        assert len(scans) == 2
 
     def test_a_list_or_another_equal_tuple_is_scanned_afresh(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
-        table.quiet(series, 10, 3)
-        assert table.quiet(tuple(list(series)), 10, 3) == {2, 4}
+        table.quiet(series, 10)
+        assert table.quiet(tuple(list(series)), 10) == {2, 4}
         peers = [1, 2]
-        assert table.quiet(peers, 10, 3) == {2}
+        assert table.quiet(peers, 10) == {2}
         peers.append(4)  # the same list, now with other peers
-        assert table.quiet(peers, 10, 3) == {2, 4}
+        assert table.quiet(peers, 10) == {2, 4}
         assert len(scans) == 4
 
     def test_an_update_drops_the_answer(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
-        assert table.quiet(series, 10, 3) == {2, 4}
+        assert table.quiet(series, 10) == {2, 4}
         table.update([beat(2, 10)])
-        assert table.quiet(series, 10, 3) == {4}
+        assert table.quiet(series, 10) == {4}
         assert len(scans) == 2
 
     def test_stores_sharing_a_table_share_the_scan_and_drop_their_owner(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
         stores = {vid: PeerViewStore(vid, table) for vid in series}
-        silent = {vid: detect_peer_failure(store, series, 10, 3)
+        silent = {vid: detect_peer_failure(store, series, 10)
                   for vid, store in stores.items()}
         assert silent == {1: {2, 4}, 2: {4}, 3: {2, 4}, 4: {2}}
         assert len(scans) == 1
 
     def test_never_heard_counts_as_heard_at_tick_zero(self, scans):
         table, series = self.table(), (1, 2, 3, 4)
-        assert table.quiet(series, 3, 3) == set()  # 4 is 3 ticks "old"
-        assert table.quiet(series, 4, 3) == {4}
+        assert table.quiet(series, 3) == set()  # 4 is 3 ticks "old"
+        assert table.quiet(series, 4) == {4}
         assert len(scans) == 2  # a tick within the timeout still fills the memo
 
     @pytest.mark.parametrize("seed", range(20))
@@ -372,7 +357,7 @@ class TestQuietPeers:
         for _ in range(50):
             timeout = rng.randrange(1, 6)
             tick = rng.randrange(0, 3 * timeout)
-            table = HeartbeatTable()
+            table = HeartbeatTable(timeout)
             senders = rng.sample(range(1, 30), rng.randrange(0, 12))
             table.update(beat(vid, rng.randrange(0, tick + 1)) for vid in senders)
             owner = rng.choice(senders or [7])
@@ -382,7 +367,7 @@ class TestQuietPeers:
             heard = {p: store.raw(p) for p in peers if p != owner}
             ages = {p: tick if msg is None else tick - msg.tick_sent for p, msg in heard.items()}
             old = sorted(p for p, age in ages.items() if age > timeout)
-            new = detect_peer_failure(store, peers, tick, timeout)
+            new = detect_peer_failure(store, peers, tick)
             assert sorted(new) == old
             cases["within" if tick <= timeout else "past"] += 1
             cases["silent"] += bool(old)
@@ -391,7 +376,7 @@ class TestQuietPeers:
 
 class TestLazyInboxes:
     def deliver(self, faulty=()):
-        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0)), FaultBoard()
+        bus, faults = MessageBus(BusConfig(delivery_delay_ticks=0), TIMEOUT), FaultBoard()
         for vid in (3, 1, 2):
             bus.peer_store(vid)
         for vid in faulty:

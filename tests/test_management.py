@@ -496,7 +496,7 @@ class TestHardwareFailuresLeader:
         for vid in (2, 3, 4, 5):
             role = Role.FREE_VEHICLE if vid in taken_over else Role.FOLLOWER
             age = 100 if vid in silent else 1
-            peers[vid] = make_peer(role=role, age=age)
+            peers[vid] = make_peer(role=role, age=age, silent=vid in silent)
         return peers
 
     def ctx(self, series=(1, 2, 3, 4, 5), **kw):

@@ -7,13 +7,12 @@ import random
 
 import pytest
 
-from conftest import heartbeat, open_store
+from conftest import heartbeat, open_store, reference_view
 
 from platoonsim.comms import (
     BusConfig,
     FaultBoard,
     MessageBus,
-    PeerView,
     RadarReading,
     radar_sense,
     v2v_payload,
@@ -102,21 +101,6 @@ def preceding_member_reference(store, ego):
         if best is None or (lane_rank, ahead) < best[:2]:
             best = (lane_rank, ahead, peer)
     return best[2] if best else None
-
-
-def v2v_payload_reference(store, tick, timeout_ticks, degradation_enabled):
-    views = {}
-    for peer in sorted(store.table._latest):
-        msg = store.raw(peer)
-        age = tick - msg.tick_sent
-        if not degradation_enabled and age > timeout_ticks:
-            views[peer] = PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
-                                   msg.platoon, age, msg.state.lane, zeroed=True)
-        else:
-            views[peer] = PeerView(msg.state.s, msg.state.v, msg.state.a,
-                                   msg.state.length, msg.role, msg.platoon, age,
-                                   msg.state.lane)
-    return views
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +204,7 @@ class TestDeliveryAgainstNestedLoops:
         rng = random.Random(seed)
         ids = list(range(1, rng.randrange(2, 25)))
         config = BusConfig(delivery_delay_ticks=delay)
-        bus, reference = MessageBus(config), MessageBus(config)
+        bus, reference = MessageBus(config, 10), MessageBus(config, 10)
         receivers = rng.sample(ids, rng.randrange(1, len(ids) + 1))
         for rid in receivers:
             bus.peer_store(rid)
@@ -261,8 +245,9 @@ class TestPeerViewsAgainstEagerBuild:
         ids = rng.sample(range(1, 60), rng.randrange(1, 30))
         store = random_store(rng, ids, tick=100)
         for degradation in (True, False):
-            views = v2v_payload(store, 100, 10, degradation)
-            expected = v2v_payload_reference(store, 100, 10, degradation)
+            views = v2v_payload(store, 100, degradation)
+            expected = {peer: reference_view(store.raw(peer), 100, 10, degradation)
+                        for peer in sorted(store.table._latest)}
             assert list(views) == list(expected)
             assert len(views) == len(expected)
             assert dict(views.items()) == expected
@@ -271,20 +256,37 @@ class TestPeerViewsAgainstEagerBuild:
             ego = VehicleState(s=rng.randrange(40) * 5.0, lane=rng.randrange(3), v=20.0)
             assert store.preceding_member(ego) == preceding_member_reference(store, ego)
 
+    def test_a_view_is_silent_as_the_quiet_set_says(self):
+        # the one silence rule, read per peer and as a set, on every store above
+        seen = set()
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            store = random_store(rng, rng.sample(range(1, 60), rng.randrange(1, 30)), tick=100)
+            heard = store.known_peers()
+            quiet = store.table.quiet(heard, 100)
+            for degradation in (True, False):
+                views = v2v_payload(store, 100, degradation)
+                for peer in heard:
+                    view = views[peer]
+                    assert view.silent == (peer in quiet)
+                    assert view.zeroed == (view.silent and not degradation)
+                    seen.add(view.silent)
+        assert seen == {True, False}
+
     def test_iteration_order_follows_new_senders(self):
         store = open_store()
         state = VehicleState(s=50.0, lane=1, v=20.0)
         store.table.update([heartbeat(vid, 5, state, Role.FOLLOWER, None) for vid in (5, 2, 9)])
-        views = v2v_payload(store, 6, 10, True)
+        views = v2v_payload(store, 6, True)
         assert list(views) == [2, 5, 9] and len(views) == 3
         store.table.update([heartbeat(1, 6, state, Role.FOLLOWER, None)])
-        assert list(v2v_payload(store, 7, 10, True)) == [1, 2, 5, 9]
+        assert list(v2v_payload(store, 7, True)) == [1, 2, 5, 9]
 
     def test_unknown_peer(self):
         store = open_store()
         store.table.update([heartbeat(3, 5, VehicleState(s=50.0, lane=1, v=20.0),
                                       Role.FOLLOWER, None)])
-        views = v2v_payload(store, 6, 10, True)
+        views = v2v_payload(store, 6, True)
         assert views.get(4) is None and 4 not in views and 3 in views
         with pytest.raises(KeyError):
             views[4]
@@ -293,9 +295,12 @@ class TestPeerViewsAgainstEagerBuild:
         store = open_store()
         store.table.update([heartbeat(3, 100, VehicleState(s=50.0, lane=1, v=20.0),
                                       Role.FOLLOWER, None)])
-        assert not v2v_payload(store, 110, 10, False)[3].zeroed
-        assert v2v_payload(store, 111, 10, False)[3].zeroed
-        assert not v2v_payload(store, 111, 10, True)[3].zeroed
+        assert not v2v_payload(store, 110, False)[3].zeroed
+        assert v2v_payload(store, 111, False)[3].zeroed
+        assert not v2v_payload(store, 111, True)[3].zeroed
+        for degradation in (True, False):  # silent in both modes once past the timeout
+            assert not v2v_payload(store, 110, degradation)[3].silent
+            assert v2v_payload(store, 111, degradation)[3].silent
 
     def test_preceding_member_tie_break(self):
         ego = VehicleState(s=100.0, lane=1, v=20.0)
