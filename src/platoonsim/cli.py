@@ -37,7 +37,7 @@ def _run(spec: ScenarioSpec, out_dir: Path) -> RunReport:
     dropped on return, so a second run does not hold it too."""
     trace, report = Simulator(spec).run()
     trace.write_csv(out_dir / "trace.csv")
-    (out_dir / "report.txt").write_text(report.to_text())
+    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     report.write_events(out_dir / "events.log")
     return report
 
@@ -85,7 +85,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         lines.extend(report.pair_lines("  ", "min gaps"))
         lines.append("")
     text = "\n".join(lines)
-    (out_dir / "compare.txt").write_text(text)
+    (out_dir / "compare.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 

@@ -31,8 +31,8 @@ import struct
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
-from operator import add, eq, itemgetter
+from itertools import chain, compress, count, zip_longest
+from operator import add, eq, is_not, itemgetter, methodcaller
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -111,12 +111,16 @@ class TraceRows(Sequence):
     Row *i* is tick *i*, so the tick cell is not stored. The float cells of
     all rows sit in one ``array('d')``, so a float column reads back as
     ``float`` whatever was recorded into it; a row's other cells are one
-    tuple, the previous row's very object when the two are equal.
+    tuple, the previous row's very object when the two are equal. A store
+    equals a list or another store whose rows hold the same cells, float
+    cells bit for bit.
     """
 
     def __init__(self, width: int, float_at: Sequence[int]) -> None:
         """``width`` cells per row, of which column 0 is the tick and the
-        columns ``float_at`` (in that order) hold the float cells."""
+        columns ``float_at``, ascending, hold the float cells."""
+        if list(float_at) != sorted(set(float_at)):
+            raise ValueError("float columns must be distinct and ascending")
         float_set = set(float_at)
         other_at = [j for j in range(1, width) if j not in float_set]
         # a row is rebuilt as (tick, *floats, *others); this puts it in column order
@@ -128,9 +132,10 @@ class TraceRows(Sequence):
         self._pack = struct.Struct(f"{self._nf}d").pack
         self._floats = array("d")
         self._others: list[tuple] = []
-        # one CSV line: floats with 6 decimals, the tick and other cells as str
-        self.line_format = ",".join("%.6f" if j in float_set else "%s"
-                                    for j in range(width)) + "\r\n"
+        # a run's line format is the skeleton filled, in column order, with
+        # these slots and the text of the run's other cells
+        self._skeleton = ",".join(["%s"] * width) + "\r\n"
+        self._slots = ("%d",) + ("%.6f",) * self._nf
 
     def record(self, floats: list, others: list) -> None:
         """Append the next tick's row: its float cells and its other cells,
@@ -146,6 +151,27 @@ class TraceRows(Sequence):
         floats = self._floats[a * nf:b * nf]
         return map(self._order, map(add, map(add, zip(range(a, b)), zip(*[iter(floats)] * nf)),
                                     self._others[a:b]))
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The rows as CSV lines: the tick, floats with 6 decimals, other
+        cells as ``str``, CRLF line ends. A run of rows that share their
+        other cells gets one line format holding those cells' text, with
+        ``%`` escaped, so each row formats only its tick and float cells.
+        Each string holds at most one block of rows."""
+        others, floats, nf = self._others, self._floats, self._nf
+        n, step = len(others), _block_rows(self._width)
+        # a row starts a run unless it holds the previous row's very tuple
+        starts = list(compress(count(), map(is_not, others, chain((None,), others))))
+        formats: dict[tuple, str] = {}  # a run whose cells come back reuses its format
+        for a, end in zip(starts, starts[1:] + [n]):
+            fmt = formats.get(others[a])
+            if fmt is None:
+                fmt = formats[others[a]] = self._skeleton % self._order(
+                    self._slots + tuple(map(_escape, map(str, others[a]))))
+            for b in range(a, end, step):
+                c = min(end, b + step)
+                yield "".join(map(fmt.__mod__,
+                                  zip(range(b, c), *[iter(floats[b * nf:c * nf])] * nf)))
 
     def __len__(self) -> int:
         return len(self._others)
@@ -165,7 +191,17 @@ class TraceRows(Sequence):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (list, TraceRows)):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return len(self) == len(other) and all(map(eq, map(_bits, self), map(_bits, other)))
+
+
+_DOUBLE = struct.Struct("d").pack
+_escape = methodcaller("replace", "%", "%%")
+
+
+def _bits(row: Sequence) -> tuple:
+    """A row as traces compare it: each float cell by its bytes, so -0.0
+    differs from 0.0 and a NaN equals itself."""
+    return tuple([_DOUBLE(v) if isinstance(v, float) else v for v in row])
 
 
 # the cells a trace reads or writes at once
@@ -184,18 +220,17 @@ class Trace:
 
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
-        6 decimals, other cells as ``str``, CRLF line ends, minimal quoting.
-        An engine trace is written a slice of about 16,384 cells at a time
-        with its one line format: none of its cells needs quotes (see
-        ``ManeuverState``). Any other rows go through csv."""
+        6 decimals, other cells as ``str``, CRLF line ends, minimal quoting,
+        in UTF-8. An engine trace is written run by run, at most a block of
+        about 16,384 cells at a time (see ``TraceRows.csv_blocks``): none of
+        its cells needs quotes (see ``ManeuverState``). Any other rows go
+        through csv."""
         rows = self.rows
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             if isinstance(rows, TraceRows):
-                fmt, step = rows.line_format, _block_rows(len(self.columns))
-                for a in range(0, len(rows), step):
-                    fh.write("".join(map(fmt.__mod__, rows[a:a + step])))
+                fh.writelines(rows.csv_blocks())
             else:
                 writer.writerows([f"{v:.6f}" if isinstance(v, float) else str(v)
                                   for v in row] for row in rows)
@@ -249,7 +284,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write_events(self, path: Union[str, Path]) -> None:
-        Path(path).write_text("".join(e.line() + "\n" for e in self.events))
+        Path(path).write_text("".join(e.line() + "\n" for e in self.events),
+                              encoding="utf-8")
 
 
 # a vehicle's controller until its first selection; scripted vehicles keep it
@@ -576,7 +612,9 @@ def first_difference(trace_a: Trace, trace_b: Trace,
     column name, value in a, value in b), or None when they are identical.
     A row only one trace has differs in its first column, the other value
     None; differing columns differ at row 0 under no name, with both column
-    tuples as the values. Traces of different specs raise SpecHashMismatch."""
+    tuples as the values. Float cells compare bit for bit: -0.0 differs from
+    0.0 and a NaN equals itself. Traces of different specs raise
+    SpecHashMismatch."""
     if trace_a.spec_hash != trace_b.spec_hash:
         raise SpecHashMismatch("traces come from different scenario specs")
     if trace_a.columns != trace_b.columns:
@@ -585,7 +623,8 @@ def first_difference(trace_a: Trace, trace_b: Trace,
         if ra is None or rb is None:  # a row only one trace has
             return (i, trace_a.columns[0], None if ra is None else ra[0],
                     None if rb is None else rb[0])
-        if ra != rb:
-            j = next(j for j, (a, b) in enumerate(zip(ra, rb)) if a != b)
+        ka, kb = _bits(ra), _bits(rb)
+        if ka != kb:
+            j = next(j for j, (a, b) in enumerate(zip(ka, kb)) if a != b)
             return i, trace_a.columns[j], ra[j], rb[j]
     return None

@@ -295,7 +295,7 @@ def bundled_scenario(name: str) -> "ScenarioSpec":
 def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SpecError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -1,7 +1,11 @@
 """CLI contract tests: exit codes, output files and flag handling."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,25 @@ class TestAccept:
         monkeypatch.setattr(acceptance, "run_all", lambda: fake_fail)
         assert main(["accept"]) == 1
         assert "ACCEPTANCE FAILED" in capsys.readouterr().out
+
+
+def test_run_and_compare_name_their_encoding(tmp_path):
+    """Scenario files and outputs are UTF-8 whatever the locale: under
+    ``warn_default_encoding`` no ``EncodingWarning`` is raised."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from platoonsim.cli import main\n"
+        "from platoonsim.scenario import bundled_scenario_path, load_scenario\n"
+        "path = str(bundled_scenario_path('v2v_fault'))\n"
+        "load_scenario(path)\n"
+        "assert main(['run', path, '--out', sys.argv[1] + '/run']) == 0\n"
+        "assert main(['compare', path, '--out', sys.argv[1] + '/compare']) == 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "EncodingWarning" not in proc.stderr
+    assert (tmp_path / "run" / "trace.csv").is_file()
+    assert (tmp_path / "compare" / "compare.txt").is_file()

@@ -111,6 +111,29 @@ class TestDeterminism:
         assert first_difference(trace_a, trace_b) == (last, "tick", last, None)
         assert first_difference(trace_b, trace_a) == (last, "tick", None, last)
 
+    @staticmethod
+    def two_row_trace(time_b):
+        """A trace of two rows whose second time cell is ``time_b``."""
+        rows = engine.TraceRows(3, [1])
+        rows.record([0.05], ["x"])
+        rows.record([time_b], ["x"])
+        return Trace("hash", ("tick", "time", "label"), rows)
+
+    def test_a_trace_holding_nan_equals_itself(self):
+        trace = self.two_row_trace(math.nan)
+        assert first_difference(trace, trace) is None
+        assert trace.rows == trace.rows and trace.rows == list(trace.rows)
+        assert first_difference(trace, self.two_row_trace(math.nan)) is None
+
+    def test_negative_zero_differs_from_zero(self, tmp_path):
+        a, b = self.two_row_trace(-0.0), self.two_row_trace(0.0)
+        assert first_difference(a, b) == (1, "time", -0.0, 0.0)
+        assert math.copysign(1.0, first_difference(a, b)[2]) == -1.0
+        assert a.rows != b.rows and a.rows != list(b.rows) and list(a.rows) != b.rows
+        a.write_csv(tmp_path / "a.csv")
+        b.write_csv(tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
     def test_csv_bytes_identical(self, tmp_path):
         spec = bundled_scenario("steady")
         for leg in ("a", "b"):

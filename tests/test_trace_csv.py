@@ -1,8 +1,9 @@
 """trace.csv bytes: ``Trace.write_csv`` writes exactly what the plain
 ``csv.writer`` version below writes, on the trace of every bundled scenario
 and of the benchmark's 80-vehicle platoon, whose rows it writes with one
-line format, and on synthetic list rows, which it hands to csv; and
-``TraceRows``, the compact store of engine traces, reads back the rows
+line format per run of equal other cells, on runs that come back, span
+blocks or end on one, and on synthetic list rows, which it hands to csv;
+and ``TraceRows``, the compact store of engine traces, reads back the rows
 recorded into it, every float column as ``float``."""
 
 import csv
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from platoonsim.core import Role
+from platoonsim.core import ManeuverState, Role
 from platoonsim.engine import Simulator, Trace, TraceRows
+from platoonsim.management import ActiveInstruction, StrategyKey, StrategyOutput
 from platoonsim.scenario import (
     RunSpec,
     ScenarioSpec,
@@ -23,6 +25,7 @@ from platoonsim.scenario import (
     bundled_scenario_path,
     scenario_from_dict,
 )
+from platoonsim.strategies import CC, default_registry
 
 BENCH = Path(__file__).resolve().parent.parent / "platoonbench"
 
@@ -194,3 +197,73 @@ def test_equality_with_a_list_both_ways():
 
 def test_a_block_spanning_store_writes_like_the_reference(tmp_path):
     assert_same_bytes(Trace("hash", COLUMNS, store(BLOCK_SPANNING)), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Runs of rows that share their other cells, and the writer's blocks
+# ---------------------------------------------------------------------------
+
+SLOW = ManeuverState.extension("Slow%d")
+
+
+class Slow:
+    """Holds a slower cruise until tick 20, then is done."""
+
+    def step(self, ctx, progress):
+        if progress.phase == "init":
+            progress.advance("running")
+        return StrategyOutput(controller=CC(ctx.params.platoon_speed - 2.0),
+                              maneuver_done=ctx.tick >= 20)
+
+
+def test_a_maneuver_name_holding_a_percent_sign_is_written_as_it_is(tmp_path):
+    registry = default_registry()
+    registry.register(StrategyKey(SLOW, Role.FOLLOWER), Slow())
+    sim = Simulator(bundled_scenario("steady"), registry)
+    sim.runtimes[2].manager.offer_instruction(ActiveInstruction(maneuver=SLOW, target=2))
+    trace, _ = sim.run()
+    column = trace.columns.index("v2_maneuver")
+    assert {row[column] for row in trace.rows} == {"Slow%d", "Platooning"}
+    assert_same_bytes(trace, tmp_path)
+    assert b",Slow%d," in (tmp_path / "trace.csv").read_bytes()
+
+
+BLOCK = 16384 // len(COLUMNS)  # rows in one block of the writer
+
+
+def runs(*lengths):
+    """Records in runs of the given lengths, the other cells alternating
+    between two labels, one of them holding ``%`` signs."""
+    recorded, tick = [], 0
+    for k, length in enumerate(lengths):
+        for _ in range(length):
+            i, floats, _ = plain(tick)
+            recorded.append((i, floats, ["A%s%%" if k % 2 == 0 else "B"]))
+            tick += 1
+    return recorded
+
+
+@pytest.mark.parametrize("lengths", [
+    (3, 2, 4, 1),                # A, B, A, B: formats come back after another run
+    (3 * BLOCK + 17,),           # one run longer than three blocks
+    (BLOCK, 5),                  # a run that ends on a block boundary
+    (BLOCK - 2, BLOCK + 2, 2 * BLOCK, 1),
+    (),
+], ids=["alternating", "one_long_run", "run_ends_on_a_block", "runs_across_blocks", "empty"])
+def test_runs_and_blocks_write_like_the_reference(lengths, tmp_path):
+    recorded = runs(*lengths)
+    rows = store(recorded)
+    assert list(rows) == [in_columns(*r) for r in recorded]
+    assert_same_bytes(Trace("hash", COLUMNS, rows), tmp_path)
+
+
+def test_no_string_of_the_writer_holds_more_than_a_block_of_rows():
+    rows = store(runs(3 * BLOCK + 17, 4, BLOCK))
+    assert max(text.count("\r\n") for text in rows.csv_blocks()) == BLOCK
+    assert sum(text.count("\r\n") for text in rows.csv_blocks()) == len(rows)
+
+
+@pytest.mark.parametrize("float_at", [(2, 1, 4), (1, 1, 4)])
+def test_float_columns_out_of_order_are_refused(float_at):
+    with pytest.raises(ValueError, match="ascending"):
+        TraceRows(len(COLUMNS), float_at)
