@@ -31,8 +31,8 @@ import struct
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, zip_longest
-from operator import add, eq, is_not, itemgetter, methodcaller
+from itertools import chain, compress, count, repeat, zip_longest
+from operator import add, eq, is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -128,14 +128,14 @@ class TraceRows(Sequence):
                   **{j: 1 + len(float_at) + k for k, j in enumerate(other_at)}}
         self._order = itemgetter(*[source[j] for j in range(width)])
         self._width = width
+        self._float_at = tuple(float_at)
         self._nf = len(float_at)
         self._pack = struct.Struct(f"{self._nf}d").pack
         self._floats = array("d")
         self._others: list[tuple] = []
-        # a run's line format is the skeleton filled, in column order, with
-        # these slots and the text of the run's other cells
-        self._skeleton = ",".join(["%s"] * width) + "\r\n"
-        self._slots = ("%d",) + ("%.6f",) * self._nf
+        # a run's line format: this filled with the text of the run's other cells
+        self._skeleton = ",".join(self._order(("%%d",) + ("%%.6f",) * self._nf
+                                              + ("%s",) * len(other_at))) + "\r\n"
 
     def record(self, floats: list, others: list) -> None:
         """Append the next tick's row: its float cells and its other cells,
@@ -153,25 +153,24 @@ class TraceRows(Sequence):
                                     self._others[a:b]))
 
     def csv_blocks(self) -> Iterator[str]:
-        """The rows as CSV lines: the tick, floats with 6 decimals, other
-        cells as ``str``, CRLF line ends. A run of rows that share their
+        """The rows as CSV lines, one string per block of rows: the tick,
+        floats with 6 decimals, other cells as ``str``, CRLF line ends."""
+        n, step = len(self._others), _block_rows(self._width)
+        for b in range(0, n, step):
+            yield "".join(self._lines(b, min(n, b + step)))
+
+    def _lines(self, b: int, c: int) -> Iterator[str]:
+        """The CSV lines of rows b to c - 1. A run of rows that share their
         other cells gets one line format holding those cells' text, with
-        ``%`` escaped, so each row formats only its tick and float cells.
-        Each string holds at most one block of rows."""
+        ``%`` escaped, so each row formats only its tick and float cells."""
         others, floats, nf = self._others, self._floats, self._nf
-        n, step = len(others), _block_rows(self._width)
+        block = others[b:c]
         # a row starts a run unless it holds the previous row's very tuple
-        starts = list(compress(count(), map(is_not, others, chain((None,), others))))
-        formats: dict[tuple, str] = {}  # a run whose cells come back reuses its format
-        for a, end in zip(starts, starts[1:] + [n]):
-            fmt = formats.get(others[a])
-            if fmt is None:
-                fmt = formats[others[a]] = self._skeleton % self._order(
-                    self._slots + tuple(map(_escape, map(str, others[a]))))
-            for b in range(a, end, step):
-                c = min(end, b + step)
-                yield "".join(map(fmt.__mod__,
-                                  zip(range(b, c), *[iter(floats[b * nf:c * nf])] * nf)))
+        starts = list(compress(count(b), map(is_not, block, chain((None,), block))))
+        for a, end in zip(starts, starts[1:] + [c]):
+            fmt = self._skeleton % tuple(map(str.replace, map(str, others[a]),
+                                             repeat("%"), repeat("%%")))
+            yield from map(fmt.__mod__, zip(range(a, end), *[iter(floats[a * nf:end * nf])] * nf))
 
     def __len__(self) -> int:
         return len(self._others)
@@ -189,13 +188,16 @@ class TraceRows(Sequence):
         return chain.from_iterable(self._block(a, min(n, a + step)) for a in range(0, n, step))
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, TraceRows) and (other._width, other._float_at) == (
+                self._width, self._float_at):  # one layout: compare the stores in C
+            return (self._floats.tobytes() == other._floats.tobytes()
+                    and self._others == other._others)
         if not isinstance(other, (list, TraceRows)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, map(_bits, self), map(_bits, other)))
 
 
 _DOUBLE = struct.Struct("d").pack
-_escape = methodcaller("replace", "%", "%%")
 
 
 def _bits(row: Sequence) -> tuple:
@@ -221,10 +223,10 @@ class Trace:
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
         6 decimals, other cells as ``str``, CRLF line ends, minimal quoting,
-        in UTF-8. An engine trace is written run by run, at most a block of
-        about 16,384 cells at a time (see ``TraceRows.csv_blocks``): none of
-        its cells needs quotes (see ``ManeuverState``). Any other rows go
-        through csv."""
+        in UTF-8. An engine trace is written a block of about 16,384 cells
+        at a time, run by run within a block (see ``TraceRows.csv_blocks``):
+        none of its cells needs quotes (see ``ManeuverState``). Any other
+        rows go through csv."""
         rows = self.rows
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -619,6 +621,8 @@ def first_difference(trace_a: Trace, trace_b: Trace,
         raise SpecHashMismatch("traces come from different scenario specs")
     if trace_a.columns != trace_b.columns:
         return 0, None, trace_a.columns, trace_b.columns
+    if isinstance(trace_a.rows, TraceRows) and trace_a.rows == trace_b.rows:
+        return None
     for i, (ra, rb) in enumerate(zip_longest(trace_a.rows, trace_b.rows)):
         if ra is None or rb is None:  # a row only one trace has
             return (i, trace_a.columns[0], None if ra is None else ra[0],

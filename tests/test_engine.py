@@ -130,6 +130,9 @@ class TestDeterminism:
         assert first_difference(a, b) == (1, "time", -0.0, 0.0)
         assert math.copysign(1.0, first_difference(a, b)[2]) == -1.0
         assert a.rows != b.rows and a.rows != list(b.rows) and list(a.rows) != b.rows
+        listed_a, listed_b = (Trace(t.spec_hash, t.columns, list(t.rows)) for t in (a, b))
+        assert first_difference(listed_a, listed_b) == (1, "time", -0.0, 0.0)
+        assert first_difference(listed_a, b) == (1, "time", -0.0, 0.0)
         a.write_csv(tmp_path / "a.csv")
         b.write_csv(tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()

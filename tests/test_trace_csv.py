@@ -8,8 +8,10 @@ recorded into it, every float column as ``float``."""
 
 import csv
 import dataclasses
+import gc
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,6 +195,11 @@ def test_equality_with_a_list_both_ways():
     changed = expected[:-1] + [expected[-1][:-1] + (0.0,)]
     assert rows != changed and changed != rows
     assert rows != tuple(expected)
+    # v1_gap as an other cell: a store of another layout compares row by row
+    other_layout = TraceRows(len(COLUMNS), FLOAT_AT[:2])
+    for _, floats, others in BLOCK_SPANNING[:50]:
+        other_layout.record(floats[:2], others + floats[2:])
+    assert rows == other_layout and other_layout == rows
 
 
 def test_a_block_spanning_store_writes_like_the_reference(tmp_path):
@@ -244,7 +251,7 @@ def runs(*lengths):
 
 
 @pytest.mark.parametrize("lengths", [
-    (3, 2, 4, 1),                # A, B, A, B: formats come back after another run
+    (3, 2, 4, 1),                # A, B, A, B: a run's cells come back after another run
     (3 * BLOCK + 17,),           # one run longer than three blocks
     (BLOCK, 5),                  # a run that ends on a block boundary
     (BLOCK - 2, BLOCK + 2, 2 * BLOCK, 1),
@@ -261,6 +268,25 @@ def test_no_string_of_the_writer_holds_more_than_a_block_of_rows():
     rows = store(runs(3 * BLOCK + 17, 4, BLOCK))
     assert max(text.count("\r\n") for text in rows.csv_blocks()) == BLOCK
     assert sum(text.count("\r\n") for text in rows.csv_blocks()) == len(rows)
+
+
+def test_writing_a_run_per_row_holds_about_one_block_of_lines(tmp_path):
+    """Other cells that change on every row, as a joiner's ``DRIVER@`` label
+    can: the writer still holds one block of lines at a time, not a line
+    format per run."""
+    label = "DRIVER@" + "x" * 100
+    rows = store([(i, floats, [f"{label}{i}"]) for i, floats, _ in map(plain, range(4 * BLOCK))])
+    block_chars = len(next(rows.csv_blocks()))
+    trace = Trace("hash", COLUMNS, rows)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace.write_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block_chars
+    assert_same_bytes(trace, tmp_path)
 
 
 @pytest.mark.parametrize("float_at", [(2, 1, 4), (1, 1, 4)])
