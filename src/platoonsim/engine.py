@@ -26,13 +26,12 @@ A protocol error a strategy causes inside a tick is raised as a
 
 from __future__ import annotations
 
-import csv
 import struct
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, zip_longest
-from operator import add, eq, is_not, itemgetter
+from operator import add, is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -103,6 +102,9 @@ _PROTOCOL_ERRORS = (IllegalTransition, UnknownJoiner, InvalidLane)
 
 _NONE: frozenset = frozenset()  # no fault, no silent peer
 
+# a trace column holds floats if its name, after any "v<id>_", is one of these
+_FLOAT_FIELDS = ("time", "s", "v", "a", "gap")
+
 
 class TraceRows(Sequence):
     """The rows of an engine trace, kept compact: a read-only sequence of
@@ -112,17 +114,18 @@ class TraceRows(Sequence):
     all rows sit in one ``array('d')``, so a float column reads back as
     ``float`` whatever was recorded into it; a row's other cells are one
     tuple, the previous row's very object when the two are equal. A store
-    equals a list or another store whose rows hold the same cells, float
-    cells bit for bit.
+    equals another store of the same layout whose rows hold the same cells,
+    float cells bit for bit.
     """
 
-    def __init__(self, width: int, float_at: Sequence[int]) -> None:
-        """``width`` cells per row, of which column 0 is the tick and the
-        columns ``float_at``, ascending, hold the float cells."""
-        if list(float_at) != sorted(set(float_at)):
-            raise ValueError("float columns must be distinct and ascending")
-        float_set = set(float_at)
-        other_at = [j for j in range(1, width) if j not in float_set]
+    def __init__(self, columns: Sequence[str]) -> None:
+        """Rows of ``columns``: column 0 is the tick, ``time`` and each
+        vehicle's ``s``, ``v``, ``a`` and ``gap`` hold the float cells, and
+        every other column holds other cells."""
+        width = len(columns)
+        is_float = [name.split("_", 1)[-1] in _FLOAT_FIELDS for name in columns]
+        float_at = [j for j in range(1, width) if is_float[j]]
+        other_at = [j for j in range(1, width) if not is_float[j]]
         # a row is rebuilt as (tick, *floats, *others); this puts it in column order
         source = {0: 0, **{j: 1 + k for k, j in enumerate(float_at)},
                   **{j: 1 + len(float_at) + k for k, j in enumerate(other_at)}}
@@ -188,13 +191,11 @@ class TraceRows(Sequence):
         return chain.from_iterable(self._block(a, min(n, a + step)) for a in range(0, n, step))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceRows) and (other._width, other._float_at) == (
-                self._width, self._float_at):  # one layout: compare the stores in C
-            return (self._floats.tobytes() == other._floats.tobytes()
-                    and self._others == other._others)
-        if not isinstance(other, (list, TraceRows)):
+        if not isinstance(other, TraceRows):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, map(_bits, self), map(_bits, other)))
+        return ((self._width, self._float_at) == (other._width, other._float_at)
+                and self._floats.tobytes() == other._floats.tobytes()
+                and self._others == other._others)
 
 
 _DOUBLE = struct.Struct("d").pack
@@ -216,26 +217,24 @@ def _block_rows(width: int) -> int:
 
 @dataclass
 class Trace:
+    """A run's trace: its columns and, recorded tick by tick, its rows."""
+
     spec_hash: str
     columns: tuple[str, ...]
-    rows: Sequence[tuple] = field(default_factory=list)
+    rows: TraceRows = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rows = TraceRows(self.columns)
 
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
-        6 decimals, other cells as ``str``, CRLF line ends, minimal quoting,
-        in UTF-8. An engine trace is written a block of about 16,384 cells
-        at a time, run by run within a block (see ``TraceRows.csv_blocks``):
-        none of its cells needs quotes (see ``ManeuverState``). Any other
-        rows go through csv."""
-        rows = self.rows
+        6 decimals, other cells as ``str``, CRLF line ends, in UTF-8, a block
+        of about 16,384 cells at a time, run by run within a block (see
+        ``TraceRows.csv_blocks``). No cell needs quotes (see
+        ``ManeuverState``)."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            if isinstance(rows, TraceRows):
-                fh.writelines(rows.csv_blocks())
-            else:
-                writer.writerows([f"{v:.6f}" if isinstance(v, float) else str(v)
-                                  for v in row] for row in rows)
+            fh.write(",".join(self.columns) + "\r\n")
+            fh.writelines(self.rows.csv_blocks())
 
 
 @dataclass
@@ -323,9 +322,6 @@ class _Runtime:
         if changed:
             self.label = controller_label(kind)
         return changed
-
-
-_FLOAT_FIELDS = ("time", "s", "v", "a", "gap")
 
 
 # Called after each recorded tick. It must not modify the runtimes: the
@@ -580,11 +576,7 @@ class Simulator:
             columns.extend(f"v{vid}_{name}" for name in
                            ("s", "lane", "v", "a", "controller", "maneuver",
                             "role", "gap", "psize"))
-        # _stage_record hands the trace the time and each vehicle's s, v, a
-        # and gap as the float cells, in column order
-        rows = TraceRows(len(columns), [j for j, name in enumerate(columns)
-                                        if name.split("_", 1)[-1] in _FLOAT_FIELDS])
-        trace = Trace(self.report.spec_hash, tuple(columns), rows)
+        trace = Trace(self.report.spec_hash, tuple(columns))
 
         managed = self._managed
         for tick in range(self.spec.tick_count()):
@@ -598,7 +590,7 @@ class Simulator:
             flag_inboxes = self._stage_bus(tick)
             self._stage_manage(tick, snapshot, managed, readings, flag_inboxes)
             states = self._stage_step(tick, snapshot, readings)
-            halt = self._stage_record(tick, states, managed, readings, rows)
+            halt = self._stage_record(tick, states, managed, readings, trace.rows)
             if observer is not None:
                 observer(self, tick)
             if halt:
@@ -621,7 +613,7 @@ def first_difference(trace_a: Trace, trace_b: Trace,
         raise SpecHashMismatch("traces come from different scenario specs")
     if trace_a.columns != trace_b.columns:
         return 0, None, trace_a.columns, trace_b.columns
-    if isinstance(trace_a.rows, TraceRows) and trace_a.rows == trace_b.rows:
+    if trace_a.rows == trace_b.rows:
         return None
     for i, (ra, rb) in enumerate(zip_longest(trace_a.rows, trace_b.rows)):
         if ra is None or rb is None:  # a row only one trace has

@@ -8,7 +8,9 @@ break a load rule; then it must be a ``SpecError``. A loaded scenario must
 run to its end, so a ``TickError`` fails, two runs of it must write the
 same bytes, no collision may happen on its first tick, and no vehicle may
 start HardwareFailures more often than faults were injected. Six seeds run
-for 90 s are pinned to golden digests.
+for 90 s are pinned to golden digests. On the seeds that inject a fault,
+degradation on must collide no more than off in 20 s, but for four named
+seeds where it does.
 
 Run as a script,
 ``PYTHONPATH=src python3 tests/test_generated_runs.py [N] [--duration S]``
@@ -238,6 +240,28 @@ def paired(seeds, duration: float = DURATION) -> list:
         rows.append((seed, *[(len(r.collisions), r.collisions[0][0] if r.collisions else None)
                              for r in runs]))
     return rows
+
+
+# the seeds of 0-399 where degradation on and off collide differently at 20 s
+DEGRADATION_HELPS = [1, 32, 38, 61, 69, 89, 102, 106, 109, 145, 198, 228, 251, 253, 257, 265,
+                     327, 372, 380, 398]
+DEGRADATION_HURTS = {
+    65: "a cut-in hits v4; v5, in HardwareFailures after its radar fault, then hits the "
+        "intruder (ROADMAP item 4)",
+    130: "not yet traced",
+    290: "after v3's V2V fault and two TakeoverRequests, v2 hits v4 and v5 (ROADMAP item 4)",
+    307: "not yet traced",
+}
+
+
+@pytest.mark.parametrize("seed", DEGRADATION_HELPS + [
+    pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+    for seed, reason in DEGRADATION_HURTS.items()])
+def test_degradation_on_collides_no_more_than_off(seed):
+    """The paper's fault-tolerance claim: the fault-tolerant maneuvers keep
+    the platoon at least as safe as running without them."""
+    [(_, (on, _), (off, _))] = paired([seed])
+    assert on <= off
 
 
 def print_paired(rows) -> None:
