@@ -31,7 +31,7 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, zip_longest
-from operator import add, is_not, itemgetter
+from operator import add, eq, is_not, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
@@ -163,17 +163,30 @@ class TraceRows(Sequence):
             yield "".join(self._lines(b, min(n, b + step)))
 
     def _lines(self, b: int, c: int) -> Iterator[str]:
-        """The CSV lines of rows b to c - 1. A run of rows that share their
-        other cells gets one line format holding those cells' text, with
-        ``%`` escaped, so each row formats only its tick and float cells."""
+        """The CSV lines of rows b to c - 1. A run of rows sharing their other
+        cells gets one line format holding their text, ``%`` escaped, and that of
+        its float columns byte-equal over it if that pays; rows fill the rest."""
         others, floats, nf = self._others, self._floats, self._nf
         block = others[b:c]
         # a row starts a run unless it holds the previous row's very tuple
         starts = list(compress(count(b), map(is_not, block, chain((None,), block))))
         for a, end in zip(starts, starts[1:] + [c]):
-            fmt = self._skeleton % tuple(map(str.replace, map(str, others[a]),
-                                             repeat("%"), repeat("%%")))
-            yield from map(fmt.__mod__, zip(range(a, end), *[iter(floats[a * nf:end * nf])] * nf))
+            n, lo, hi = end - a, a * nf, end * nf
+            text = tuple(map(str.replace, map(str, others[a]), repeat("%"), repeat("%%")))
+            # the columns whose first float cell equals the last, if enough could pay
+            same = list(compress(range(nf), map(eq, floats[lo:lo + nf], floats[hi - nf:hi]))
+                        ) if n > _BAKE_COST else []
+            baked = {j: "%.6f" % floats[lo + j] for j in same if len(same) * n > _BAKE_COST * nf
+                     and floats[lo + j:hi:nf].tobytes() == floats[lo + j:lo + j + 1].tobytes() * n}
+            if len(baked) * n > _BAKE_COST * nf:
+                fmt = ",".join(self._order(("%d", *map(baked.get, range(nf), repeat("%.6f")),
+                                            *text))) + "\r\n"
+                rows = zip(range(a, end), *[floats[lo + j:hi:nf] for j in range(nf)
+                                            if j not in baked])
+            else:
+                fmt = self._skeleton % text
+                rows = zip(range(a, end), *[iter(floats[lo:hi])] * nf)
+            yield from map(fmt.__mod__, rows)
 
     def __len__(self) -> int:
         return len(self._others)
@@ -209,6 +222,8 @@ def _bits(row: Sequence) -> tuple:
 
 # the cells a trace reads or writes at once
 _BLOCK_CELLS = 16384
+# finding and baking a run's constant float columns costs about this many "%.6f" a column
+_BAKE_COST = 8
 
 
 def _block_rows(width: int) -> int:
@@ -229,9 +244,9 @@ class Trace:
     def write_csv(self, path: Union[str, Path]) -> None:
         """Write the header and the rows as ``csv.writer`` would: floats with
         6 decimals, other cells as ``str``, CRLF line ends, in UTF-8, a block
-        of about 16,384 cells at a time, run by run within a block (see
-        ``TraceRows.csv_blocks``). No cell needs quotes (see
-        ``ManeuverState``)."""
+        of about 16,384 cells at a time, run by run within a block, a run's
+        constant float columns formatted once if that pays (see
+        ``TraceRows._lines``). No cell needs quotes (see ``ManeuverState``)."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(self.columns) + "\r\n")
             fh.writelines(self.rows.csv_blocks())

@@ -111,8 +111,8 @@ class ScenarioSpec:
 
     def tick_count(self) -> int:
         ticks = self.run.duration / self.run.dt
-        if abs(ticks - round(ticks)) > 1e-6:
-            raise SpecError("run.duration must be an integer number of ticks")
+        if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
+            raise SpecError("run.duration must be a finite integer number of ticks")
         return int(round(ticks))
 
     def spec_hash(self) -> str:

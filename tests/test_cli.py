@@ -65,6 +65,8 @@ class TestRun:
         ("--dt", "nan", "run.dt"),
         ("--duration", "-5", "run.duration"),
         ("--duration", "inf", "run.duration"),
+        ("--duration", "1e308", "run.duration"),  # too many ticks to count
+        ("--dt", "1e-320", "run.duration"),
     ])
     def test_bad_run_window_override_is_a_one_line_error(self, tmp_path, capsys,
                                                          flag, value, where):
@@ -73,6 +75,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where} ") and err.count("\n") == 1
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_a_scenario_file_with_too_many_ticks_is_a_one_line_error(self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("steady").read_text())
+        raw["run"]["duration"] = 1e308
+        bad = tmp_path / "endless.scenario"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.duration ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_duration_override(self, tmp_path):
         code = main(["run", scenario("steady"), "--out", str(tmp_path),

@@ -255,6 +255,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="integer number of ticks"):
             scenario_from_dict(doc(run={"dt": 0.3, "duration": 1.0})).tick_count()
 
+    @pytest.mark.parametrize("run", [{"dt": 0.05, "duration": 1e308},
+                                     {"dt": 1e-320, "duration": 10.0}],
+                             ids=["huge_duration", "tiny_dt"])
+    def test_a_tick_count_that_overflows_is_a_spec_error(self, run):
+        with pytest.raises(SpecError, match=r"^run\.duration must be a finite integer number"):
+            scenario_from_dict(doc(run=run))
+
     def test_initial_platoon_order_is_front_to_back(self):
         spec = scenario_from_dict(doc())
         assert initial_platoon(spec) == (1, 2)

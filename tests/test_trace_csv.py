@@ -1,8 +1,10 @@
 """trace.csv bytes: ``Trace.write_csv`` writes exactly what the plain
-``csv.writer`` version below writes, on the trace of every bundled scenario
-and of the benchmark's 80-vehicle platoon, whose rows it writes with one
-line format per run of equal other cells, on runs that come back, span
-blocks or end on one, and on synthetic recorded rows; and ``TraceRows``,
+``csv.writer`` version below writes, on the trace of every bundled scenario,
+of the benchmark's 80-vehicle platoon and of three pinned generated runs,
+whose rows it writes with one line format per run of equal other cells, on
+runs that come back, span blocks or end on one, on runs whose constant
+float columns are baked into that format, and on synthetic recorded rows;
+and ``TraceRows``,
 the compact store of a trace, lays itself out by its column names and reads
 back the rows recorded into it, every float column as ``float``."""
 
@@ -69,6 +71,16 @@ def test_platoon_n80_trace_matches_reference(tmp_path, monkeypatch):
 
     spec = scenario_from_dict(harness.platoon_n80_dict(harness.DEFAULT_SEED))
     trace, _ = Simulator(spec).run()
+    assert_same_bytes(trace, tmp_path)
+
+
+# the generated runs pinned in golden_generated.json whose lane changes,
+# faults, collision, timeouts and standstills give runs the bundled ones lack
+@pytest.mark.parametrize("seed", [35, 318, 1])
+def test_generated_trace_matches_reference(seed, tmp_path):
+    from test_generated_runs import generated_spec
+
+    trace, _ = Simulator(generated_spec(seed, 90.0)).run()
     assert_same_bytes(trace, tmp_path)
 
 
@@ -282,6 +294,91 @@ def test_writing_a_run_per_row_holds_about_one_block_of_lines(tmp_path):
     label = "DRIVER@" + "x" * 100
     trace = recorded_trace([(i, floats, [f"{label}{i}"])
                             for i, floats, _ in map(plain, range(4 * BLOCK))])
+    block_chars = len(next(trace.rows.csv_blocks()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace.write_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block_chars
+    assert_same_bytes(trace, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Float columns constant over a run, baked into its line format
+# ---------------------------------------------------------------------------
+
+# five float columns, so a run bakes once its constant cells exceed 40
+WIDE = ("tick", "time", "v1_s", "v1_v", "v1_a", "v1_controller", "v1_gap")
+WIDE_BLOCK = 16384 // len(WIDE)
+
+
+def wide_trace(*runs):
+    """A trace of WIDE: each run is (label, length, cells), ``cells(i)``
+    giving v1_s, v1_v, v1_a and v1_gap of row i; ``time`` always varies."""
+    trace, i = Trace("hash", WIDE), 0
+    for label, length, cells in runs:
+        for _ in range(length):
+            trace.rows.record([0.05 * (i + 1), *cells(i)], [label])
+            i += 1
+    return trace
+
+
+def varying(i):
+    return [400.0 + i / 3.0, 20.0 - i / 7.0, 0.1 * (i % 5), 13.0 + i / 11.0]
+
+
+WIDE_CASES = {
+    # v1_v constant, then varying, then constant at another value; in the
+    # middle run v1_a is back at its first value on the last row
+    "constant_then_varying": [
+        ("A", 40, lambda i: [400.0 + i, 20.0, 0.0, 13.0]),
+        ("B", 40, lambda i: [450.0, 20.0 + i / 9.0, 0.0 if i in (40, 79) else 0.5, 13.0]),
+        ("A", 40, lambda i: [500.0 + i, 17.5, 0.0, 12.0])],
+    # v1_s is -0.0 then 0.0: equal, not byte-equal; v1_v a NaN throughout
+    "negative_zero_then_zero_and_nan": [
+        ("A", 40, lambda i: [-0.0 if i < 20 else 0.0, math.nan, 1.5, 2.0])],
+    "infinities": [("A", 40, lambda i: [math.inf, -math.inf, 0.1 * i, math.inf])],
+    # every float column but time constant, the gap a negative zero
+    "standstill": [("A", 3, varying), ("Stop", 40, lambda i: [250.0, 0.0, 0.0, -0.0]),
+                   ("A", 3, varying)],
+    # a run across the block boundary: long on both sides, then short before it
+    "across_a_block": [("A", WIDE_BLOCK - 20, varying),
+                       ("B", 60, lambda i: [250.0, 0.0, 0.0, 5.0])],
+    "few_rows_before_a_block": [("A", WIDE_BLOCK - 5, varying),
+                                ("B", 45, lambda i: [250.0, 0.0, 0.0, 5.0])],
+    # runs of one row among constant cells, between runs that bake
+    "runs_of_one_row": [("A", 40, lambda i: [250.0, 0.0, 0.0, 5.0]),
+                        ("B", 1, lambda i: [250.0, 0.0, 0.0, 5.0]),
+                        ("C", 1, lambda i: [250.0, 0.0, 0.0, 5.0]),
+                        ("A", 40, lambda i: [250.0, 0.0, 0.0, 5.0])],
+}
+
+
+@pytest.mark.parametrize("case", WIDE_CASES)
+def test_constant_float_columns_write_like_the_reference(case, tmp_path):
+    assert_same_bytes(wide_trace(*WIDE_CASES[case]), tmp_path)
+
+
+def test_a_negative_zero_and_a_zero_in_one_run_keep_their_signs(tmp_path):
+    trace = wide_trace(*WIDE_CASES["negative_zero_then_zero_and_nan"])
+    trace.write_csv(tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_bytes().splitlines()
+    assert lines[1].startswith(b"0,0.050000,-0.000000,nan,1.500000,A,2.000000")
+    assert lines[21].startswith(b"20,1.050000,0.000000,nan,1.500000,A,2.000000")
+
+
+def test_writing_mostly_constant_columns_holds_about_one_block_of_lines(tmp_path):
+    """A parked fleet: of 41 float columns only time and one position vary,
+    in runs of 500 rows; the writer still holds about one block of lines."""
+    columns = ("tick", "time", *(f"v{vid}_{name}" for vid in range(1, 11)
+                                 for name in ("s", "v", "a", "controller", "gap")))
+    trace = Trace("hash", columns)
+    for i in range(4 * (16384 // len(columns))):
+        trace.rows.record([0.05 * (i + 1), 400.0 + i / 3.0, *[20.0, 0.0, 13.0],
+                           *[100.0, 0.0, 0.0, 0.0] * 9], [f"L{i // 500}"] * 10)
     block_chars = len(next(trace.rows.csv_blocks()))
     gc.collect()
     tracemalloc.start()
