@@ -187,7 +187,7 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
     if FaultKind.RADAR_FAIL in faults.get(ego_id, ()):
         return RadarReading(False, max_range, 0.0, None)
     order, rears, lateral = Snapshot.by_rear(states, geom)
-    center = geom.center(ego.lane)
+    center = ego.lane * geom.lane_width  # geom.center(ego.lane)
     best: Optional[tuple[float, VehicleId, VehicleState]] = None
     for i in range(bisect_left(rears, ego.s), len(order)):
         rear, vid, st = order[i]
@@ -201,9 +201,9 @@ def radar_sense(ego_id: VehicleId, states: Mapping[VehicleId, VehicleState],
         if best is None or gap < best[0] or (gap == best[0] and vid < best[1]):
             best = (gap, vid, st)
     if best is None:
-        return RadarReading(True, max_range, 0.0, None)
+        return tuple.__new__(RadarReading, (True, max_range, 0.0, None))
     gap, vid, st = best
-    return RadarReading(True, gap, st.v - ego.v, vid)
+    return tuple.__new__(RadarReading, (True, gap, st.v - ego.v, vid))
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +387,15 @@ class PeerViews(Mapping[VehicleId, PeerView]):
         msg = self._store.raw(peer)
         if msg is None:
             return default
-        assert msg.state is not None and msg.role is not None
+        state = msg.state
+        assert state is not None and msg.role is not None
         age = self._tick - msg.tick_sent
         silent = age > self._timeout_ticks
         if silent and not self._degradation_enabled:
-            return PeerView(0.0, 0.0, 0.0, msg.state.length, msg.role,
-                            msg.platoon, age, msg.state.lane, True, True)
-        return PeerView(msg.state.s, msg.state.v, msg.state.a,
-                        msg.state.length, msg.role, msg.platoon, age,
-                        msg.state.lane, False, silent)
+            return PeerView(0.0, 0.0, 0.0, state.length, msg.role,
+                            msg.platoon, age, state.lane, True, True)
+        return tuple.__new__(PeerView, (state.s, state.v, state.a, state.length, msg.role,
+                                        msg.platoon, age, state.lane, False, silent))
 
     def __iter__(self) -> Iterator[VehicleId]:
         return iter(self._store.known_peers())

@@ -76,14 +76,16 @@ def step_longitudinal(state: VehicleState, a_cmd: float, limits: DynamicsLimits,
     s, v = state.s, state.v
     v_next = v + a * dt
     if v <= 0.0 and a <= 0.0:
-        v_next, a = 0.0, a if v > 0 else 0.0
+        v_next, a = 0.0, 0.0
     elif v_next < 0.0:
         # partial step up to the standstill instant, exact for constant a
         t_stop = v / -a
         s, v_next = s + v * t_stop + 0.5 * a * t_stop * t_stop, 0.0
     else:
         s = s + v * dt + 0.5 * a * dt * dt
-    return VehicleState(s, state.lane, v_next, a, state.lateral_offset, state.length)
+    # every branch leaves v_next >= 0, so the constructor's speed check is skipped
+    return tuple.__new__(VehicleState, (s, state.lane, v_next, a, state.lateral_offset,
+                                        state.length))
 
 
 def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
@@ -95,12 +97,11 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
     lane_width / lane_change_duration; on arrival the lane index is updated
     and the offset reset.
     """
-    rate = geom.lane_width / geom.lane_change_duration
     if lateral_cmd.mode is LateralMode.LANE_CENTER:
         off = state.lateral_offset
         if off == 0.0:
             return state
-        step = rate * dt
+        step = geom.lane_width / geom.lane_change_duration * dt
         off = 0.0 if abs(off) <= step else off - step if off > 0 else off + step
         return VehicleState(state.s, state.lane, state.v, state.a, off, state.length)
 
@@ -115,7 +116,7 @@ def step_lateral(state: VehicleState, lateral_cmd: LateralCommand,
         raise InvalidLane(f"lane {target} not adjacent to lane {state.lane}")
 
     direction = 1.0 if target > state.lane else -1.0
-    off = state.lateral_offset + direction * rate * dt
+    off = state.lateral_offset + direction * (geom.lane_width / geom.lane_change_duration) * dt
     if abs(off) >= geom.lane_width:
         return VehicleState(state.s, target, state.v, state.a, 0.0, state.length)
     return VehicleState(state.s, state.lane, state.v, state.a, off, state.length)
@@ -135,9 +136,11 @@ class Snapshot(dict[VehicleId, VehicleState]):
         """The sweep of ``states``, built once per snapshot and geometry."""
         snap = states if type(states) is Snapshot else Snapshot(states)
         if snap._sweep is None or snap._sweep[0] is not geom:
-            order = sorted([(st.rear, vid, st) for vid, st in snap.items()])
+            # st[0] - st[5] is s - length (the rear); st[1] * lane_width + st[4] is
+            # lane * lane_width + lateral_offset (the lateral position)
+            order = sorted([(st[0] - st[5], vid, st) for vid, st in snap.items()])
             snap._sweep = (geom, (order, [rear for rear, _, _ in order],
-                                  [lateral_position(st, geom) for _, _, st in order]))
+                                  [st[1] * geom.lane_width + st[4] for _, _, st in order]))
         return snap._sweep[1]
 
 

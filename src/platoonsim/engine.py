@@ -505,9 +505,10 @@ class Simulator:
             if kind is not None and kind is not rt.controller and rt.set_controller(kind):
                 self._log(tick, vid, "controller", kind)
 
-            # positional: a NamedTuple takes keywords at about 1.5 times the cost
-            hb = V2VMessage(vid, MessageKind.HEARTBEAT, tick, snapshot[vid], rt.manager.role,
-                            rt.replica if rt.manager.member else None)
+            # built without the NamedTuple's Python-level __new__: every field given
+            hb = tuple.__new__(V2VMessage, (
+                vid, MessageKind.HEARTBEAT, tick, snapshot[vid], rt.manager.role,
+                rt.replica if rt.manager.member else None, None, None))
             self.bus.send(hb, self.faults)
         self._uplink = sent
 

@@ -2,6 +2,7 @@
 oracle, lane changes and collision detection."""
 
 import random
+import struct
 
 import pytest
 
@@ -64,6 +65,11 @@ class TestLongitudinal:
         out = step_longitudinal(state, -G, LIMITS, dt=0.05)
         assert out.s == state.s
         assert out.v == 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -0.05])
+    def test_a_step_that_is_not_positive_is_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_longitudinal(vehicle(v=10.0), 1.0, LIMITS, dt)
 
     def test_speed_non_negative_under_random_commands(self):
         rng = random.Random(7)
@@ -230,3 +236,39 @@ class TestConstructorMatchesReplace:
     def test_negative_speed_still_rejected(self):
         with pytest.raises(ValueError):
             VehicleState(s=0.0, lane=0, v=-1.0)
+
+
+def bits(state):
+    """The fields of a state, each float as its IEEE bytes, so that -0.0 and
+    0.0 differ."""
+    return tuple(struct.pack("<d", f) if type(f) is float else f for f in state)
+
+
+class TestLongitudinalAgainstReplace:
+    """``step_longitudinal`` builds its state with ``tuple.__new__``, so its
+    speed check never runs; on seeded random inputs every field must still be
+    the ``_replace`` formulation's, sign of zero included, and the state must
+    pass the constructor's check."""
+
+    def test_random_states_and_commands_match_bit_for_bit(self):
+        rng = random.Random(28)
+        branches = set()
+        for _ in range(4000):
+            v = rng.choice((0.0, -0.0, 1e-9, rng.uniform(0.0, 0.5), rng.uniform(0.0, 40.0)))
+            state = VehicleState(
+                s=rng.choice((0.0, -0.0, rng.uniform(-500.0, 5000.0))), lane=rng.randrange(3),
+                v=v, a=rng.choice((0.0, -0.0, rng.uniform(-10.0, 3.0))),
+                lateral_offset=rng.choice((0.0, -0.0, rng.uniform(-3.4, 3.4))),
+                length=rng.choice((4.2, 5.0, 16.5)))
+            a_cmd = rng.choice((0.0, -0.0, 50.0, -50.0, 1e300, -1e300, LIMITS.a_max,
+                                -LIMITS.d_max, rng.uniform(-12.0, 4.0)))
+            dt = rng.choice((0.01, 0.05, 0.1, rng.uniform(1e-4, 0.5)))
+            out = step_longitudinal(state, a_cmd, LIMITS, dt)
+            assert type(out) is VehicleState
+            assert bits(out) == bits(replace_longitudinal(state, a_cmd, LIMITS, dt))
+            assert VehicleState(*out) == out  # the skipped speed check holds
+            a = LIMITS.clamp(a_cmd)
+            branches.add("standstill" if v <= 0.0 and a <= 0.0
+                         else "brakes through zero" if v + a * dt < 0.0
+                         else "pulls away" if v <= 0.0 else "moves")
+        assert branches == {"standstill", "brakes through zero", "pulls away", "moves"}

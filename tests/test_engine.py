@@ -450,11 +450,59 @@ class TestBenchmarkHookPoints:
                          "step_lateral": 800, "detect_collisions": 40}
 
 
+def records_the_tick_builds(monkeypatch, spec):
+    """Every VehicleState, RadarReading, PeerView and V2VMessage one run of
+    ``spec`` steps, senses, looks up or sends, by type name; the tick builds
+    the hot ones with ``tuple.__new__``, which neither fills defaults nor
+    runs the constructor's checks."""
+    records = {}
+
+    def keep(record):
+        if record is not None:
+            records.setdefault(type(record).__name__, []).append(record)
+
+    def keeping(original):
+        def kept(*args, **kwargs):
+            out = original(*args, **kwargs)
+            keep(out)
+            return out
+        return kept
+
+    def sending(bus, msg, faults, _send=comms.MessageBus.send):
+        keep(msg)
+        return _send(bus, msg, faults)
+
+    for name in ("radar_sense", "step_longitudinal", "step_lateral"):
+        monkeypatch.setattr(engine, name, keeping(getattr(engine, name)))
+    monkeypatch.setattr(comms.PeerViews, "get", keeping(comms.PeerViews.get))
+    monkeypatch.setattr(comms.MessageBus, "send", sending)
+    Simulator(spec).run()
+    return records
+
+
+@pytest.mark.parametrize("name, degradation", [
+    ("integrated", True), ("v2v_fault", False), ("radar_fault", True)])
+def test_every_record_the_tick_builds_is_whole(monkeypatch, name, degradation):
+    spec = dataclasses.replace(bundled_scenario(name), degradation_enabled=degradation)
+    records = records_the_tick_builds(monkeypatch, spec)
+    assert set(records) == {"VehicleState", "RadarReading", "PeerView", "V2VMessage"}
+    for kind in records.values():
+        for x in kind:
+            assert len(x) == len(type(x)._fields)
+            assert x == type(x)(*x)  # a VehicleState's speed check runs here
+    assert any(m.kind is MessageKind.HEARTBEAT for m in records["V2VMessage"])
+    if name == "v2v_fault":
+        assert any(view.zeroed for view in records["PeerView"])
+    if name == "radar_fault":
+        assert any(not reading.valid for reading in records["RadarReading"])
+
+
 # Python-level calls per vehicle-tick of a steady 20-vehicle platoon: 59.9
 # before the calls that did no work were cut, 45.2 after, 44.2 since delivery
 # groups by sender alone, 39.2 since faults and heartbeats are read and built
-# without a helper call; the ceiling leaves 2
-CALL_CEILING = 41.2
+# without a helper call, 31.2 since the per-tick records are built with
+# tuple.__new__ and the sweep reads their fields; the ceiling leaves 2
+CALL_CEILING = 33.2
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython",

@@ -4,6 +4,7 @@ verbatim as references, on seeded random worlds."""
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -195,6 +196,58 @@ class TestCollisionsAgainstAllPairs:
                   1: VehicleState(s=109.0, lane=1, v=20.0, length=2.0)}
         expected = detect_collisions_reference(states, GEOM, WIDTH)
         assert detect_collisions(states, GEOM, WIDTH) == expected == [(1, 3), (2, 3), (3, 4)]
+
+
+# lane widths whose multiples and half-widths round: 3.7 * 3 and 0.1 * 3 are inexact
+GEOMETRIES = (GEOM, LaneGeometry(lane_count=4, lane_width=3.7),
+              LaneGeometry(lane_count=5, lane_width=0.1))
+
+
+def f64(x):
+    return struct.pack("<d", x)
+
+
+def odd_states(rng, geom, n):
+    """``n`` vehicles at unrounded positions, some mid-change, some on a
+    half-lane edge, with offsets and positions of either zero sign."""
+    w = geom.lane_width
+    states = {}
+    for vid in rng.sample(range(1, 3 * n + 1), n):
+        offset = rng.choice((0.0, -0.0, w / 2, -w / 2, math.nextafter(w / 2, 0.0),
+                             math.nextafter(-w / 2, 0.0), rng.uniform(-w, w)))
+        states[vid] = VehicleState(
+            s=rng.choice((0.0, -0.0, rng.uniform(-300.0, 300.0))),
+            lane=rng.randrange(geom.lane_count), v=rng.uniform(0.0, 30.0),
+            lateral_offset=offset, length=rng.choice((0.0, 4.2, 5.0, rng.uniform(1.0, 20.0))))
+    return states
+
+
+class TestSweepAgainstTheHelpers:
+    """The sweep and the radar compute the rear, the lateral position and the
+    lane center from the fields inline; each must be the helpers' float bit
+    for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rears_and_laterals_are_the_helpers_floats(self, seed):
+        rng = random.Random(seed)
+        geom = rng.choice(GEOMETRIES)
+        states = odd_states(rng, geom, rng.randrange(1, 40))
+        order, rears, lateral = Snapshot.by_rear(states, geom)
+        expected = sorted((st.rear, vid, st) for vid, st in states.items())
+        assert [item[1:] for item in order] == [item[1:] for item in expected]
+        assert list(map(f64, rears)) == [f64(st.rear) for _, _, st in order]
+        assert list(map(f64, lateral)) == [f64(lateral_position(st, geom)) for _, _, st in order]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_radar_on_lane_edges_matches_the_full_scan(self, seed):
+        # the full scan reads the lane center from geom.center, the radar inline
+        rng = random.Random(seed)
+        geom = rng.choice(GEOMETRIES)
+        states = odd_states(rng, geom, rng.randrange(2, 30))
+        snapshot = Snapshot(states)
+        for ego in states:
+            assert radar_sense(ego, snapshot, FaultBoard(), geom, 100.0) \
+                == radar_sense_reference(ego, states, FaultBoard(), geom, 100.0)
 
 
 class TestDeliveryAgainstNestedLoops:
