@@ -8,6 +8,7 @@ functionality degradation for V2V and radar failures.
 
 from .core import (
     ControllerKind,
+    EventKind,
     FaultKind,
     IllegalTransition,
     ManeuverState,
@@ -34,6 +35,7 @@ from .strategies import default_registry
 
 __all__ = [
     "ControllerKind",
+    "EventKind",
     "FaultKind",
     "IllegalTransition",
     "ManeuverState",

@@ -13,6 +13,7 @@ from typing import Optional
 from .core import (
     CloudInstructionTrigger,
     CompletedTrigger,
+    EventKind,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
@@ -75,7 +76,7 @@ def _gaps_at_end(trace: Trace, vids) -> list[float]:
 
 def _first_controller_switch(report: RunReport, vid: int, after: float):
     for e in report.events:
-        if e.kind == "controller" and e.vehicle == vid and e.time >= after:
+        if e.kind is EventKind.CONTROLLER and e.vehicle == vid and e.time >= after:
             return e
     return None
 
@@ -123,9 +124,9 @@ def check_join_tail() -> CheckResult:
 def check_join_middle() -> CheckResult:
     spec = bundled_scenario("join_middle")
     trace, report = Simulator(spec).run()
-    evader_ctrl = [e for e in report.events if e.kind == "controller" and e.vehicle == 3]
-    drops = [e for e in evader_ctrl if e.subject == CC(15.0)]
-    resumes = [e for e in evader_ctrl if e.subject == CC(20.0)]
+    evader = [e for e in report.events if e.kind is EventKind.CONTROLLER and e.vehicle == 3]
+    drops = [e for e in evader if e.subject == CC(15.0)]
+    resumes = [e for e in evader if e.subject == CC(20.0)]
     evade_flags = [e for e in report.events if e.subject is MessageKind.EVADE_FLAG]
     if not (drops and resumes and evade_flags):
         return CheckResult(3, "join middle", False,
@@ -171,7 +172,7 @@ def check_cut_in() -> CheckResult:
     spec = bundled_scenario("cut_in")
     trace, report = Simulator(spec).run()
     starts = {e.vehicle: e.tick for e in report.events
-              if e.kind == "maneuver_start" and e.subject == ManeuverState.CUT_IN}
+              if e.kind is EventKind.MANEUVER_START and e.subject == ManeuverState.CUT_IN}
     if 2 not in starts:
         return CheckResult(5, "cut in", False, "vehicle 2 never detected the cut-in")
     t_det = starts[2]
@@ -216,7 +217,7 @@ def check_v2v_fault_with_degradation(pair) -> CheckResult:
     v2_cacc = all(_col(trace, r, "v2_controller") == "CACC" for r in rows_after)
     v2_band = all(abs(_col(trace, r, "v2_gap") - 13.0) <= 1.0 for r in rows_after)
     final_series = _col(trace, trace.rows[-1], "v1_psize") == 2
-    pruned = any(e.kind == "platoon_update" and e.subject.id_series == (1, 2)
+    pruned = any(e.kind is EventKind.PLATOON_UPDATE and e.subject.id_series == (1, 2)
                  for e in report_on.events)
     passed = (switch_ok and v2_cacc and v2_band and final_series and pruned
               and not report_on.collisions)
@@ -297,7 +298,7 @@ def check_integrated() -> CheckResult:
         t > first["AEBMiddle"] and m == "JoinTail" for t, _, m in report.completions)
     leavers = {v for t, v, m in report.completions
                if m == "LeaveTail" and any(
-                   e.kind == "role_change" and e.vehicle == v
+                   e.kind is EventKind.ROLE_CHANGE and e.vehicle == v
                    and abs(e.time - t) < 1e-9 for e in report.events)}
     passed = (ordered and rejoins_head and rejoins_middle and leavers == {2, 4, 5}
               and not report.collisions and wall < 10.0)

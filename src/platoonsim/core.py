@@ -1,5 +1,5 @@
-"""Shared domain types: vehicle state, roles, maneuvers, messages and the two
-selection state machines used by every layer of the simulator.
+"""Shared domain types of every layer: vehicle state, roles, maneuvers, messages,
+run events (one vocabulary: :class:`EventKind`) and the two selection FSMs.
 
 All types here are immutable values; the transition functions are pure and
 total over their trigger vocabulary (every pair either maps to a state or
@@ -391,37 +391,45 @@ def controller_label(kind: ControllerKind) -> str:
     return lon.mode.value if lon.v_set is None else f"{lon.mode.value}@{lon.v_set:.2f}"
 
 
+class EventKind(enum.Enum):
+    """A run event's kind: its events.log word and its subject's renderer."""
+
+    MANEUVER_START = "maneuver_start", attrgetter("name")  # ManeuverState
+    MANEUVER_COMPLETE = "maneuver_complete", attrgetter("name")  # ManeuverState
+    MANEUVER_TIMEOUT = "maneuver_timeout", attrgetter("name")  # ManeuverState
+    ROLE_CHANGE = "role_change", attrgetter("value")  # Role: the new role
+    FLAG = "flag", attrgetter("value")  # MessageKind: a sent flag
+    FAULT_INJECTED = "fault_injected", attrgetter("value")  # FaultKind
+    CONTROLLER = "controller", controller_label  # ControllerKind: the new selection
+    PLATOON_UPDATE = "platoon_update", lambda p: f"series={list(p.id_series)}"  # PlatoonInfo
+    INSTRUCTION = "instruction", lambda i: f"{i.maneuver.name} target=v{i.target}" + (
+        "" if i.before is None else f" before=v{i.before}")  # ActiveInstruction
+    CUT_IN_SPAWN = "cut_in_spawn", lambda e: (  # CutInEvent
+        f"ahead_of=v{e.target} gap={e.s_offset:.1f}")
+    NO_STRATEGY = "no_strategy", lambda key: f"{key.maneuver.name}/{key.role.value}"  # StrategyKey
+    COLLISION = "collision", lambda other: f"with=v{other}"  # VehicleId of the other vehicle
+    NOTE = "note", str  # a strategy's note text
+
+    def __init__(self, word: str, render: Callable[[Any], str]) -> None:
+        self.word = word
+        self.render = render
+
+
 @dataclass(frozen=True)
 class EngineEvent:
     """One line of events.log: ``kind`` happened to ``vehicle`` (or None) at ``tick``,
-    about the immutable ``subject``, whose type ``_DETAILS`` gives and renders."""
+    about the immutable ``subject``, whose type ``kind`` gives and renders."""
 
     tick: int
     time: float
     vehicle: Optional[VehicleId]
-    kind: str
+    kind: EventKind
     subject: Any
 
     @property
     def detail(self) -> str:
-        return _DETAILS[self.kind](self.subject)
+        return self.kind.render(self.subject)
 
     def line(self) -> str:
         who = f"v{self.vehicle}" if self.vehicle is not None else "-"
-        return f"t={self.time:.3f} {who} {self.kind} {self.detail}".rstrip()
-
-
-_DETAILS: dict[str, Callable[[Any], str]] = {
-    **dict.fromkeys(("maneuver_start", "maneuver_complete", "maneuver_timeout"),
-                    attrgetter("name")),  # ManeuverState
-    # Role: the new role; MessageKind: a sent flag; FaultKind
-    **dict.fromkeys(("role_change", "flag", "fault_injected"), attrgetter("value")),
-    "controller": controller_label,  # ControllerKind: the new selection
-    "platoon_update": lambda platoon: f"series={list(platoon.id_series)}",  # PlatoonInfo
-    "instruction": lambda i: f"{i.maneuver.name} target=v{i.target}"  # ActiveInstruction
-                             + ("" if i.before is None else f" before=v{i.before}"),
-    "cut_in_spawn": lambda e: f"ahead_of=v{e.target} gap={e.s_offset:.1f}",  # CutInEvent
-    "no_strategy": lambda key: f"{key.maneuver.name}/{key.role.value}",  # StrategyKey
-    "collision": lambda other: f"with=v{other}",  # VehicleId of the other vehicle
-    "note": str,  # a strategy's note text
-}
+        return f"t={self.time:.3f} {who} {self.kind.word} {self.detail}".rstrip()

@@ -49,6 +49,7 @@ from .controllers import PidState, longitudinal_command
 from .core import (
     ControllerKind,
     EngineEvent,
+    EventKind,
     FaultKind,
     IllegalTransition,
     LongitudinalCommand,
@@ -266,13 +267,13 @@ class RunReport:
     def completions(self) -> list[tuple[float, VehicleId, str]]:
         """(time, vehicle, maneuver name) of each ``maneuver_complete`` event."""
         return [(e.time, e.vehicle, e.subject.name) for e in self.events
-                if e.kind == "maneuver_complete"]
+                if e.kind is EventKind.MANEUVER_COMPLETE]
 
     @property
     def takeovers(self) -> list[tuple[float, VehicleId]]:
         """(time, sender) of each TakeoverRequest, read from its ``flag`` event."""
         return [(e.time, e.vehicle) for e in self.events
-                if e.kind == "flag" and e.subject is MessageKind.TAKEOVER_REQUEST]
+                if e.kind is EventKind.FLAG and e.subject is MessageKind.TAKEOVER_REQUEST]
 
     def pair_lines(self, indent: str, gaps_heading: str) -> list[str]:
         """The collision count and each collision, then ``gaps_heading`` and
@@ -398,8 +399,8 @@ class Simulator:
 
     # -- helpers ------------------------------------------------------------
 
-    def _log(self, tick: int, vehicle: Optional[VehicleId], kind: str, subject: object) -> None:
-        self.report.events.append(EngineEvent(tick, tick * self.dt, vehicle, kind, subject))
+    def _log(self, tick: int, vid: Optional[VehicleId], kind: EventKind, subject: object) -> None:
+        self.report.events.append(EngineEvent(tick, tick * self.dt, vid, kind, subject))
 
     def _tick_error(self, tick: int, vid: VehicleId, error: Exception) -> TickError:
         rt = self.runtimes[vid]
@@ -414,7 +415,7 @@ class Simulator:
         self._uplink = []
         for fault in out.faults:
             self.faults.inject(fault.target, fault.kind)
-            self._log(tick, fault.target, "fault_injected", fault.kind)
+            self._log(tick, fault.target, EventKind.FAULT_INJECTED, fault.kind)
         for spawn in out.spawns:
             vid = self._intruders[id(spawn)]
             rt = self.runtimes[vid]
@@ -427,13 +428,13 @@ class Simulator:
             rt.active = True
             rt.label = "Script"
             self._snapshot = None
-            self._log(tick, vid, "cut_in_spawn", spawn)
+            self._log(tick, vid, EventKind.CUT_IN_SPAWN, spawn)
         for instr in out.instructions:
-            self._log(tick, instr.target, "instruction", instr)
+            self._log(tick, instr.target, EventKind.INSTRUCTION, instr)
             for vid in self._managed:
                 self.runtimes[vid].manager.offer_instruction(instr)
         for target, why in out.drops:
-            self._log(tick, target, "note", why)
+            self._log(tick, target, EventKind.NOTE, why)
 
     def _stage_sense(self, snapshot: Snapshot, managed: list[VehicleId],
                      ) -> dict[VehicleId, RadarReading]:
@@ -491,19 +492,19 @@ class Simulator:
 
             self.report.events.extend(events)
             for note in output.notes:
-                self._log(tick, vid, "note", note)
+                self._log(tick, vid, EventKind.NOTE, note)
             if output.platoon_update is not None:
                 rt.replica = output.platoon_update
-                self._log(tick, vid, "platoon_update", output.platoon_update)
+                self._log(tick, vid, EventKind.PLATOON_UPDATE, output.platoon_update)
             for msg in output.messages:
                 self.bus.send(msg, self.faults)
                 sent.append(msg)
                 if msg.kind is not MessageKind.HEARTBEAT:
-                    self._log(tick, vid, "flag", msg.kind)
+                    self._log(tick, vid, EventKind.FLAG, msg.kind)
             kind = output.controller
             # a strategy mostly hands back the very selection it made last tick
             if kind is not None and kind is not rt.controller and rt.set_controller(kind):
-                self._log(tick, vid, "controller", kind)
+                self._log(tick, vid, EventKind.CONTROLLER, kind)
 
             # built without the NamedTuple's Python-level __new__: every field given
             hb = tuple.__new__(V2VMessage, (
@@ -552,7 +553,7 @@ class Simulator:
             if pair not in self._collided:
                 self._collided.add(pair)
                 self.report.collisions.append((time_end, pair[0], pair[1]))
-                self._log(tick, pair[0], "collision", pair[1])
+                self._log(tick, pair[0], EventKind.COLLISION, pair[1])
             if self.spec.halt_on_collision:
                 halt = True
 

@@ -25,6 +25,7 @@ from .core import (
     CompletedTrigger,
     ControllerKind,
     EngineEvent,
+    EventKind,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
@@ -284,7 +285,7 @@ class VehicleManager:
 
     # -- tick ---------------------------------------------------------------
 
-    def _event(self, tick: int, kind: str, subject: object) -> EngineEvent:
+    def _event(self, tick: int, kind: EventKind, subject: object) -> EngineEvent:
         return EngineEvent(tick, tick * self.dt, self.vid, kind, subject)
 
     def tick(self, ctx: StrategyContext, silent: frozenset[VehicleId] = _NONE,
@@ -316,7 +317,7 @@ class VehicleManager:
             self.progress = StrategyProgress(entered_tick=ctx.tick, data=dict(data))
             self.active_instruction = data.get("instruction")
             self.monitor.reset()
-            events.append(self._event(ctx.tick, "maneuver_start", self.maneuver))
+            events.append(self._event(ctx.tick, EventKind.MANEUVER_START, self.maneuver))
             if isinstance(trigger, HardwareFaultTrigger):
                 # only an own fault names this vehicle: no FaultFlag or silent peer does
                 if data["faulty"] == self.vid:
@@ -340,7 +341,7 @@ class VehicleManager:
                 self._strategy_key, self._strategy = key, strategy
         if strategy is None:
             output = StrategyOutput()  # hold the previous controller
-            events.append(self._event(ctx.tick, "no_strategy", StrategyKey(*key)))
+            events.append(self._event(ctx.tick, EventKind.NO_STRATEGY, StrategyKey(*key)))
         else:
             output = strategy.step(ctx, self.progress)
 
@@ -355,7 +356,7 @@ class VehicleManager:
                 and self.progress.age(ctx.tick) > self._timeout_ticks):
             output.maneuver_done = True
             output.role_change = None
-            events.append(self._event(ctx.tick, "maneuver_timeout", self.maneuver))
+            events.append(self._event(ctx.tick, EventKind.MANEUVER_TIMEOUT, self.maneuver))
 
         if output.role_change is not None and output.role_change != self.role:
             cause = _role_cause(self.maneuver, output.role_change)
@@ -365,9 +366,9 @@ class VehicleManager:
                                         f"to {output.role_change.value}")
             self.role = new_role
             self.member = new_role.is_member()
-            events.append(self._event(ctx.tick, "role_change", self.role))
+            events.append(self._event(ctx.tick, EventKind.ROLE_CHANGE, self.role))
         if output.maneuver_done and not _same(self.maneuver, ManeuverState.PLATOONING):
-            events.append(self._event(ctx.tick, "maneuver_complete", self.maneuver))
+            events.append(self._event(ctx.tick, EventKind.MANEUVER_COMPLETE, self.maneuver))
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)
             self.active_instruction = None

@@ -113,6 +113,13 @@ class ScenarioSpec:
         ticks = self.run.duration / self.run.dt
         if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
             raise SpecError("run.duration must be a finite integer number of ticks")
+        # each ``*_s`` parameter and cut-in duration becomes ticks too (``Parameters.ticks``)
+        bad = [f"parameters.{k}" for k, v in vars(self.params).items()
+               if k.endswith("_s") and not math.isfinite(v / self.run.dt)]
+        bad += [f"events[{i}].duration" for i, e in enumerate(self.events)
+                if isinstance(e, CutInEvent) and not math.isfinite(e.duration / self.run.dt)]
+        if bad:
+            raise SpecError(f"{bad[0]} has no finite tick count at run.dt {self.run.dt}")
         return int(round(ticks))
 
     def spec_hash(self) -> str:
@@ -298,8 +305,8 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SpecError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"scenario file {path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecError(f"scenario file {path} is not UTF-8 JSON: {exc}") from exc
     return scenario_from_dict(raw, name=path.stem)
 
 
@@ -356,7 +363,7 @@ def validate(spec: ScenarioSpec) -> None:
             raise SpecError(f"{where}: a {kind} needs a second lane")
         # adjacency to the target is checked at spawn time: the target may
         # have changed lanes by then
-        if kind == "cut_in" and not (0 <= e.lane < geom.lane_count):
+        if isinstance(e, CutInEvent) and not (0 <= e.lane < geom.lane_count):
             raise SpecError(f"{where}.lane {e.lane} out of range")
 
     # bodies in one lane that overlap at t = 0 collide on the first tick. In rear

@@ -87,6 +87,29 @@ class TestRun:
         assert err.startswith("error: run.duration ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_a_scenario_file_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.scenario"
+        bad.write_bytes(b"\xff\xfe" + bundled_scenario_path("steady").read_bytes().decode()
+                        .encode("utf-16-le"))
+        code = main(["run", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_a_dt_override_that_leaves_a_delay_no_finite_tick_count_is_an_error(
+            self, tmp_path, capsys):
+        raw = json.loads(bundled_scenario_path("v2v_fault").read_text())
+        raw["parameters"] = {"takeover_delay_s": 8e306}  # finite ticks at dt 0.05
+        bad = tmp_path / "slow_driver.scenario"
+        bad.write_text(json.dumps(raw))
+        code = main(["run", str(bad), "--out", str(tmp_path / "out"), "--dt", "0.03125"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: parameters.takeover_delay_s has no finite tick count "
+                       "at run.dt 0.03125\n")
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_duration_override(self, tmp_path):
         code = main(["run", scenario("steady"), "--out", str(tmp_path),
                      "--duration", "1.0"])

@@ -1,5 +1,8 @@
 """Core type and FSM tests, including exhaustive closure of both machines."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from platoonsim.comms import PeerView, RadarReading
@@ -8,6 +11,7 @@ from platoonsim.core import (
     CompletedTrigger,
     ControllerKind,
     EngineEvent,
+    EventKind,
     FaultKind,
     HardwareFaultTrigger,
     IllegalTransition,
@@ -241,42 +245,69 @@ class TestRecords:
 # events.log must not change: these lines are from bundled runs, except the
 # timeout (steady plus a join aimed at the leader, which the loader now
 # rejects) and no_strategy (integrated without a (JoinTail, Follower) strategy).
-@pytest.mark.parametrize("event, line", [
-    (EngineEvent(100, 5.0, 2, "instruction", ActiveInstruction(ManeuverState.JOIN_TAIL, 2)),
+EVENT_LINES = [
+    (EngineEvent(100, 5.0, 2, EventKind.INSTRUCTION,
+                 ActiveInstruction(ManeuverState.JOIN_TAIL, 2)),
      "t=5.000 v2 instruction JoinTail target=v2"),
-    (EngineEvent(1000, 50.0, 5, "instruction",
+    (EngineEvent(1000, 50.0, 5, EventKind.INSTRUCTION,
                  ActiveInstruction(ManeuverState.JOIN_MIDDLE, 5, before=3)),
      "t=50.000 v5 instruction JoinMiddle target=v5 before=v3"),
-    (EngineEvent(100, 5.0, 1, "maneuver_start", ManeuverState.JOIN_TAIL),
+    (EngineEvent(100, 5.0, 1, EventKind.MANEUVER_START, ManeuverState.JOIN_TAIL),
      "t=5.000 v1 maneuver_start JoinTail"),
-    (EngineEvent(157, 157 * 0.05, 1, "maneuver_complete", ManeuverState.JOIN_TAIL),
+    (EngineEvent(157, 157 * 0.05, 1, EventKind.MANEUVER_COMPLETE, ManeuverState.JOIN_TAIL),
      "t=7.850 v1 maneuver_complete JoinTail"),
-    (EngineEvent(1301, 1301 * 0.05, 1, "maneuver_timeout", ManeuverState.JOIN_TAIL),
+    (EngineEvent(1301, 1301 * 0.05, 1, EventKind.MANEUVER_TIMEOUT, ManeuverState.JOIN_TAIL),
      "t=65.050 v1 maneuver_timeout JoinTail"),
-    (EngineEvent(158, 158 * 0.05, 2, "role_change", Role.FOLLOWER),
+    (EngineEvent(158, 158 * 0.05, 2, EventKind.ROLE_CHANGE, Role.FOLLOWER),
      "t=7.900 v2 role_change Follower"),
-    (EngineEvent(156, 156 * 0.05, 2, "flag", MessageKind.JOIN_FLAG),
+    (EngineEvent(156, 156 * 0.05, 2, EventKind.FLAG, MessageKind.JOIN_FLAG),
      "t=7.800 v2 flag JoinFlag"),
-    (EngineEvent(400, 20.0, 3, "fault_injected", FaultKind.RADAR_FAIL),
+    (EngineEvent(400, 20.0, 3, EventKind.FAULT_INJECTED, FaultKind.RADAR_FAIL),
      "t=20.000 v3 fault_injected RadarFail"),
-    (EngineEvent(100, 5.0, 2, "controller", ACC()), "t=5.000 v2 controller ACC"),
-    (EngineEvent(1000, 50.0, 3, "controller", CC(15.0)), "t=50.000 v3 controller CC@15.00"),
-    (EngineEvent(472, 472 * 0.05, 2, "controller", DRIVER(0.0)),
+    (EngineEvent(100, 5.0, 2, EventKind.CONTROLLER, ACC()), "t=5.000 v2 controller ACC"),
+    (EngineEvent(1000, 50.0, 3, EventKind.CONTROLLER, CC(15.0)),
+     "t=50.000 v3 controller CC@15.00"),
+    (EngineEvent(472, 472 * 0.05, 2, EventKind.CONTROLLER, DRIVER(0.0)),
      "t=23.600 v2 controller Driver@0.00"),
-    (EngineEvent(157, 157 * 0.05, 1, "platoon_update", PlatoonInfo((1, 2))),
+    (EngineEvent(157, 157 * 0.05, 1, EventKind.PLATOON_UPDATE, PlatoonInfo((1, 2))),
      "t=7.850 v1 platoon_update series=[1, 2]"),
-    (EngineEvent(1400, 70.0, 6, "cut_in_spawn",
+    (EngineEvent(1400, 70.0, 6, EventKind.CUT_IN_SPAWN,
                  CutInEvent(t=70.0, target=1, lane=0, s_offset=18.0, duration=5.0,
                             ttc_satisfying=True)),
      "t=70.000 v6 cut_in_spawn ahead_of=v1 gap=18.0"),
-    (EngineEvent(440, 22.0, 2, "no_strategy",
+    (EngineEvent(440, 22.0, 2, EventKind.NO_STRATEGY,
                  StrategyKey(ManeuverState.JOIN_TAIL, Role.FOLLOWER)),
      "t=22.000 v2 no_strategy JoinTail/Follower"),
-    (EngineEvent(464, 464 * 0.05, 2, "collision", 3), "t=23.200 v2 collision with=v3"),
-    (EngineEvent(156, 156 * 0.05, 2, "note", "JoinFlag at gap 29.71"),
+    (EngineEvent(464, 464 * 0.05, 2, EventKind.COLLISION, 3), "t=23.200 v2 collision with=v3"),
+    (EngineEvent(156, 156 * 0.05, 2, EventKind.NOTE, "JoinFlag at gap 29.71"),
      "t=7.800 v2 note JoinFlag at gap 29.71"),
-    (EngineEvent(440, 22.0, 2, "note", "no strategy for (JoinTail, Follower); holding"),
+    (EngineEvent(440, 22.0, 2, EventKind.NOTE,
+                 "no strategy for (JoinTail, Follower); holding"),
      "t=22.000 v2 note no strategy for (JoinTail, Follower); holding"),
-])
+]
+
+
+@pytest.mark.parametrize("event, line", EVENT_LINES)
 def test_each_event_kind_renders_its_subject(event, line):
     assert event.line() == line
+
+
+def test_the_rendered_lines_cover_every_event_kind():
+    assert {event.kind for event, _ in EVENT_LINES} == set(EventKind)
+
+
+def test_readme_event_table_lists_exactly_the_event_kind_words():
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| kind | `subject` | detail |")
+    words = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        words += re.findall(r"`([^`]+)`", line.strip("|").split("|")[0])
+    assert sorted(words) == sorted(k.word for k in EventKind)
+
+
+def test_an_event_kind_is_not_its_word():
+    """A misspelled comparison cannot pass silently: no member equals a str."""
+    assert [k for k in EventKind if k == k.word] == []
+    assert len({k.word for k in EventKind}) == len(EventKind)

@@ -25,6 +25,7 @@ from conftest import (
 from platoonsim import comms, engine, scenario
 from platoonsim.core import (
     ControllerKind,
+    EventKind,
     FaultKind,
     LongitudinalMode,
     ManeuverState,
@@ -217,7 +218,7 @@ class TestPlatoonConsistency:
 class TestProtocolLiveness:
     def _flag_times(self, report, kind):
         return [(e.tick, e.vehicle) for e in report.events
-                if e.kind == "flag" and e.detail == kind]
+                if e.kind is EventKind.FLAG and e.detail == kind]
 
     @pytest.mark.parametrize("name", ["join_tail", "join_middle", "aeb_head"])
     def test_every_join_flag_answered_by_one_update_flag(self, name):
@@ -235,7 +236,7 @@ class TestProtocolLiveness:
         spec = bundled_scenario("cut_in")
         _, report = Simulator(spec).run()
         starts = {e.vehicle: e.tick for e in report.events
-                  if e.kind == "maneuver_start" and e.detail == "CutIn"}
+                  if e.kind is EventKind.MANEUVER_START and e.detail == "CutIn"}
         first = min(starts.values())
         delay = spec.params.bus.delivery_delay_ticks
         assert set(starts) == {1, 2, 3, 4, 5}
@@ -250,7 +251,7 @@ class TestDegradation:
         trace, report = Simulator(spec).run()
         switches = {}
         for e in report.events:
-            if e.kind == "controller" and e.time >= 10.0 and e.vehicle in (3, 4, 5):
+            if e.kind is EventKind.CONTROLLER and e.time >= 10.0 and e.vehicle in (3, 4, 5):
                 switches.setdefault(e.vehicle, e)
         assert switches[3].detail.startswith("CC@")
         assert switches[3].time == pytest.approx(10.0)
@@ -351,11 +352,12 @@ class TestHaltAndReporting:
 
     def test_event_subjects_are_typed_values(self):
         subject_types = {
-            "maneuver_start": ManeuverState, "maneuver_complete": ManeuverState,
-            "role_change": Role, "flag": MessageKind, "fault_injected": FaultKind,
-            "controller": ControllerKind, "platoon_update": PlatoonInfo,
-            "instruction": ActiveInstruction, "cut_in_spawn": CutInEvent,
-            "collision": int, "note": str}
+            EventKind.MANEUVER_START: ManeuverState,
+            EventKind.MANEUVER_COMPLETE: ManeuverState,
+            EventKind.ROLE_CHANGE: Role, EventKind.FLAG: MessageKind,
+            EventKind.FAULT_INJECTED: FaultKind, EventKind.CONTROLLER: ControllerKind,
+            EventKind.PLATOON_UPDATE: PlatoonInfo, EventKind.INSTRUCTION: ActiveInstruction,
+            EventKind.CUT_IN_SPAWN: CutInEvent, EventKind.COLLISION: int, EventKind.NOTE: str}
         seen = set()
         for name, degradation in [("join_middle", True), ("cut_in", True),
                                   ("radar_fault", True), ("radar_fault", False)]:
@@ -678,7 +680,7 @@ class TestTickCaches:
             StrategyKey(ManeuverState.PLATOONING, Role.LEADER), LeaderSpeedStep())
         trace, report = Simulator(platoon_spec(duration=2.0), registry).run()
         labels = [e.detail for e in report.events
-                  if e.kind == "controller" and e.vehicle == 1]
+                  if e.kind is EventKind.CONTROLLER and e.vehicle == 1]
         assert labels == ["CC@15.00", "CC@20.00"]
         column = trace.columns.index("v1_controller")
         assert [row[column] for row in trace.rows] == ["CC@15.00"] * 20 + ["CC@20.00"] * 20
@@ -735,7 +737,7 @@ class TestTickCaches:
         column = trace.columns.index("v1_controller")
         assert {row[column] for row in trace.rows} == {label}
         assert [e.detail for e in report.events
-                if e.kind == "controller" and e.vehicle == 1] == [label]
+                if e.kind is EventKind.CONTROLLER and e.vehicle == 1] == [label]
 
     def quiet_scans_per_tick(self, monkeypatch, count):
         scans = count_quiet_scans(monkeypatch)
@@ -770,7 +772,7 @@ class TestTickCaches:
         monkeypatch.setattr(comms.Inboxes, "__getitem__", cutting)
         _, report = Simulator(bundled_scenario(name)).run()
         assert len(returned) == report.ticks
-        assert any(e.kind == "flag" for e in report.events)  # flags were delivered
+        assert any(e.kind is EventKind.FLAG for e in report.events)  # flags were delivered
         assert cuts == []
 
     def test_membership_is_not_retested_every_vehicle_tick(self, monkeypatch):
@@ -799,7 +801,7 @@ class TestTickCaches:
         sim = Simulator(spec)
         sensed.append(None)
         _, report = sim.run(lambda s, tick: sensed.append(None))
-        (spawn,) = [e for e in report.events if e.kind == "cut_in_spawn"]
+        (spawn,) = [e for e in report.events if e.kind is EventKind.CUT_IN_SPAWN]
         states = sensed[spawn.tick]
         assert spawn.vehicle in states
         assert states[spawn.vehicle].lane == spec.events[0].lane
@@ -817,18 +819,18 @@ class TestLeaderV2VFault:
 
     def test_leader_handles_at_most_one_failure(self, report):
         starts = [e for e in report.events
-                  if e.vehicle == 1 and e.kind == "maneuver_start"
+                  if e.vehicle == 1 and e.kind is EventKind.MANEUVER_START
                   and e.detail == "HardwareFailures"]
         assert len(starts) <= 1
 
     def test_no_prune_before_the_first_takeover(self, report):
         first_takeover = min(e.time for e in report.events
-                             if e.kind == "note" and e.detail == "driver took over")
+                             if e.kind is EventKind.NOTE and e.detail == "driver took over")
         assert first_takeover == pytest.approx(8.5)
-        assert not [e for e in report.events if e.kind == "note"
+        assert not [e for e in report.events if e.kind is EventKind.NOTE
                     and e.detail.startswith("pruned") and e.time < first_takeover]
 
     def test_every_follower_still_takes_over(self, report):
         taken_over = {e.vehicle for e in report.events
-                      if e.kind == "role_change" and e.detail == "FreeVehicle"}
+                      if e.kind is EventKind.ROLE_CHANGE and e.detail == "FreeVehicle"}
         assert taken_over == {2, 3, 4, 5}

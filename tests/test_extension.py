@@ -9,7 +9,7 @@ from conftest import DT, PARAMS, make_ctx
 
 from platoonsim.engine import Simulator
 
-from platoonsim.core import LongitudinalMode, ManeuverState, Role
+from platoonsim.core import EventKind, LongitudinalMode, ManeuverState, Role
 from platoonsim.management import (
     ActiveInstruction,
     DuplicateKey,
@@ -69,7 +69,7 @@ def test_unregistered_extension_role_holds_controller():
     out, events = manager.tick(make_ctx(ego_id=1, role=Role.LEADER))
     # no (Split-stub, Leader) strategy: documented hold-and-log outcome
     assert out.controller is None
-    assert any(e.kind == "no_strategy" for e in events)
+    assert any(e.kind is EventKind.NO_STRATEGY for e in events)
 
 
 class Recording:
@@ -111,5 +111,5 @@ def test_the_reused_context_equals_a_fresh_one_on_every_tick(name):
     contexts = {}
     for ctx, fields in reused:
         assert contexts.setdefault(fields["ego_id"], ctx) is ctx
-    holds = sum(e.kind == "no_strategy" for e in report.events)
+    holds = sum(e.kind is EventKind.NO_STRATEGY for e in report.events)
     assert len(reused) + holds == report.ticks * len(contexts)

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import pytest
 
-from platoonsim.core import ManeuverState, Role
+from platoonsim.core import EventKind, ManeuverState, Role
 from platoonsim.engine import Simulator, TickError
 from platoonsim.scenario import FaultEvent, SpecError, scenario_from_dict
 
@@ -119,8 +119,8 @@ def overstarted_failures(report) -> list:
     than faults injected so far."""
     injected, starts, over = 0, Counter(), []
     for e in report.events:
-        injected += e.kind == "fault_injected"
-        if e.kind == "maneuver_start" and e.subject == ManeuverState.HARDWARE_FAILURES:
+        injected += e.kind is EventKind.FAULT_INJECTED
+        if e.kind is EventKind.MANEUVER_START and e.subject == ManeuverState.HARDWARE_FAILURES:
             starts[e.vehicle] += 1
             if starts[e.vehicle] > injected:
                 over.append(e.line())
@@ -135,7 +135,7 @@ def test_a_generated_scenario_loads_runs_and_repeats(seed, tmp_path):
         return
     trace, events, report = outputs(spec, tmp_path / "a")
     assert (trace, events) == outputs(spec, tmp_path / "b")[:2]
-    assert [e.line() for e in report.events if e.kind == "collision" and e.tick == 0] == []
+    assert [e.line() for e in report.events if e.kind is EventKind.COLLISION and e.tick == 0] == []
     assert overstarted_failures(report) == []
     # no role edge leads into or out of Leader: the declared leader leads throughout
     (leader,) = [v.vid for v in spec.vehicles if v.role is Role.LEADER]
@@ -179,8 +179,9 @@ def test_a_queued_join_whose_target_is_a_member_is_dropped():
     # seed 311 files two joins for v8; the cloud issued the second the tick
     # after v8 joined, and v1, v2 and v8 sat in JoinTail until the timeout
     _, report = Simulator(generated_spec(311, 90.0)).run()
-    assert [e.subject.target for e in report.events if e.kind == "instruction"].count(8) == 1
-    assert not [e for e in report.events if e.kind == "maneuver_timeout"]
+    assert [e.subject.target for e in report.events
+            if e.kind is EventKind.INSTRUCTION].count(8) == 1
+    assert not [e for e in report.events if e.kind is EventKind.MANEUVER_TIMEOUT]
 
 
 @pytest.mark.parametrize("seed, note", [
@@ -192,7 +193,7 @@ def test_an_instruction_the_platoon_cannot_carry_out_is_dropped_with_a_note(seed
     # free v3; every member started it and waited for the 60 s timeout
     _, report = Simulator(generated_spec(seed, 90.0)).run()
     assert note in [e.line() for e in report.events]
-    assert not [e for e in report.events if e.kind == "maneuver_timeout"]
+    assert not [e for e in report.events if e.kind is EventKind.MANEUVER_TIMEOUT]
 
 
 def breakdown(seeds, duration: float = DURATION) -> Counter:
@@ -215,9 +216,9 @@ def breakdown(seeds, duration: float = DURATION) -> Counter:
         degradation = "on" if spec.degradation_enabled else "off"
         if report.collisions:
             counts[f"collision, degradation {degradation}"] += 1
-        if any(e.kind == "maneuver_timeout" for e in report.events):
+        if any(e.kind is EventKind.MANEUVER_TIMEOUT for e in report.events):
             counts[f"maneuver_timeout, degradation {degradation}"] += 1
-        if any(e.kind == "note" and " dropped: " in e.subject for e in report.events):
+        if any(e.kind is EventKind.NOTE and " dropped: " in e.subject for e in report.events):
             counts["drop note"] += 1
     return counts
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import DT, PARAMS, flag, fresh_progress, make_ctx, make_peer, make_reading
 
 from platoonsim.core import (
+    EventKind,
     FaultKind,
     LateralCommand,
     LateralMode,
@@ -118,14 +119,15 @@ class TestPlatooningDispatch:
                                         maneuver=ManeuverState.HARDWARE_FAILURES))
         assert out.controller is None
         assert [(e.kind, e.subject) for e in events] == [
-            ("no_strategy", StrategyKey(ManeuverState.HARDWARE_FAILURES, Role.FREE_VEHICLE))]
+            (EventKind.NO_STRATEGY,
+             StrategyKey(ManeuverState.HARDWARE_FAILURES, Role.FREE_VEHICLE))]
 
     def test_key_registered_after_a_hold_is_dispatched_next_tick(self):
         registry = StrategyRegistry()
         mgr = VehicleManager(9, Role.FREE_VEHICLE, registry, PARAMS, DT)
         ctx = make_ctx(ego_id=9, role=Role.FREE_VEHICLE, series=(), tick=1)
         _, events = mgr.tick(ctx)
-        assert [e.kind for e in events] == ["no_strategy"]
+        assert [e.kind for e in events] == [EventKind.NO_STRATEGY]
         registry.register(StrategyKey(ManeuverState.PLATOONING, Role.FREE_VEHICLE),
                           PlatooningFree())
         out, events = mgr.tick(
@@ -648,7 +650,7 @@ class TestManagerTriggers:
                      reading=make_reading(gap=45.0), tick=timeout_ticks + 1))
         assert mgr.maneuver == ManeuverState.PLATOONING
         assert mgr.role is Role.FREE_VEHICLE
-        assert any(e.kind == "maneuver_timeout" for e in events)
+        assert any(e.kind is EventKind.MANEUVER_TIMEOUT for e in events)
 
     def taken_over(self, *queued):
         """Follower 2 after a radar fault and its takeover, with ``queued``
@@ -669,7 +671,7 @@ class TestManagerTriggers:
     def test_free_vehicle_drops_another_vehicles_queued_instruction(self):
         mgr, events = self.taken_over(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
         assert mgr.maneuver == ManeuverState.PLATOONING
-        assert not [e for e in events if e.kind == "maneuver_start"]
+        assert not [e for e in events if e.kind is EventKind.MANEUVER_START]
         assert mgr.active_instruction is None
 
     def test_free_vehicle_starts_its_own_instruction_queued_behind_a_dropped_one(self):
@@ -758,6 +760,6 @@ class TestEqualButDistinctManeuver:
         shared = self.drive(distinct=False)
         assert self.drive(distinct=True) == shared
         events = [e for step in shared for e in step[2]]
-        assert ("maneuver_start", "JoinTail") in events
-        assert ("maneuver_timeout", "JoinTail") in events
-        assert events.count(("maneuver_start", "HardwareFailures")) == 1
+        assert (EventKind.MANEUVER_START, "JoinTail") in events
+        assert (EventKind.MANEUVER_TIMEOUT, "JoinTail") in events
+        assert events.count((EventKind.MANEUVER_START, "HardwareFailures")) == 1

@@ -121,6 +121,12 @@ class TestLoading:
         with pytest.raises(SpecError, match="cannot read"):
             load_scenario(tmp_path / "nope.scenario")
 
+    def test_a_file_that_is_not_utf8_is_spec_error(self, tmp_path):
+        path = tmp_path / "utf16.scenario"
+        path.write_bytes(b"\xff\xfe" + json.dumps(doc()).encode("utf-16-le"))
+        with pytest.raises(SpecError, match=r"utf16\.scenario is not UTF-8 JSON: 'utf-8' codec"):
+            load_scenario(path)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "t.scenario"
         path.write_text(json.dumps(doc()))
@@ -261,6 +267,20 @@ class TestValidation:
     def test_a_tick_count_that_overflows_is_a_spec_error(self, run):
         with pytest.raises(SpecError, match=r"^run\.duration must be a finite integer number"):
             scenario_from_dict(doc(run=run))
+
+    @pytest.mark.parametrize("path", [
+        "parameters.heartbeat_timeout_s", "parameters.maneuver_timeout_s",
+        "parameters.join_service_delay_s", "parameters.takeover_delay_s",
+        "parameters.restart_stagger_s", "events[0].duration"])
+    def test_a_duration_with_no_finite_tick_count_is_a_spec_error(self, path):
+        raw = doc(parameters={}, **event(**CUT_IN))
+        node, key = locate(raw, path)
+        node[key] = 1e308  # finite, but 1e308 / 0.05 ticks is not
+        with pytest.raises(SpecError, match=rf"^{re.escape(path)} has no finite tick count "
+                                            r"at run\.dt 0\.05$"):
+            scenario_from_dict(raw)
+        node[key] = 1e306
+        scenario_from_dict(raw)
 
     def test_initial_platoon_order_is_front_to_back(self):
         spec = scenario_from_dict(doc())
