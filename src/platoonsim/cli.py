@@ -26,10 +26,9 @@ EXIT_TICK_ERROR = 3
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     window = {key: value for key, value in (("dt", args.dt), ("duration", args.duration))
               if value is not None}
-    return dataclasses.replace(
-        replace_run(spec, **window),
-        degradation_enabled=spec.degradation_enabled and not args.no_degradation,
-        halt_on_collision=spec.halt_on_collision or args.halt_on_collision)
+    return replace_run(dataclasses.replace(
+        spec, degradation_enabled=spec.degradation_enabled and not args.no_degradation,
+        halt_on_collision=spec.halt_on_collision or args.halt_on_collision), **window)
 
 
 def _run(spec: ScenarioSpec, out_dir: Path) -> RunReport:

@@ -31,13 +31,7 @@ from .core import (
 )
 from .management import ActiveInstruction
 from .params import Parameters
-from .scenario import (
-    CutInEvent,
-    FaultEvent,
-    JoinEvent,
-    LeaveEvent,
-    ScenarioSpec,
-)
+from .scenario import CutInEvent, FaultEvent, JoinEvent, LeaveEvent, ScenarioSpec, due
 
 
 @dataclass
@@ -52,10 +46,9 @@ class Cloud:
     """Scripted instruction issuer plus JoinRequest service."""
 
     def __init__(self, spec: ScenarioSpec, params: Parameters, dt: float) -> None:
-        self.params = params
         self.dt = dt
-        self._events = list(spec.events)
-        self._next_event = 0
+        self._delay = params.ticks(params.join_service_delay_s, dt)
+        self._events = deque(spec.events)  # the scripted events not fired yet
         # filed joins in filing order, each as (due tick, instruction)
         self._joins: deque[tuple[int, ActiveInstruction]] = deque()
         self._outstanding: Optional[VehicleId] = None
@@ -69,7 +62,6 @@ class Cloud:
     def tick(self, tick: int, uplink: Sequence[V2VMessage],
              leader_platoon: Optional[PlatoonInfo]) -> CloudOutput:
         out = CloudOutput()
-        now = tick * self.dt + 1e-9
         members = leader_platoon.id_series if leader_platoon is not None else ()
 
         # a join closes once its target shows up in the leader's platoon
@@ -77,18 +69,15 @@ class Cloud:
             self._outstanding = None
 
         # file join requests (each answered at most once)
-        delay = self.params.ticks(self.params.join_service_delay_s, self.dt)
         for msg in uplink:
             if (msg.kind is MessageKind.JOIN_REQUEST and msg.sender not in members
                     and msg.sender != self._outstanding
                     and all(instr.target != msg.sender for _, instr in self._joins)):
-                self._file_join(msg.tick_sent + delay, msg.sender, None)
+                self._file_join(msg.tick_sent + self._delay, msg.sender, None)
 
         # scripted events whose time has come
-        while self._next_event < len(self._events) and \
-                self._events[self._next_event].t <= now:
-            event = self._events[self._next_event]
-            self._next_event += 1
+        while self._events and due(self._events[0].t, tick, self.dt):
+            event = self._events.popleft()
             if isinstance(event, JoinEvent):
                 self._file_join(tick, event.target, event.before)
             elif isinstance(event, LeaveEvent) and event.target not in members:
@@ -141,11 +130,11 @@ class IntruderScript:
     def __init__(self, event: CutInEvent, params: Parameters, dt: float) -> None:
         self.event = event
         self.params = params
-        self.dt = dt
         self.phase = self.WAITING
         self.origin_lane = event.lane
         self.platoon_lane: Optional[int] = None
         self.crossed_tick: Optional[int] = None
+        self.hold_ticks = params.ticks(event.duration, dt)
         self.speed_delta = event.speed_delta if event.speed_delta is not None \
             else (10.0 if event.ttc_satisfying else 0.0)
 
@@ -181,8 +170,7 @@ class IntruderScript:
 
         if self.phase == self.HOLDING:
             assert self.crossed_tick is not None
-            hold_ticks = self.params.ticks(self.event.duration, self.dt)
-            if tick - self.crossed_tick >= hold_ticks:
+            if tick - self.crossed_tick >= self.hold_ticks:
                 self.phase = self.EXITING
                 return self.params.limits.a_max, LateralCommand(
                     LateralMode.LANE_CHANGE, self.origin_lane)

@@ -394,8 +394,7 @@ class Simulator:
         self._managed = [vid for vid, rt in self.runtimes.items() if rt.manager is not None]
 
         self.report = RunReport(scenario=spec.name, spec_hash=spec.spec_hash(),
-                                ticks=spec.tick_count(),
-                                sim_duration=spec.run.duration)
+                                ticks=spec.tick_count, sim_duration=spec.run.duration)
 
     # -- helpers ------------------------------------------------------------
 
@@ -596,7 +595,7 @@ class Simulator:
         trace = Trace(self.report.spec_hash, tuple(columns))
 
         managed = self._managed
-        for tick in range(self.spec.tick_count()):
+        for tick in range(self.spec.tick_count):
             self._stage_cloud(tick)
             # the cloud stage drops the snapshot when it activates a vehicle
             snapshot = self._snapshot

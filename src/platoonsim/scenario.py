@@ -8,12 +8,16 @@ may be omitted, and its metadata a lower bound (``params.positive``) or a
 JSON key that differs from its name. Unknown keys anywhere are errors, so a
 typo cannot silently change a run, and every error names its JSON path.
 Rules across fields live in ``validate`` and the groups' ``__post_init__``.
+One rule, ``due``, says when an event fires, so an event after the last tick
+is refused, not loaded to never fire. ``ScenarioSpec.tick_count`` is computed
+once per spec, on its first read, and every layer reads it from there.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -99,6 +103,12 @@ _EVENT_KINDS = {"join": JoinEvent, "leave": LeaveEvent, "cut_in": CutInEvent,
 _MODE = {"section": "modes"}  # ScenarioSpec fields read from "modes"
 
 
+def due(t: float, tick: int, dt: float) -> bool:
+    """Whether ``tick`` has reached time ``t``, up to the rounding of
+    ``tick * dt``: the cloud fires an event on the first tick that has."""
+    return t <= tick * dt + 1e-9
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
@@ -109,6 +119,7 @@ class ScenarioSpec:
     degradation_enabled: bool = field(default=True, metadata=_MODE)
     halt_on_collision: bool = field(default=False, metadata=_MODE)
 
+    @functools.cached_property
     def tick_count(self) -> int:
         ticks = self.run.duration / self.run.dt
         if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
@@ -278,10 +289,10 @@ def scenario_from_dict(raw: Mapping[str, Any], name: str = "scenario") -> Scenar
 
 
 def replace_run(spec: ScenarioSpec, **window: float) -> ScenarioSpec:
-    """``spec`` with the ``run`` fields in ``window`` replaced, checked as
-    the ``run`` section of a scenario file is."""
+    """``spec`` with the ``run`` fields in ``window`` replaced, and with its
+    ``run`` bounds and tick counts checked again, but not its events."""
     spec = dataclasses.replace(spec, run=_load(RunSpec, window, "run", **vars(spec.run)))
-    spec.tick_count()
+    spec.tick_count  # a SpecError if the new window has none
     return spec
 
 
@@ -311,7 +322,7 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
 
 
 def validate(spec: ScenarioSpec) -> None:
-    spec.tick_count()
+    last_tick = spec.tick_count - 1
     ids = [v.vid for v in spec.vehicles]
     if not ids:
         raise SpecError("scenario declares no vehicles")
@@ -344,23 +355,26 @@ def validate(spec: ScenarioSpec) -> None:
         last_t = e.t
         if e.t < 0 or e.t > spec.run.duration:
             raise SpecError(f"{where} at t={e.t} outside the run window")
+        if not due(e.t, last_tick, spec.run.dt):
+            raise SpecError(f"{where} at t={e.t} comes after the last tick of the run")
         referenced = (e.target, e.before) if isinstance(e, JoinEvent) else (e.target,)
         for vid in referenced:
             if vid is not None and vid not in ids:
                 raise SpecError(f"{where}: vehicle {vid} not declared")
-        kind = next(k for k, cls in _EVENT_KINDS.items() if isinstance(e, cls))
         # the leader has no role edge into a join or a leave, and a join before
         # its own target or before the leader has no slot: each would hang
         # until maneuver_timeout_s
-        if kind in ("join", "leave") and leaders and e.target == leaders[0].vid:
-            raise SpecError(f"{where}: the declared leader cannot be told to {kind}")
+        if isinstance(e, (JoinEvent, LeaveEvent)) and leaders and e.target == leaders[0].vid:
+            verb = "join" if isinstance(e, JoinEvent) else "leave"
+            raise SpecError(f"{where}: the declared leader cannot be told to {verb}")
         if isinstance(e, JoinEvent) and e.before == e.target:
             raise SpecError(f"{where}: a vehicle cannot join before itself")
         if isinstance(e, JoinEvent) and leaders and e.before == leaders[0].vid:
             raise SpecError(f"{where}: a vehicle cannot join before the declared leader")
         # a leaver needs a lane to exit to, an intruder one to cut in from
-        if kind in ("leave", "cut_in") and geom.lane_count < 2:
-            raise SpecError(f"{where}: a {kind} needs a second lane")
+        if isinstance(e, (LeaveEvent, CutInEvent)) and geom.lane_count < 2:
+            noun = "leave" if isinstance(e, LeaveEvent) else "cut_in"
+            raise SpecError(f"{where}: a {noun} needs a second lane")
         # adjacency to the target is checked at spawn time: the target may
         # have changed lanes by then
         if isinstance(e, CutInEvent) and not (0 <= e.lane < geom.lane_count):

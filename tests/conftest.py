@@ -30,6 +30,7 @@ from platoonsim.management import (
     StrategyRegistry,
 )
 from platoonsim.params import Parameters
+from platoonsim.scenario import ScenarioSpec
 from platoonsim.strategies import default_registry
 
 PARAMS = Parameters()
@@ -162,3 +163,18 @@ def count_quiet_scans(monkeypatch):
 
     monkeypatch.setattr(HeartbeatTable, "quiet", counting)
     return scans
+
+
+def count_tick_counts(monkeypatch):
+    """Record the spec of every computation of ``ScenarioSpec.tick_count``;
+    a read of a count already computed records nothing."""
+    computed = []
+    cached = ScenarioSpec.__dict__["tick_count"]
+    original = cached.func
+
+    def counting(spec):
+        computed.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cached, "func", counting)
+    return computed

@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BROKEN_STRATEGIES, FOLLOWER_PLATOONING, registry_replacing
+from conftest import (
+    BROKEN_STRATEGIES,
+    FOLLOWER_PLATOONING,
+    count_tick_counts,
+    registry_replacing,
+)
 
 from platoonsim import engine
 from platoonsim.cli import main
@@ -116,6 +121,30 @@ class TestRun:
         assert code == 0
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(rows) == 1 + 20  # header + 1.0 s at dt 0.05
+
+    def test_a_duration_override_checks_the_run_not_the_events(self, tmp_path, capsys):
+        # 100 ticks end at t=4.95: the joins from t=5.0 on never fire, where the
+        # same duration written in the file refuses the first of them
+        code = main(["run", scenario("integrated"), "--out", str(tmp_path / "cli"),
+                     "--duration", "5"])
+        assert code == 0
+        assert capsys.readouterr().out == ("integrated: 100 ticks, 0 collision(s), "
+                                           "0 maneuver completion(s)\n")
+        assert (tmp_path / "cli" / "events.log").read_text() == ""
+        raw = json.loads(bundled_scenario_path("integrated").read_text())
+        raw["run"]["duration"] = 5.0
+        short = tmp_path / "short.scenario"
+        short.write_text(json.dumps(raw))
+        assert main(["run", str(short), "--out", str(tmp_path / "file")]) == 1
+        assert capsys.readouterr().err == ("error: events[0] at t=5.0 comes after "
+                                           "the last tick of the run\n")
+
+    def test_a_run_computes_a_tick_count_at_most_twice(self, tmp_path, monkeypatch):
+        computed = count_tick_counts(monkeypatch)
+        code = main(["run", scenario("steady"), "--out", str(tmp_path),
+                     "--duration", "1.0", "--no-degradation"])
+        assert code == 0
+        assert len(computed) <= 2
 
     def test_halt_on_collision_flag(self, tmp_path):
         code = main(["run", scenario("radar_fault"), "--out", str(tmp_path),

@@ -327,7 +327,7 @@ class TestHaltAndReporting:
             degradation_enabled=False, halt_on_collision=True)
         trace, report = Simulator(spec).run()
         assert report.collisions
-        assert len(trace.rows) < spec.tick_count()
+        assert len(trace.rows) < spec.tick_count
         assert report.collisions[0][0] <= 20.0
 
     def test_report_text_is_stable(self):

@@ -5,9 +5,12 @@ import dataclasses
 import json
 import random
 import re
+import typing
 from pathlib import Path
 
 import pytest
+
+from conftest import count_tick_counts
 
 from platoonsim.cloud import Cloud, IntruderScript
 from platoonsim.core import (
@@ -19,6 +22,7 @@ from platoonsim.core import (
     V2VMessage,
     VehicleState,
 )
+from platoonsim.engine import Simulator
 from platoonsim.params import Parameters
 from platoonsim.scenario import (
     _EVENT_KINDS,
@@ -27,6 +31,7 @@ from platoonsim.scenario import (
     JoinEvent,
     LeaveEvent,
     RunSpec,
+    ScenarioEvent,
     ScenarioSpec,
     SpecError,
     VehicleSpec,
@@ -76,7 +81,7 @@ CUT_IN = {"kind": "cut_in", "target": 1, "lane": 0, "s_offset": 8.0, "duration":
 class TestLoading:
     def test_minimal_document_loads(self):
         spec = scenario_from_dict(doc())
-        assert spec.tick_count() == 200
+        assert spec.tick_count == 200
         assert spec.vehicles[0].role is Role.LEADER
 
     def test_unknown_top_level_key_rejected(self):
@@ -257,9 +262,52 @@ class TestValidation:
         beside["vehicles"].append({"id": 3, "s": 99.0, "lane": 0, "v": 20.0, "role": "free"})
         scenario_from_dict(beside)  # and so does a body beside another
 
+    @pytest.mark.parametrize("overrides, message", [
+        (event(kind="join", target=1, position="tail"),
+         "events[0]: the declared leader cannot be told to join"),
+        (event(kind="leave", target=1),
+         "events[0]: the declared leader cannot be told to leave"),
+        (event(kind="join", target=2, position="before:2"),
+         "events[0]: a vehicle cannot join before itself"),
+        (event(kind="join", target=2, position="before:1"),
+         "events[0]: a vehicle cannot join before the declared leader"),
+        ({**ONE_LANE, **event(kind="leave", target=2)}, "events[0]: a leave needs a second lane"),
+        ({**ONE_LANE, **event(**CUT_IN)}, "events[0]: a cut_in needs a second lane"),
+        (event(**{**CUT_IN, "lane": 3}), "events[0].lane 3 out of range"),
+        (event(kind="leave", target=2, t=10.5), "events[0] at t=10.5 outside the run window"),
+    ], ids=["leader_joins", "leader_leaves", "join_before_itself", "join_before_leader",
+            "leave_on_one_lane", "cut_in_on_one_lane", "cut_in_lane", "after_duration"])
+    def test_each_event_rule_has_its_own_message(self, overrides, message):
+        with pytest.raises(SpecError) as info:
+            scenario_from_dict(doc(**overrides))
+        assert str(info.value) == message
+
+    def test_an_event_no_tick_reaches_is_a_spec_error(self):
+        # the last of the 200 ticks is at t=9.95, so an event at 10.0 would never fire
+        with pytest.raises(SpecError) as info:
+            scenario_from_dict(doc(**event(kind="fault", target=2, fault="radar", t=10.0)))
+        assert str(info.value) == "events[0] at t=10.0 comes after the last tick of the run"
+        with pytest.raises(SpecError, match=re.escape("events[0] at t=0.0 comes after")):
+            scenario_from_dict(doc(run={"dt": 0.05, "duration": 0.0},
+                                   **event(kind="fault", target=2, fault="radar", t=0.0)))
+
+    @pytest.mark.parametrize("t", [9.95, 9.95 + 1e-9, 9.95 + 2e-9, 9.99, 10.0])
+    def test_an_event_loads_if_and_only_if_the_cloud_fires_it(self, t):
+        fault = FaultEvent(t=t, target=2, kind=FaultKind.RADAR_FAIL)
+        spec = scenario_from_dict(doc())
+        spec = dataclasses.replace(spec, events=(fault,))
+        cloud = Cloud(spec, spec.params, spec.run.dt)
+        fired = any(cloud.tick(tick, [], None).faults for tick in range(spec.tick_count))
+        try:
+            scenario_from_dict(doc(**event(kind="fault", target=2, fault="radar", t=t)))
+        except SpecError:
+            assert not fired
+        else:
+            assert fired
+
     def test_duration_must_be_whole_ticks(self):
         with pytest.raises(SpecError, match="integer number of ticks"):
-            scenario_from_dict(doc(run={"dt": 0.3, "duration": 1.0})).tick_count()
+            scenario_from_dict(doc(run={"dt": 0.3, "duration": 1.0})).tick_count
 
     @pytest.mark.parametrize("run", [{"dt": 0.05, "duration": 1e308},
                                      {"dt": 1e-320, "duration": 10.0}],
@@ -281,6 +329,15 @@ class TestValidation:
             scenario_from_dict(raw)
         node[key] = 1e306
         scenario_from_dict(raw)
+
+    def test_a_loaded_run_computes_its_tick_count_once(self, monkeypatch):
+        computed = count_tick_counts(monkeypatch)
+        spec = load_scenario(bundled_scenario_path("steady"))
+        Simulator(spec).run()
+        assert computed == [spec]
+
+    def test_the_loader_table_names_every_event_class(self):
+        assert tuple(_EVENT_KINDS.values()) == typing.get_args(ScenarioEvent)
 
     def test_initial_platoon_order_is_front_to_back(self):
         spec = scenario_from_dict(doc())
