@@ -26,6 +26,8 @@ EXIT_TICK_ERROR = 3
 def _apply_overrides(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     window = {key: value for key, value in (("dt", args.dt), ("duration", args.duration))
               if value is not None}
+    if not (window or args.no_degradation or args.halt_on_collision):
+        return spec  # as loaded: its tick count is already computed
     return replace_run(dataclasses.replace(
         spec, degradation_enabled=spec.degradation_enabled and not args.no_degradation,
         halt_on_collision=spec.halt_on_collision or args.halt_on_collision), **window)

@@ -77,68 +77,83 @@ def role_transition(current: Role, cause: RoleCause) -> Role:
 # Maneuvers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class ManeuverState:
     """One maneuver of the two-dimensional (maneuver x role) framework.
 
-    The core vocabulary is fixed; any other name is an extension maneuver,
-    which lets new maneuvers register against the public registry without
-    touching this module. A name may not hold a comma, a double quote or a
-    line break, so no cell of trace.csv ever needs quotes.
+    A maneuver is declared once, so it compares and hashes by identity:
+    ``ManeuverState(name)``, ``copy``, ``deepcopy`` and ``pickle`` return
+    the declared object. ``cause`` names the role edge that completing it
+    may take; with None it takes none. Besides the fixed core, :meth:`extension`
+    declares new maneuvers without touching this module. A name may not hold
+    a comma, a double quote or a line break: no trace.csv cell needs quotes.
     """
 
     name: str
+    cause: Optional[RoleCause]
 
-    CORE_NAMES: ClassVar[tuple[str, ...]] = (
-        "Platooning",
-        "JoinTail",
-        "JoinMiddle",
-        "LeaveTail",
-        "LeaveMiddle",
-        "AEBHead",
-        "AEBMiddle",
-        "CutIn",
-        "HardwareFailures",
-    )
+    _declared: ClassVar[dict[str, ManeuverState]] = {}
+    CORE: ClassVar[tuple[ManeuverState, ...]]
+    PLATOONING: ClassVar[ManeuverState]
+    JOIN_TAIL: ClassVar[ManeuverState]
+    JOIN_MIDDLE: ClassVar[ManeuverState]
+    LEAVE_TAIL: ClassVar[ManeuverState]
+    LEAVE_MIDDLE: ClassVar[ManeuverState]
+    AEB_HEAD: ClassVar[ManeuverState]
+    AEB_MIDDLE: ClassVar[ManeuverState]
+    CUT_IN: ClassVar[ManeuverState]
+    HARDWARE_FAILURES: ClassVar[ManeuverState]
 
-    PLATOONING: ClassVar["ManeuverState"]
-    JOIN_TAIL: ClassVar["ManeuverState"]
-    JOIN_MIDDLE: ClassVar["ManeuverState"]
-    LEAVE_TAIL: ClassVar["ManeuverState"]
-    LEAVE_MIDDLE: ClassVar["ManeuverState"]
-    AEB_HEAD: ClassVar["ManeuverState"]
-    AEB_MIDDLE: ClassVar["ManeuverState"]
-    CUT_IN: ClassVar["ManeuverState"]
-    HARDWARE_FAILURES: ClassVar["ManeuverState"]
-
-    def __post_init__(self) -> None:
-        if any(c in self.name for c in ',"\r\n'):
-            raise ValueError(f"maneuver name {self.name!r} holds a comma, a quote "
-                             "or a line break")
+    def __new__(cls, name: str) -> ManeuverState:
+        if name not in cls._declared:
+            raise ValueError(f"no maneuver is declared as {name!r}")
+        return cls._declared[name]
 
     @classmethod
-    def extension(cls, name: str) -> "ManeuverState":
-        if name in cls.CORE_NAMES:
+    def _declare(cls, name: str, cause: Optional[RoleCause]) -> ManeuverState:
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"maneuver name {name!r} holds a comma, a quote or a line break")
+        maneuver = object.__new__(cls)
+        object.__setattr__(maneuver, "name", name)
+        object.__setattr__(maneuver, "cause", cause)
+        cls._declared[name] = maneuver
+        return maneuver
+
+    @classmethod
+    def extension(cls, name: str, cause: Optional[RoleCause] = None) -> ManeuverState:
+        """Declare the extension ``name``; again with the same cause, return it."""
+        declared = cls._declared.get(name)
+        if declared is None:
+            return cls._declare(name, cause)
+        if not declared.is_extension:
             raise ValueError(f"{name!r} is a core maneuver, not an extension")
-        return cls(name)
+        if declared.cause is not cause:
+            raise ValueError(f"{name!r} is already declared with cause {declared.cause}")
+        return declared
 
     @property
     def is_extension(self) -> bool:
-        return self.name not in self.CORE_NAMES
+        return self not in ManeuverState.CORE
+
+    def __reduce__(self) -> tuple[type, tuple[str]]:
+        return ManeuverState, (self.name,)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
 
-ManeuverState.PLATOONING = ManeuverState("Platooning")
-ManeuverState.JOIN_TAIL = ManeuverState("JoinTail")
-ManeuverState.JOIN_MIDDLE = ManeuverState("JoinMiddle")
-ManeuverState.LEAVE_TAIL = ManeuverState("LeaveTail")
-ManeuverState.LEAVE_MIDDLE = ManeuverState("LeaveMiddle")
-ManeuverState.AEB_HEAD = ManeuverState("AEBHead")
-ManeuverState.AEB_MIDDLE = ManeuverState("AEBMiddle")
-ManeuverState.CUT_IN = ManeuverState("CutIn")
-ManeuverState.HARDWARE_FAILURES = ManeuverState("HardwareFailures")
+for _attr, _name, _cause in (  # class attribute, name, role edge of completion
+        ("PLATOONING", "Platooning", None),
+        ("JOIN_TAIL", "JoinTail", RoleCause.JOIN_COMPLETED),
+        ("JOIN_MIDDLE", "JoinMiddle", RoleCause.JOIN_COMPLETED),
+        ("LEAVE_TAIL", "LeaveTail", RoleCause.LEAVE_COMPLETED),
+        ("LEAVE_MIDDLE", "LeaveMiddle", RoleCause.LEAVE_COMPLETED),
+        ("AEB_HEAD", "AEBHead", RoleCause.AEB_COMPLETED),
+        ("AEB_MIDDLE", "AEBMiddle", RoleCause.AEB_COMPLETED),
+        ("CUT_IN", "CutIn", None),
+        ("HARDWARE_FAILURES", "HardwareFailures", RoleCause.TAKEOVER_COMPLETED)):
+    setattr(ManeuverState, _attr, ManeuverState._declare(_name, _cause))
+ManeuverState.CORE = tuple(ManeuverState._declared.values())  # no extension is declared yet
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,7 @@ def maneuver_transition(current: ManeuverState, trigger: ManeuverTrigger) -> Man
     everything else except a hardware fault, which preempts it.
     """
     if isinstance(trigger, CompletedTrigger):
-        if current == ManeuverState.PLATOONING:
+        if current is ManeuverState.PLATOONING:
             raise IllegalTransition("Platooning is not a completable maneuver")
         return ManeuverState.PLATOONING
 
@@ -230,9 +245,9 @@ def maneuver_transition(current: ManeuverState, trigger: ManeuverTrigger) -> Man
         return ManeuverState.HARDWARE_FAILURES
 
     mandated = _mandated_maneuver(trigger)
-    if mandated == ManeuverState.PLATOONING:
+    if mandated is ManeuverState.PLATOONING:
         raise IllegalTransition("Platooning cannot be mandated by a trigger")
-    if current != ManeuverState.PLATOONING:
+    if current is not ManeuverState.PLATOONING:
         raise IllegalTransition(
             f"maneuver {current.name} is exclusive; {type(trigger).__name__} rejected"
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from array import array
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, zip_longest
@@ -378,16 +379,16 @@ class Simulator:
                               else CACC() if v.role is Role.FOLLOWER else DRIVER(v.v))
             self.runtimes[v.vid] = rt
 
-        next_vid = max(self.runtimes) + 1
-        self._intruders: dict[int, VehicleId] = {}
+        first_intruder = max(self.runtimes) + 1
+        # the cloud spawns cut-ins in the spec's order: each spawn takes the next id
+        self._intruders: deque[VehicleId] = deque()
         for i, event in enumerate(e for e in spec.events if isinstance(e, CutInEvent)):
-            vid = next_vid
-            next_vid += 1
+            vid = first_intruder + i
             script = IntruderScript(event, self.params, self.dt)
             parked = VehicleState(s=-1000.0 - 100.0 * i, lane=0, v=0.0,
                                   length=self.params.vehicle_length)
             self.runtimes[vid] = _Runtime(parked, None, None, script)
-            self._intruders[id(event)] = vid
+            self._intruders.append(vid)
         # every stage and the trace columns walk the runtimes by ascending id
         self.runtimes = dict(sorted(self.runtimes.items()))
         # only scripted vehicles start inactive, so this set never changes
@@ -416,7 +417,7 @@ class Simulator:
             self.faults.inject(fault.target, fault.kind)
             self._log(tick, fault.target, EventKind.FAULT_INJECTED, fault.kind)
         for spawn in out.spawns:
-            vid = self._intruders[id(spawn)]
+            vid = self._intruders.popleft()
             rt = self.runtimes[vid]
             # the target is a declared vehicle: active, and not moved by this stage
             target_state = self.runtimes[spawn.target].state

@@ -37,7 +37,6 @@ from .core import (
     PeerAnnounceTrigger,
     PlatoonInfo,
     Role,
-    RoleCause,
     V2VMessage,
     VehicleId,
     VehicleState,
@@ -178,23 +177,6 @@ class StrategyRegistry:
 _NONE: frozenset = frozenset()  # no new fault, no newly silent peer
 
 
-def _same(maneuver: ManeuverState, core: ManeuverState) -> bool:
-    return maneuver is core or maneuver == core  # identity first: == builds two tuples
-
-
-def _role_cause(maneuver: ManeuverState, new_role: Role) -> RoleCause:
-    if maneuver in (ManeuverState.JOIN_TAIL, ManeuverState.JOIN_MIDDLE):
-        return RoleCause.JOIN_COMPLETED
-    if maneuver in (ManeuverState.AEB_HEAD, ManeuverState.AEB_MIDDLE):
-        return RoleCause.AEB_COMPLETED
-    if maneuver in (ManeuverState.LEAVE_TAIL, ManeuverState.LEAVE_MIDDLE):
-        return RoleCause.LEAVE_COMPLETED
-    if maneuver == ManeuverState.HARDWARE_FAILURES:
-        return RoleCause.TAKEOVER_COMPLETED
-    # extensions: derive from the direction of the change
-    return RoleCause.JOIN_COMPLETED if new_role is Role.FOLLOWER else RoleCause.LEAVE_COMPLETED
-
-
 class VehicleManager:
     """One management instance per vehicle. Owns the vehicle's maneuver and
     role state, trigger queues, and strategy dispatch; all cross-vehicle
@@ -237,7 +219,7 @@ class VehicleManager:
 
     def _queue_announces(self, ctx: StrategyContext) -> None:
         for msg in ctx.flags(MessageKind.MANEUVER_ANNOUNCE):
-            if msg.maneuver is not None and msg.maneuver != self.maneuver:
+            if msg.maneuver is not None and msg.maneuver is not self.maneuver:
                 self._pending_announces.append((msg.sender, msg.maneuver))
 
     def _queue_faults(self, ctx: StrategyContext, new_own: Collection[FaultKind],
@@ -258,7 +240,7 @@ class VehicleManager:
     def _fault_trigger(self) -> Optional[tuple[HardwareFaultTrigger, dict]]:
         while self._pending_faults:
             kind, faulty = self._pending_faults.popleft()
-            if _same(self.maneuver, ManeuverState.HARDWARE_FAILURES):
+            if self.maneuver is ManeuverState.HARDWARE_FAILURES:
                 continue  # already handling a failure; drop the duplicate
             return HardwareFaultTrigger(kind), {"faulty": faulty}
         return None
@@ -308,7 +290,7 @@ class VehicleManager:
             self._queue_faults(ctx, new_own, new_silent)
 
         entry_messages: list[V2VMessage] = []
-        platooning = _same(self.maneuver, ManeuverState.PLATOONING)
+        platooning = self.maneuver is ManeuverState.PLATOONING
         selected = self._select_trigger(ttc_result, platooning)
         if selected is not None:
             platooning = False  # no trigger starts Platooning
@@ -358,16 +340,15 @@ class VehicleManager:
             output.role_change = None
             events.append(self._event(ctx.tick, EventKind.MANEUVER_TIMEOUT, self.maneuver))
 
-        if output.role_change is not None and output.role_change != self.role:
-            cause = _role_cause(self.maneuver, output.role_change)
-            new_role = role_transition(self.role, cause)
-            if new_role != output.role_change:
+        if output.role_change is not None and output.role_change is not self.role:
+            cause = self.maneuver.cause  # None: completing the maneuver changes no role
+            if cause is None or role_transition(self.role, cause) is not output.role_change:
                 raise IllegalTransition(f"no role edge from {self.role.value} "
                                         f"to {output.role_change.value}")
-            self.role = new_role
-            self.member = new_role.is_member()
+            self.role = output.role_change
+            self.member = self.role.is_member()
             events.append(self._event(ctx.tick, EventKind.ROLE_CHANGE, self.role))
-        if output.maneuver_done and not _same(self.maneuver, ManeuverState.PLATOONING):
+        if output.maneuver_done and not platooning:
             events.append(self._event(ctx.tick, EventKind.MANEUVER_COMPLETE, self.maneuver))
             self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
             self.progress = StrategyProgress(entered_tick=ctx.tick)

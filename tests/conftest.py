@@ -125,6 +125,15 @@ class RoleChangeToLeader:
         return out
 
 
+class LeaveWhilePlatooning:
+    def step(self, ctx, progress):
+        out = StrategyOutput(controller=ControllerKind(
+            LongitudinalCommand(LongitudinalMode.CACC)))
+        if ctx.tick == 40:
+            out.role_change, out.maneuver_done = Role.FREE_VEHICLE, True
+        return out
+
+
 class LaneChangeToLaneFive:
     def step(self, ctx, progress):
         lateral = (LateralCommand(LateralMode.LANE_CHANGE, 5) if ctx.tick == 40
@@ -138,6 +147,7 @@ BROKEN_STRATEGIES = [
     (RoleChangeWithoutCompletion(), IllegalTransition, "role change is only allowed"),
     (LaneChangeToLaneFive(), InvalidLane, "lane 5 outside [0, 3)"),
     (RoleChangeToLeader(), IllegalTransition, "no role edge from Follower to Leader"),
+    (LeaveWhilePlatooning(), IllegalTransition, "no role edge from Follower to FreeVehicle"),
 ]
 
 

@@ -139,6 +139,11 @@ class TestRun:
         assert capsys.readouterr().err == ("error: events[0] at t=5.0 comes after "
                                            "the last tick of the run\n")
 
+    def test_a_run_without_overrides_computes_its_tick_count_once(self, tmp_path, monkeypatch):
+        computed = count_tick_counts(monkeypatch)
+        assert main(["run", scenario("steady"), "--out", str(tmp_path)]) == 0
+        assert len(computed) == 1
+
     def test_a_run_computes_a_tick_count_at_most_twice(self, tmp_path, monkeypatch):
         computed = count_tick_counts(monkeypatch)
         code = main(["run", scenario("steady"), "--out", str(tmp_path),

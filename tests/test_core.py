@@ -98,9 +98,7 @@ def _all_triggers():
 
 
 def _all_maneuvers():
-    states = [ManeuverState(n) for n in ManeuverState.CORE_NAMES]
-    states.append(ManeuverState.extension("Split"))
-    return states
+    return [*ManeuverState.CORE, ManeuverState.extension("Split")]
 
 
 class TestManeuverTransition:
@@ -165,7 +163,7 @@ class TestManeuverState:
     def test_extension_maneuver(self):
         split = ManeuverState.extension("Split")
         assert split.is_extension
-        assert split == ManeuverState("Split")
+        assert split is ManeuverState("Split")
 
     def test_extension_cannot_shadow_core_name(self):
         with pytest.raises(ValueError):
@@ -186,7 +184,7 @@ def test_no_string_the_engine_writes_to_the_trace_needs_quotes():
     a scripted vehicle."""
     labels = [controller_label(ControllerKind(LongitudinalCommand(mode, v_set)))
               for mode in LongitudinalMode for v_set in (None, 20.0, -0.0, 1e300)]
-    cells = [*(role.value for role in Role), *ManeuverState.CORE_NAMES, *labels,
+    cells = [*(role.value for role in Role), *(m.name for m in ManeuverState.CORE), *labels,
              "Off", "Script", "-"]
     assert [cell for cell in cells if any(c in cell for c in CSV_SPECIAL)] == []
 

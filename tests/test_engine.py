@@ -1,6 +1,7 @@
 """Engine-level tests: determinism, snapshot semantics, protocol liveness
 and the cross-layer invariants that only show up in full runs."""
 
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -95,6 +96,14 @@ class TestDeterminism:
         trace_a, _ = Simulator(spec).run()
         trace_b, _ = Simulator(spec).run()
         assert first_difference(trace_a, trace_b) is None
+
+    def test_a_deep_copied_simulator_runs_as_the_original(self):
+        sim = Simulator(bundled_scenario("integrated"))
+        twin = copy.deepcopy(sim)
+        trace, report = sim.run()
+        twin_trace, twin_report = twin.run()
+        assert twin_trace.rows == trace.rows
+        assert twin_report.events == report.events
 
     def test_declaration_order_does_not_change_the_trace(self):
         spec = platoon_spec(duration=3.0)

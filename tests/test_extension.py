@@ -2,11 +2,14 @@
 registry without touching any management-module source."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import DT, PARAMS, make_ctx
 
+import platoonsim
 from platoonsim.engine import Simulator
 
 from platoonsim.core import EventKind, LongitudinalMode, ManeuverState, Role
@@ -22,6 +25,7 @@ from platoonsim.scenario import bundled_scenario
 from platoonsim.strategies import CC, default_registry
 
 SPLIT = ManeuverState.extension("Split-stub")
+SRC = Path(platoonsim.__file__).parent
 
 
 class SplitStub:
@@ -37,6 +41,19 @@ class SplitStub:
 def test_builtin_registry_has_no_extension_entries():
     registry = default_registry()
     assert all(not key.maneuver.is_extension for key in registry.keys())
+
+
+def test_the_manager_names_no_maneuver_but_platooning_and_hardware_failures():
+    source = (SRC / "management.py").read_text(encoding="utf-8")
+    named = set(re.findall(r"ManeuverState\.(\w+)", source))
+    assert named == {"PLATOONING", "HARDWARE_FAILURES"}
+
+
+def test_no_source_file_keys_state_by_object_id():
+    calls = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\bid\(", line)]
+    assert calls == []
 
 
 def test_extension_registers_and_activates_via_public_api():

@@ -2,7 +2,9 @@
 strategies against their handshake contracts, and manager trigger handling
 (priority, queueing, preemption)."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -11,6 +13,7 @@ from conftest import DT, PARAMS, flag, fresh_progress, make_ctx, make_peer, make
 from platoonsim.core import (
     EventKind,
     FaultKind,
+    IllegalTransition,
     LateralCommand,
     LateralMode,
     LongitudinalCommand,
@@ -19,6 +22,7 @@ from platoonsim.core import (
     MessageKind,
     PlatoonInfo,
     Role,
+    RoleCause,
 )
 from platoonsim.controllers import TriggerKind
 from platoonsim.management import (
@@ -736,30 +740,73 @@ class TestDriverRestart:
         assert out.controller.longitudinal.v_set == 0.0
 
 
-class TestEqualButDistinctManeuver:
-    """The manager tests maneuvers by identity first; an equal but distinct
-    ManeuverState must still behave exactly like the shared one."""
+class FinishWithRole:
+    """An extension strategy that completes on its first step with a role change."""
 
-    def drive(self, distinct):
-        mgr = manager_for()
-        seen = []
-        for tick in range(1300):
-            if distinct:
-                mgr.maneuver = ManeuverState(mgr.maneuver.name)
-            if tick == 1:
-                mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-            own = (FaultKind.V2V_FAIL,) if tick >= 1250 else ()
-            silent = frozenset((3,)) if tick >= 1251 else frozenset()
-            out, events = mgr.tick(make_ctx(tick=tick, maneuver=mgr.maneuver,
-                                            own_faults=own), silent)
-            seen.append((mgr.maneuver.name, mgr.role, [(e.kind, e.detail) for e in events],
-                         out.controller, kinds(out), out.maneuver_done, out.notes))
-        return seen
+    def __init__(self, role):
+        self.role = role
 
-    def test_a_distinct_platooning_behaves_as_before(self):
-        shared = self.drive(distinct=False)
-        assert self.drive(distinct=True) == shared
-        events = [e for step in shared for e in step[2]]
-        assert (EventKind.MANEUVER_START, "JoinTail") in events
-        assert (EventKind.MANEUVER_TIMEOUT, "JoinTail") in events
-        assert events.count((EventKind.MANEUVER_START, "HardwareFailures")) == 1
+    def step(self, ctx, progress):
+        return StrategyOutput(role_change=self.role, maneuver_done=True)
+
+
+class TestDeclaredManeuver:
+    """One object per maneuver name, carrying the role edge its completion may take."""
+
+    @pytest.mark.parametrize("maneuver", [
+        ManeuverState.JOIN_TAIL, ManeuverState.extension("Declared-once")],
+        ids=["core", "extension"])
+    def test_constructor_copy_and_pickle_return_the_declared_object(self, maneuver):
+        assert ManeuverState(maneuver.name) is maneuver
+        assert copy.copy(maneuver) is maneuver
+        assert copy.deepcopy(maneuver) is maneuver
+        assert pickle.loads(pickle.dumps(maneuver)) is maneuver
+
+    def test_core_maneuvers_declare_their_role_edge(self):
+        causes = {m.name: m.cause for m in ManeuverState.CORE}
+        assert causes == {
+            "Platooning": None, "CutIn": None,
+            "JoinTail": RoleCause.JOIN_COMPLETED, "JoinMiddle": RoleCause.JOIN_COMPLETED,
+            "LeaveTail": RoleCause.LEAVE_COMPLETED, "LeaveMiddle": RoleCause.LEAVE_COMPLETED,
+            "AEBHead": RoleCause.AEB_COMPLETED, "AEBMiddle": RoleCause.AEB_COMPLETED,
+            "HardwareFailures": RoleCause.TAKEOVER_COMPLETED}
+
+    def test_redeclaring_an_extension_with_its_cause_returns_it(self):
+        merge = ManeuverState.extension("Merge-same", RoleCause.JOIN_COMPLETED)
+        assert ManeuverState.extension("Merge-same", RoleCause.JOIN_COMPLETED) is merge
+
+    def test_redeclaring_an_extension_with_another_cause_is_refused(self):
+        ManeuverState.extension("Merge-other", RoleCause.JOIN_COMPLETED)
+        with pytest.raises(ValueError, match="already declared"):
+            ManeuverState.extension("Merge-other")
+        with pytest.raises(ValueError, match="already declared"):
+            ManeuverState.extension("Merge-other", RoleCause.LEAVE_COMPLETED)
+
+    def test_an_undeclared_name_is_refused(self):
+        with pytest.raises(ValueError, match="no maneuver is declared"):
+            ManeuverState("Never-declared")
+
+    def test_a_maneuver_is_immutable(self):
+        with pytest.raises(AttributeError):
+            ManeuverState.JOIN_TAIL.cause = None
+
+    def run_extension(self, maneuver, role, new_role):
+        registry = default_registry()
+        registry.register(StrategyKey(maneuver, role), FinishWithRole(new_role))
+        mgr = VehicleManager(9, role, registry, PARAMS, DT)
+        mgr.offer_instruction(ActiveInstruction(maneuver, target=9))
+        return mgr, mgr.tick(make_ctx(ego_id=9, role=role, series=()))
+
+    def test_an_extension_that_declares_join_turns_a_free_vehicle_into_a_follower(self):
+        merge = ManeuverState.extension("Merge-join", RoleCause.JOIN_COMPLETED)
+        mgr, (_, events) = self.run_extension(merge, Role.FREE_VEHICLE, Role.FOLLOWER)
+        assert (mgr.role, mgr.member, mgr.maneuver) == (
+            Role.FOLLOWER, True, ManeuverState.PLATOONING)
+        assert [(e.kind, e.subject) for e in events] == [
+            (EventKind.MANEUVER_START, merge), (EventKind.ROLE_CHANGE, Role.FOLLOWER),
+            (EventKind.MANEUVER_COMPLETE, merge)]
+
+    def test_an_extension_without_a_cause_takes_no_role_edge(self):
+        merge = ManeuverState.extension("Merge-undeclared")
+        with pytest.raises(IllegalTransition, match="no role edge from FreeVehicle to Follower"):
+            self.run_extension(merge, Role.FREE_VEHICLE, Role.FOLLOWER)
