@@ -133,7 +133,7 @@ def check_join_middle() -> CheckResult:
                            "missing evade speed drop / resume / EvadeFlag")
     gap_at_evade = _col(trace, trace.rows[evade_flags[0].tick], "v3_gap")
     same_tick = evade_flags[0].tick == resumes[0].tick
-    completed = any(m == ManeuverState.JOIN_MIDDLE.name for _, _, m in report.completions)
+    completed = any(m is ManeuverState.JOIN_MIDDLE for _, _, m in report.completions)
     passed = (29.5 <= gap_at_evade <= 30.5 and same_tick and completed
               and not report.collisions)
     return CheckResult(3, "join middle", passed,
@@ -181,7 +181,7 @@ def check_cut_in() -> CheckResult:
     for vid in range(2, 6):
         sw = _first_controller_switch(report, vid, after=t_det * spec.run.dt - 1e-9)
         acc_on_time &= sw is not None and sw.subject == ACC() and sw.tick <= budget
-    done = [t for t, v, m in report.completions if m == ManeuverState.CUT_IN.name and v == 2]
+    done = [t for t, v, m in report.completions if m is ManeuverState.CUT_IN and v == 2]
     if not done:
         return CheckResult(5, "cut in", False, "cut-in never completed")
     probe = next(r for r in trace.rows if r[1] >= done[0] - 2.0)
@@ -284,21 +284,21 @@ def check_integrated() -> CheckResult:
     t0 = time.perf_counter()
     trace, report = Simulator(spec).run()
     wall = time.perf_counter() - t0
-    first: dict[str, float] = {}
+    first: dict[ManeuverState, float] = {}  # a maneuver hashes by identity
     for t, _, m in report.completions:
         first.setdefault(m, t)
     M = ManeuverState
-    expected = [m.name for m in (M.JOIN_TAIL, M.JOIN_MIDDLE, M.AEB_HEAD, M.CUT_IN,
-                                 M.AEB_MIDDLE, M.LEAVE_MIDDLE, M.LEAVE_TAIL)]
+    expected = [M.JOIN_TAIL, M.JOIN_MIDDLE, M.AEB_HEAD, M.CUT_IN,
+                M.AEB_MIDDLE, M.LEAVE_MIDDLE, M.LEAVE_TAIL]
     have_all = all(m in first for m in expected)
     ordered = have_all and all(first[a] < first[b]
                                for a, b in zip(expected, expected[1:]))
     rejoins_head = have_all and any(
-        t > first[M.AEB_HEAD.name] and m == M.JOIN_TAIL.name for t, _, m in report.completions)
+        t > first[M.AEB_HEAD] and m is M.JOIN_TAIL for t, _, m in report.completions)
     rejoins_middle = have_all and any(
-        t > first[M.AEB_MIDDLE.name] and m == M.JOIN_TAIL.name for t, _, m in report.completions)
+        t > first[M.AEB_MIDDLE] and m is M.JOIN_TAIL for t, _, m in report.completions)
     leavers = {v for t, v, m in report.completions
-               if m == M.LEAVE_TAIL.name and any(
+               if m is M.LEAVE_TAIL and any(
                    e.kind is EventKind.ROLE_CHANGE and e.vehicle == v
                    and abs(e.time - t) < 1e-9 for e in report.events)}
     passed = (ordered and rejoins_head and rejoins_middle and leavers == {2, 4, 5}

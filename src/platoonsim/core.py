@@ -429,6 +429,10 @@ class EventKind(enum.Enum):
         self.word = word
         self.render = render
 
+    def __reduce_ex__(self, protocol: object) -> tuple[Callable, tuple[type, str]]:
+        # by name: a renderer may be a lambda, which pickle cannot name
+        return getattr, (EventKind, self.name)
+
 
 @dataclass(frozen=True)
 class EngineEvent:

@@ -55,6 +55,7 @@ from .core import (
     IllegalTransition,
     LongitudinalCommand,
     LongitudinalMode,
+    ManeuverState,
     MessageKind,
     PlatoonInfo,
     Role,
@@ -265,9 +266,9 @@ class RunReport:
     events: list[EngineEvent] = field(default_factory=list)
 
     @property
-    def completions(self) -> list[tuple[float, VehicleId, str]]:
-        """(time, vehicle, maneuver name) of each ``maneuver_complete`` event."""
-        return [(e.time, e.vehicle, e.subject.name) for e in self.events
+    def completions(self) -> list[tuple[float, VehicleId, ManeuverState]]:
+        """(time, vehicle, maneuver) of each ``maneuver_complete`` event."""
+        return [(e.time, e.vehicle, e.subject) for e in self.events
                 if e.kind is EventKind.MANEUVER_COMPLETE]
 
     @property
@@ -294,8 +295,8 @@ class RunReport:
             *self.pair_lines("", "min_gaps"),
             "maneuver_completions:",
         ]
-        for t, vid, name in self.completions:
-            lines.append(f"  t={t:.3f} v{vid} {name}")
+        for t, vid, maneuver in self.completions:
+            lines.append(f"  t={t:.3f} v{vid} {maneuver.name}")
         lines.append("takeovers:")
         for t, vid in self.takeovers:
             lines.append(f"  t={t:.3f} v{vid}")

@@ -137,11 +137,18 @@ class StrategyOutput:
 
 @dataclass
 class StrategyProgress:
-    """Resumable wait-state of one maneuver instance; reset on entry."""
+    """One maneuver instance, made anew on entry. The manager sets the facts
+    it starts with: ``origin``, the vehicle its trigger named (an obstacle's
+    detector or the faulty vehicle; None for a cloud ``instruction``), and
+    ``series``, the platoon order at entry. ``phase`` and ``data`` are the
+    strategy's own resumable wait-state."""
 
     phase: str = "init"
     entered_tick: int = 0
     data: dict = field(default_factory=dict)
+    origin: Optional[VehicleId] = None
+    instruction: Optional[ActiveInstruction] = None
+    series: tuple[VehicleId, ...] = ()
 
     def age(self, tick: int) -> int:
         return tick - self.entered_tick
@@ -192,7 +199,6 @@ class VehicleManager:
         self.dt = dt
         self.maneuver = ManeuverState.PLATOONING
         self.progress = StrategyProgress()
-        self.active_instruction: Optional[ActiveInstruction] = None
         self._pending_instructions: deque[ActiveInstruction] = deque()
         self._pending_announces: deque[tuple[VehicleId, ManeuverState]] = deque()
         self._pending_faults: deque[tuple[FaultKind, VehicleId]] = deque()
@@ -237,33 +243,32 @@ class VehicleManager:
         for peer in sorted(new_silent):
             self._pending_faults.append((FaultKind.V2V_FAIL, peer))
 
-    def _fault_trigger(self) -> Optional[tuple[HardwareFaultTrigger, dict]]:
-        while self._pending_faults:
-            kind, faulty = self._pending_faults.popleft()
-            if self.maneuver is ManeuverState.HARDWARE_FAILURES:
-                continue  # already handling a failure; drop the duplicate
-            return HardwareFaultTrigger(kind), {"faulty": faulty}
-        return None
-
-    def _select_trigger(self, ttc_result: TriggerKind, in_platooning: bool,
-                        ) -> Optional[tuple[ManeuverTrigger, dict]]:
+    def _select_trigger(self, ttc_result: TriggerKind, in_platooning: bool) -> Optional[
+            tuple[ManeuverTrigger, Optional[VehicleId], Optional[ActiveInstruction]]]:
+        """The trigger that fires this tick, with its origin and instruction."""
         while in_platooning and self._pending_instructions:
             instr = self._pending_instructions.popleft()
             if self._takes_part(instr):  # else the vehicle turned free since it was queued
-                return CloudInstructionTrigger(instr.maneuver), {"instruction": instr}
-        if self._pending_faults:
-            fault = self._fault_trigger()
-            if fault is not None:
-                return fault
+                return CloudInstructionTrigger(instr.maneuver), None, instr
+        while self._pending_faults:
+            kind, faulty = self._pending_faults.popleft()
+            if self.maneuver is not ManeuverState.HARDWARE_FAILURES:  # else a duplicate: drop it
+                return HardwareFaultTrigger(kind), faulty, None
         if in_platooning and self.member:
             if ttc_result is TriggerKind.AEB:
-                return ObstacleTtcTrigger(at_head=self.role is Role.LEADER), {"detector": self.vid}
+                return ObstacleTtcTrigger(at_head=self.role is Role.LEADER), self.vid, None
             if ttc_result is TriggerKind.CUT_IN:
-                return ObstacleCutInTrigger(), {"detector": self.vid}
+                return ObstacleCutInTrigger(), self.vid, None
         if in_platooning and self._pending_announces:
             sender, maneuver = self._pending_announces.popleft()
-            return PeerAnnounceTrigger(maneuver), {"detector": sender}
+            return PeerAnnounceTrigger(maneuver), sender, None
         return None
+
+    def _enter(self, maneuver: ManeuverState, progress: StrategyProgress) -> None:
+        """Start ``maneuver`` as the instance ``progress``, with a fresh TTC baseline."""
+        self.maneuver = maneuver
+        self.progress = progress
+        self.monitor.reset()
 
     # -- tick ---------------------------------------------------------------
 
@@ -289,31 +294,27 @@ class VehicleManager:
         if (ctx.inbox or new_own or new_silent) and ctx.degradation_enabled and self.member:
             self._queue_faults(ctx, new_own, new_silent)
 
-        entry_messages: list[V2VMessage] = []
+        entry: Optional[V2VMessage] = None
         platooning = self.maneuver is ManeuverState.PLATOONING
         selected = self._select_trigger(ttc_result, platooning)
         if selected is not None:
             platooning = False  # no trigger starts Platooning
-            trigger, data = selected
-            self.maneuver = maneuver_transition(self.maneuver, trigger)
-            self.progress = StrategyProgress(entered_tick=ctx.tick, data=dict(data))
-            self.active_instruction = data.get("instruction")
-            self.monitor.reset()
+            trigger, origin, instruction = selected
+            self._enter(maneuver_transition(self.maneuver, trigger), StrategyProgress(
+                entered_tick=ctx.tick, origin=origin, instruction=instruction,
+                series=ctx.platoon.id_series if ctx.platoon else ()))
             events.append(self._event(ctx.tick, EventKind.MANEUVER_START, self.maneuver))
-            if isinstance(trigger, HardwareFaultTrigger):
-                # only an own fault names this vehicle: no FaultFlag or silent peer does
-                if data["faulty"] == self.vid:
-                    entry_messages.append(ctx.make(MessageKind.FAULT_FLAG, fault=trigger.kind))
-            elif isinstance(trigger, (ObstacleTtcTrigger, ObstacleCutInTrigger)):
-                # only sensor-detected maneuvers need broadcasting: cloud
-                # instructions already reach every vehicle and fault entries
-                # are carried by FaultFlag
-                entry_messages.append(ctx.make(MessageKind.MANEUVER_ANNOUNCE,
-                                               maneuver=self.maneuver))
+            if origin == self.vid:
+                # only the vehicle's own detection is news to its peers: the
+                # cloud instructs every vehicle, and an adopted announce, a
+                # peer's FaultFlag or a silent peer names another vehicle
+                entry = (ctx.make(MessageKind.FAULT_FLAG, fault=trigger.kind)
+                         if isinstance(trigger, HardwareFaultTrigger) else
+                         ctx.make(MessageKind.MANEUVER_ANNOUNCE, maneuver=self.maneuver))
 
         ctx.role = self.role
         ctx.maneuver = self.maneuver
-        ctx.instruction = self.active_instruction
+        ctx.instruction = self.progress.instruction
 
         key = (self.maneuver, self.role)
         strategy = self._strategy if key == self._strategy_key else None
@@ -327,8 +328,8 @@ class VehicleManager:
         else:
             output = strategy.step(ctx, self.progress)
 
-        if entry_messages:
-            output.messages = entry_messages + output.messages
+        if entry is not None:
+            output.messages = [entry, *output.messages]
 
         if output.role_change is not None and not output.maneuver_done:
             raise IllegalTransition("role change is only allowed with maneuver completion")
@@ -342,7 +343,11 @@ class VehicleManager:
 
         if output.role_change is not None and output.role_change is not self.role:
             cause = self.maneuver.cause  # None: completing the maneuver changes no role
-            if cause is None or role_transition(self.role, cause) is not output.role_change:
+            try:
+                edge = None if cause is None else role_transition(self.role, cause)
+            except IllegalTransition:  # the cause leads out of another role
+                edge = None
+            if edge is not output.role_change:
                 raise IllegalTransition(f"no role edge from {self.role.value} "
                                         f"to {output.role_change.value}")
             self.role = output.role_change
@@ -350,9 +355,7 @@ class VehicleManager:
             events.append(self._event(ctx.tick, EventKind.ROLE_CHANGE, self.role))
         if output.maneuver_done and not platooning:
             events.append(self._event(ctx.tick, EventKind.MANEUVER_COMPLETE, self.maneuver))
-            self.maneuver = maneuver_transition(self.maneuver, CompletedTrigger())
-            self.progress = StrategyProgress(entered_tick=ctx.tick)
-            self.active_instruction = None
-            self.monitor.reset()
+            self._enter(maneuver_transition(self.maneuver, CompletedTrigger()),
+                        StrategyProgress(entered_tick=ctx.tick))
 
         return output, events

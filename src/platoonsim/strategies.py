@@ -81,15 +81,6 @@ def DRIVER(v_set: float) -> ControllerKind:
     return _set_speed(LongitudinalMode.DRIVER, v_set, math.copysign(1.0, v_set))
 
 
-def _entry_series(ctx: StrategyContext, progress: StrategyProgress,
-                  ) -> tuple[VehicleId, ...]:
-    """Platoon order snapshotted at maneuver entry; later pruning of the
-    live replica must not change who takes part in this instance."""
-    if "series" not in progress.data:
-        progress.data["series"] = ctx.platoon.id_series if ctx.platoon else ()
-    return progress.data["series"]
-
-
 def _behind(series: tuple[VehicleId, ...], a: VehicleId, b: Optional[VehicleId]) -> bool:
     """Whether ``a`` drives somewhere behind ``b`` in the platoon order."""
     return a in series and b in series and series.index(a) > series.index(b)
@@ -319,8 +310,8 @@ class AebFollower:
     """
 
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        series = _entry_series(ctx, progress)
-        detector = progress.data.get("detector", ctx.ego_id)
+        series = progress.series
+        detector = ctx.ego_id if progress.origin is None else progress.origin
         if ctx.maneuver == ManeuverState.AEB_HEAD:
             group = tuple(series[1:]) if series else (ctx.ego_id,)
         else:
@@ -360,7 +351,7 @@ class AebMiddleLeader:
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         out = StrategyOutput(controller=CC(ctx.params.aeb_middle_wait_speed))
         assert ctx.platoon is not None
-        detector = progress.data.get("detector")
+        detector = progress.origin
         if ctx.has_flag(MessageKind.SAFE_FLAG):
             return _confirm(ctx, out, ctx.platoon.truncate_from(detector)
                             if detector in ctx.platoon.id_series else None)
@@ -373,9 +364,8 @@ class CutInMember:
     detector raises SafeFlag when its tracked return changes back."""
 
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        series = _entry_series(ctx, progress)
-        detector = progress.data.get("detector", ctx.ego_id)
-        affected = detector == ctx.ego_id or _behind(series, ctx.ego_id, detector)
+        detector = ctx.ego_id if progress.origin is None else progress.origin
+        affected = detector == ctx.ego_id or _behind(progress.series, ctx.ego_id, detector)
         out = StrategyOutput(controller=ACC() if affected else None)
         if detector == ctx.ego_id:
             if "cut_target" not in progress.data and ctx.reading.target is not None:
@@ -399,7 +389,7 @@ class LeaveFollower:
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         instr = ctx.instruction
         assert instr is not None
-        series = _entry_series(ctx, progress)
+        series = progress.series
         if ctx.ego_id == instr.target:
             return self._leaver(ctx, progress)
         behind_leaver = (ctx.maneuver == ManeuverState.LEAVE_MIDDLE
@@ -461,7 +451,6 @@ class HardwareFailuresFollower:
     """
 
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
-        series = _entry_series(ctx, progress)
         degrade: Optional[ControllerKind] = None
         if FaultKind.RADAR_FAIL in ctx.own_faults:
             if "cc_vset" not in progress.data:
@@ -469,7 +458,7 @@ class HardwareFailuresFollower:
                     0.0, ctx.ego.v - ctx.params.cc_fault_speed_drop)
             degrade = CC(progress.data["cc_vset"])
         elif (FaultKind.V2V_FAIL in ctx.own_faults
-              or _behind(series, ctx.ego_id, progress.data.get("faulty"))):
+              or _behind(progress.series, ctx.ego_id, progress.origin)):
             degrade = ACC()
 
         if degrade is None:
@@ -499,7 +488,7 @@ class HardwareFailuresLeader:
     def step(self, ctx: StrategyContext, progress: StrategyProgress) -> StrategyOutput:
         out = StrategyOutput(controller=CC(ctx.params.platoon_speed))
         assert ctx.platoon is not None
-        faulty = progress.data.get("faulty")
+        faulty = progress.origin
         if faulty not in ctx.platoon.id_series:
             out.maneuver_done = True
             return out

@@ -86,8 +86,13 @@ def heartbeat(sender, tick, state, role, platoon) -> V2VMessage:
     return V2VMessage(sender, MessageKind.HEARTBEAT, tick, state, role, platoon)
 
 
-def fresh_progress(tick=100, **data) -> StrategyProgress:
-    return StrategyProgress(entered_tick=tick, data=dict(data))
+def fresh_progress(tick=100, detector=None, faulty=None, series=(1, 2, 3, 4, 5),
+                   instruction: Optional[ActiveInstruction] = None) -> StrategyProgress:
+    """A maneuver instance entered at ``tick``; its origin is the obstacle's
+    ``detector`` or the ``faulty`` vehicle, and ``series`` defaults as in
+    :func:`make_ctx`."""
+    return StrategyProgress(entered_tick=tick, origin=faulty if detector is None else detector,
+                            instruction=instruction, series=tuple(series))
 
 
 @pytest.fixture

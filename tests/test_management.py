@@ -8,7 +8,16 @@ import pickle
 
 import pytest
 
-from conftest import DT, PARAMS, flag, fresh_progress, make_ctx, make_peer, make_reading
+from conftest import (
+    DT,
+    PARAMS,
+    flag,
+    fresh_progress,
+    make_ctx,
+    make_peer,
+    make_reading,
+    registry_replacing,
+)
 
 from platoonsim.core import (
     EventKind,
@@ -544,7 +553,7 @@ class TestManagerTriggers:
         out, events = mgr.tick(make_ctx(ego_id=2, role=Role.FREE_VEHICLE,
                                         series=(), reading=make_reading(gap=45.0)))
         assert mgr.maneuver == ManeuverState.JOIN_TAIL
-        assert mgr.active_instruction is instr
+        assert mgr.progress.instruction is instr
 
     def test_maneuver_start_resets_the_ttc_baseline(self):
         mgr, idle = manager_for(), manager_for()
@@ -621,28 +630,6 @@ class TestManagerTriggers:
         follower.tick(make_ctx(reading=make_reading(gap=4.0, target=9)))
         assert follower.maneuver == ManeuverState.AEB_MIDDLE
 
-    def test_sensor_entry_announces_maneuver(self):
-        mgr = manager_for()
-        mgr.tick(make_ctx())
-        out, _ = mgr.tick(make_ctx(reading=make_reading(gap=10.0, target=9)))
-        assert MessageKind.MANEUVER_ANNOUNCE in kinds(out)
-
-    def test_cloud_entry_does_not_announce(self):
-        mgr = manager_for()
-        mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
-        out, _ = mgr.tick(make_ctx())
-        assert MessageKind.MANEUVER_ANNOUNCE not in kinds(out)
-
-    def test_peer_announce_adopts_maneuver(self):
-        mgr = manager_for()
-        announce = flag(MessageKind.MANEUVER_ANNOUNCE, sender=4,
-                        maneuver=ManeuverState.AEB_MIDDLE)
-        out, _ = mgr.tick(make_ctx(inbox=[announce]))
-        assert mgr.maneuver == ManeuverState.AEB_MIDDLE
-        assert mgr.progress.data["detector"] == 4
-        # adopting a broadcast selection is not re-announced
-        assert MessageKind.MANEUVER_ANNOUNCE not in kinds(out)
-
     def test_timeout_aborts_stuck_maneuver(self):
         mgr = manager_for(2, Role.FREE_VEHICLE)
         mgr.offer_instruction(ActiveInstruction(ManeuverState.JOIN_TAIL, target=2))
@@ -676,12 +663,61 @@ class TestManagerTriggers:
         mgr, events = self.taken_over(ActiveInstruction(ManeuverState.JOIN_TAIL, target=9))
         assert mgr.maneuver == ManeuverState.PLATOONING
         assert not [e for e in events if e.kind is EventKind.MANEUVER_START]
-        assert mgr.active_instruction is None
+        assert mgr.progress.instruction is None
 
     def test_free_vehicle_starts_its_own_instruction_queued_behind_a_dropped_one(self):
         own = ActiveInstruction(ManeuverState.JOIN_TAIL, target=2)
         mgr, _ = self.taken_over(ActiveInstruction(ManeuverState.LEAVE_TAIL, target=9), own)
-        assert mgr.maneuver == ManeuverState.JOIN_TAIL and mgr.active_instruction is own
+        assert mgr.maneuver == ManeuverState.JOIN_TAIL and mgr.progress.instruction is own
+
+
+JOIN_9 = ActiveInstruction(ManeuverState.JOIN_TAIL, target=9)
+ENTRY_FLAGS = (MessageKind.FAULT_FLAG, MessageKind.MANEUVER_ANNOUNCE)
+FAULT_FLAG = (MessageKind.FAULT_FLAG, FaultKind.RADAR_FAIL, None)  # (kind, fault, maneuver)
+
+
+class TestEntryRecord:
+    """Each way a maneuver starts, and the instance it starts with: the
+    vehicle its trigger names, the cloud instruction, the platoon order at
+    entry, and the one message a vehicle sends about its own detection."""
+
+    @pytest.mark.parametrize("offer, ctx_kw, silent, maneuver, origin, entry", [
+        pytest.param(JOIN_9, {}, frozenset(), ManeuverState.JOIN_TAIL, None, None,
+                     id="cloud instruction"),
+        pytest.param(None, dict(own_faults={FaultKind.RADAR_FAIL}), frozenset(),
+                     ManeuverState.HARDWARE_FAILURES, 2, FAULT_FLAG, id="own fault"),
+        pytest.param(None, dict(inbox=[flag(MessageKind.FAULT_FLAG, sender=3,
+                                            fault=FaultKind.V2V_FAIL)]), frozenset(),
+                     ManeuverState.HARDWARE_FAILURES, 3, None, id="peer FaultFlag"),
+        pytest.param(None, {}, frozenset((4,)), ManeuverState.HARDWARE_FAILURES, 4, None,
+                     id="silent peer"),
+        pytest.param(None, dict(reading=make_reading(gap=4.0, target=9)), frozenset(),
+                     ManeuverState.AEB_MIDDLE, 2,
+                     (MessageKind.MANEUVER_ANNOUNCE, None, ManeuverState.AEB_MIDDLE),
+                     id="TTC detection"),
+        pytest.param(None, dict(reading=make_reading(gap=10.0, target=9)), frozenset(),
+                     ManeuverState.CUT_IN, 2,
+                     (MessageKind.MANEUVER_ANNOUNCE, None, ManeuverState.CUT_IN),
+                     id="cut-in detection"),
+        pytest.param(None, dict(inbox=[flag(MessageKind.MANEUVER_ANNOUNCE, sender=4,
+                                            maneuver=ManeuverState.AEB_MIDDLE)]),
+                     frozenset(), ManeuverState.AEB_MIDDLE, 4, None, id="adopted announce"),
+    ])
+    def test_entry_records_its_facts_and_broadcasts_only_an_own_detection(
+            self, offer, ctx_kw, silent, maneuver, origin, entry):
+        mgr = manager_for()
+        mgr.tick(make_ctx(tick=99))  # the TTC baseline
+        if offer is not None:
+            assert mgr.offer_instruction(offer)
+        out, events = mgr.tick(make_ctx(**ctx_kw), silent)
+        assert [e.subject for e in events if e.kind is EventKind.MANEUVER_START] == [maneuver]
+        progress = mgr.progress
+        assert (progress.entered_tick, progress.origin, progress.instruction,
+                progress.series) == (100, origin, offer, (1, 2, 3, 4, 5))
+        sent = [(m.kind, m.fault, m.maneuver) for m in out.messages if m.kind in ENTRY_FLAGS]
+        assert sent == ([] if entry is None else [entry])
+        if entry is not None:  # ahead of what the strategy sends
+            assert out.messages[0].kind is entry[0]
 
 
 class TestFaultSignalOrder:
@@ -701,7 +737,7 @@ class TestFaultSignalOrder:
 
     def test_a_fault_handed_over_on_every_tick_is_queued_once(self):
         mgr = manager_for()
-        mgr._fault_trigger = lambda: None  # start nothing: keep what tick queues
+        mgr._select_trigger = lambda *_: None  # start nothing: keep what tick queues
         own, silent = frozenset(FaultKind), frozenset((5, 3, 4))
         for tick in (100, 101, 102):
             mgr.tick(make_ctx(tick=tick, own_faults=own), silent)
@@ -805,6 +841,15 @@ class TestDeclaredManeuver:
         assert [(e.kind, e.subject) for e in events] == [
             (EventKind.MANEUVER_START, merge), (EventKind.ROLE_CHANGE, Role.FOLLOWER),
             (EventKind.MANEUVER_COMPLETE, merge)]
+
+    def test_a_completion_off_its_role_edge_is_refused_in_the_managers_words(self):
+        # JoinCompleted leads out of FreeVehicle only: a follower has no edge to take
+        registry = registry_replacing(StrategyKey(ManeuverState.JOIN_TAIL, Role.FOLLOWER),
+                                      FinishWithRole(Role.FREE_VEHICLE))
+        mgr = VehicleManager(2, Role.FOLLOWER, registry, PARAMS, DT)
+        mgr.offer_instruction(JOIN_9)
+        with pytest.raises(IllegalTransition, match="no role edge from Follower to FreeVehicle"):
+            mgr.tick(make_ctx())
 
     def test_an_extension_without_a_cause_takes_no_role_edge(self):
         merge = ManeuverState.extension("Merge-undeclared")
